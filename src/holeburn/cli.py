@@ -46,9 +46,8 @@ from .medium import (HoleProfile, MediumParams, exact_gaussian_model,
                      second_order_model, slow_light_velocity)
 from .propagation import (PulseSpec, SampledEnvelope, auto_grid, propagate,
                           stretched_duration)
-from .storage import (StorageSchedule, default_schedule, retrieve)
+from .storage import _METHODS, StorageSchedule, default_schedule, retrieve
 
-_METHODS = ("full_quadrature", "established", "revival", "series")
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
 
@@ -463,6 +462,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ConfigurationError(
+                f"--tol must be a positive finite number, got {tol!r}")
         os.makedirs(args.out, exist_ok=True)
         if args.command == "preset":
             path = os.path.join(args.out, f"{args.name}.json")
@@ -480,7 +483,7 @@ def main(argv=None):
                 raise ConfigurationError(
                     f"scenario kind {scenario.kind!r} does not match 'transmit'")
             written = run_transmit(scenario, args.out,
-                                   tol=args.tol if args.tol else 1e-6)
+                                   tol=1e-6 if tol is None else tol)
         elif args.command == "store":
             if scenario.kind != "store":
                 raise ConfigurationError(
@@ -492,7 +495,7 @@ def main(argv=None):
                     f"scenario kind {scenario.kind!r} does not match "
                     "'sweep-efficiency'")
             written = run_sweep(scenario, args.out, workers=args.workers,
-                                tol=args.tol)
+                                tol=tol)
         for path in written:
             print(path)
         return 0

@@ -198,6 +198,5 @@ def erfcx(x, budget: AccuracyBudget = DEFAULT_BUDGET):
         out[~small] = _erfcx_cf(ax[~small])
     neg = arr < 0.0
     if np.any(neg):
-        xn = arr[neg] if out.ndim else arr
         out = np.where(neg, 2.0 * np.exp(np.minimum(arr * arr, 700.0)) - out, out)
     return _scalar_like(x, out)

@@ -324,24 +324,34 @@ def revival_validity(t, pulse: PulseSpec, schedule: StorageSchedule,
     return d0 * np.maximum(elapsed, 0.0) / (d0 * pulse.duration) ** 2
 
 
-def _established_kernel(xh, yh, rho, dT, a, n_nodes=240):
-    """Reduced single-quadrature kernel R(xh, yh) of the established signal.
+def _u_nodes(rho, dT, a, n_nodes):
+    """Gauss-Legendre u-nodes of the established kernel R(xh, yh).
 
     R = integral_0^rho du  dT / (sqrt(2 pi a (rho - u)) sqrt(dT^2 + a u))
         * exp[-(xh - u)^2 / (2 (dT^2 + a u)) - (rho - u - yh)^2 / (2 a (rho - u))]
 
     The endpoint singularity at u = rho is removed by u = rho - s^2, which
-    also regularizes the integrand for Gauss-Legendre nodes.
+    also regularizes the integrand for Gauss-Legendre nodes in s.  Returns
+    (s2, u, w1, c) with s2 = s^2 = rho - u, w1 = dT^2 + a u and the node
+    weight times prefactor c = w_s 2 dT / sqrt(2 pi a w1), so that
+
+    R = sum_u c exp[-(xh - u)^2 / (2 w1)] exp[-(s2 - yh)^2 / (2 a s2)].
     """
     s, w = _gl_interval(n_nodes, 0.0, math.sqrt(rho))
-    u = rho - s * s
+    s2 = s * s
+    u = rho - s2
+    w1 = dT * dT + a * u
+    return s2, u, w1, w * 2.0 * dT / np.sqrt(2.0 * np.pi * a * w1)
+
+
+def _established_kernel(xh, yh, rho, dT, a, n_nodes=240):
+    """Reduced single-quadrature kernel R(xh, yh) of the established signal
+    (equation and nodes in ``_u_nodes``)."""
+    s2, u, w1, c = _u_nodes(rho, dT, a, n_nodes)
     xh = np.asarray(xh, dtype=float)[..., None]
     yh = np.asarray(yh, dtype=float)[..., None]
-    w1 = dT * dT + a * u
-    val = (2.0 * dT / np.sqrt(2.0 * np.pi * a * w1)
-           * np.exp(-(xh - u) ** 2 / (2.0 * w1)
-                    - (s * s - yh) ** 2 / (2.0 * a * s * s)))
-    return (val * w).sum(axis=-1)
+    return (c * np.exp(-(xh - u) ** 2 / (2.0 * w1)
+                       - (s2 - yh) ** 2 / (2.0 * a * s2))).sum(axis=-1)
 
 
 def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
@@ -377,8 +387,23 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     where ktil is the dimensionless detuning kernel of the hole deficit
     (sqrt(pi) e^{-(p+q)^2/4} for the Gaussian hole) and R the established
-    kernel.  Finite conversion bandwidth is not supported on this route;
-    use revival_envelope for the cutoff dynamics.
+    kernel.  Both time integrals are truncated at KERNEL_RANGE.  Finite
+    conversion bandwidth is not supported on this route; use
+    revival_envelope for the cutoff dynamics.
+
+    The sums are factorized over the u-nodes of R (see ``_u_nodes``):
+    R(x - p, y - q) = sum_u c_u f_u(x - p) g_u(y - q) with
+    f_u(xh) = exp[-(xh - u)^2 / (2 w1)] and g_u(yh) = exp[-(s2 - yh)^2 /
+    (2 a s2)].  F[p, u] = w_p c_u f_u(x - p) is built once per call, and
+    for one set of q-nodes the p-sum is contracted into
+
+        M[q, u] = w_q sum_p W[p, q] F[p, u],
+        W[p, q] = ktil(p + q) e^{-gamma (p+q)/delta0},
+
+    so a time sample costs one n_q x n_u exponential, A ~ sum G * M with
+    G[q, u] = g_u(y - q).  For y >= KERNEL_RANGE the q-nodes span
+    [0, KERNEL_RANGE] at every sample and M is built once; below it the
+    q-interval is [0, y] and M is rebuilt per sample.
     """
     schedule.validate(params)
     if not schedule.infinite_bandwidth:
@@ -393,21 +418,31 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     kern = _deficit_kernel(profile, d0)
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
+    s2, u, w1, c = _u_nodes(rho, dT, a, n_u)
+    f = wp[:, None] * c * np.exp(-(x - p[:, None] - u) ** 2 / (2.0 * w1))
+
+    def contract(y_top):
+        q, wq = _gl_interval(n_pq, 0.0, y_top)
+        pp = p[:, None] + q[None, :]
+        weight = (np.asarray(kern(pp.ravel())).reshape(pp.shape) / d0
+                  * np.exp(-gamma_red * pp))
+        return q, wq[:, None] * (weight.T @ f)
+
+    late = None
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t_arr.shape, dtype=float)
     for i, ti in enumerate(t_arr.ravel()):
         y = d0 * (ti - schedule.t_pi2)
         if y <= 0:
             continue
-        q, wq = _gl_interval(n_pq, 0.0, min(y, KERNEL_RANGE))
-        pp = p[:, None] + q[None, :]
-        ktil = np.asarray(kern(pp.ravel())).reshape(pp.shape) / d0
-        weight = ktil * np.exp(-gamma_red * pp)
-        r = _established_kernel(x - np.broadcast_to(p[:, None], pp.shape),
-                                y - np.broadcast_to(q[None, :], pp.shape),
-                                rho, dT, a, n_u)
-        out.ravel()[i] = (a / (2.0 * np.pi) * pulse.peak
-                          * float(np.einsum("i,j,ij->", wp, wq, weight * r)))
+        if y < KERNEL_RANGE:
+            q, m = contract(y)
+        else:
+            if late is None:
+                late = contract(KERNEL_RANGE)
+            q, m = late
+        g = np.exp(-(s2 - (y - q)[:, None]) ** 2 / (2.0 * a * s2))
+        out.ravel()[i] = a / (2.0 * np.pi) * pulse.peak * float(np.vdot(g, m))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -538,6 +573,10 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     d0 = params.delta0
     v = slow_light_velocity(params)
     eta = total / (pulse.peak ** 2 * SQRT_PI * pulse.duration)
+    if eta > 1.0:
+        raise NumericsError(
+            f"restored energy exceeds the input energy (eta = {eta:.6g}); "
+            "the quadrature overshoots", residual=eta - 1.0)
     peak_t = env.peak_time() + schedule.t_pi2
     validity = {
         "revival_condition_fraction": float(
@@ -546,7 +585,7 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
         "spectral_margin": float(d0 * pulse.duration / math.sqrt(params.opacity)),
         "temporal_margin": float(params.opacity / (d0 * pulse.duration)),
     }
-    return RetrievalResult(envelope=env, efficiency=min(eta, 1.0),
+    return RetrievalResult(envelope=env, efficiency=eta,
                            method=label, validity=validity)
 
 

@@ -140,6 +140,19 @@ class TestSweep:
         assert set(side["failures"]) == {"4", "9"}
 
 
+class TestTolOption:
+    @pytest.mark.parametrize("command", ["transmit", "store",
+                                         "sweep-efficiency", "validate"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_rejected(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "s.json"
+        PRESETS["fig2"].save(path)
+        assert main([command, "--scenario", str(path), "--out",
+                     str(tmp_path), "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tol" in err
+
+
 class TestValidateCommand:
     def test_valid(self, tmp_path):
         path = tmp_path / "s.json"

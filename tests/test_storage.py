@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from holeburn.errors import (ConfigurationError, DomainError,
+import holeburn.storage
+from holeburn.errors import (ConfigurationError, DomainError, NumericsError,
                              PreconditionError)
 from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
 from holeburn.propagation import PulseSpec, transmitted_gaussian
-from holeburn.storage import (RetrievalResult, StorageSchedule,
+from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
+                              _deficit_kernel, _established_kernel,
+                              _gl_interval, _reduced,
                               appendix_series_field,
                               bandwidth_reduction_factor, default_schedule,
                               efficiency, established_signal, kappa,
@@ -33,6 +36,41 @@ def reduced_setup(alpha0_L, delta0_T, hold=10.0):
     t_pi1 = params.length / (2.0 * slow_light_velocity(params))
     schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + hold)
     return params, pulse, schedule
+
+
+def reference_restored_field_full(t, pulse, schedule, profile, params,
+                                  n_pq=48, n_u=200):
+    """Unfactorized restored field: the established kernel evaluated on the
+    full (p, q) grid at every time sample, then the weighted double sum."""
+    v, a, rho, vc = _reduced(params)
+    d0 = params.delta0
+    dT = d0 * pulse.duration
+    x = d0 * (schedule.t_pi1 - pulse.center_time)
+    gamma_red = params.gamma_ab / d0
+    kern = _deficit_kernel(profile, d0)
+
+    p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros(t_arr.shape, dtype=float)
+    for i, ti in enumerate(t_arr.ravel()):
+        y = d0 * (ti - schedule.t_pi2)
+        if y <= 0:
+            continue
+        q, wq = _gl_interval(n_pq, 0.0, min(y, KERNEL_RANGE))
+        pp = p[:, None] + q[None, :]
+        ktil = np.asarray(kern(pp.ravel())).reshape(pp.shape) / d0
+        weight = ktil * np.exp(-gamma_red * pp)
+        r = _established_kernel(x - np.broadcast_to(p[:, None], pp.shape),
+                                y - np.broadcast_to(q[None, :], pp.shape),
+                                rho, dT, a, n_u)
+        out.ravel()[i] = (a / (2.0 * np.pi) * pulse.peak
+                          * float(np.einsum("i,j,ij->", wp, wq, weight * r)))
+    return out if np.ndim(t) else float(out[0])
+
+
+def tabulated_gaussian_hole():
+    x = np.linspace(-8, 8, 321)
+    return HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
 
 
 class TestStorageSchedule:
@@ -201,13 +239,35 @@ class TestRestoredFieldFull:
         # the analytic gaussian kernel and the tabulated cosine-transform
         # kernel describe the same hole
         params, pulse, schedule = reduced_setup(25.0, 10.0)
-        x = np.linspace(-8, 8, 321)
-        tab = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
+        tab = tabulated_gaussian_hole()
         t = schedule.t_pi2 + 5.0
         a = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
                                 params)
         b = restored_field_full(t, pulse, schedule, tab, params)
         assert b == pytest.approx(a, rel=1e-3)
+
+    @pytest.mark.parametrize("gamma, tabulated", [
+        (0.0, False), (0.05, False), (0.0, True)],
+        ids=["gaussian", "gaussian-lossy", "tabulated"])
+    def test_factorized_matches_unfactorized(self, gamma, tabulated):
+        # y straddles KERNEL_RANGE, where the q-nodes stop moving and the
+        # contracted M is built once; the array call visits late, early,
+        # late samples so a stale M would show
+        params = MediumParams.reduced(25.0, gamma_over_delta0=gamma)
+        pulse = PulseSpec(duration=10.0)
+        t_pi1 = params.length / (2.0 * slow_light_velocity(params))
+        schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 10.0)
+        prof = tabulated_gaussian_hole() if tabulated else HoleProfile.gaussian()
+        y = np.array([40.0, 0.5, 14.1, 7.0, 14.0, 13.9])
+        t = schedule.t_pi2 + y
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        peak = np.max(np.abs(ref))
+        assert peak > 0.0
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        scalars = np.array([restored_field_full(ti, pulse, schedule, prof,
+                                                params) for ti in t])
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * peak
+        assert np.max(np.abs(scalars - ref)) <= 1e-13 * peak
 
 
 class TestAppendixSeries:
@@ -303,3 +363,24 @@ class TestRetrieve:
         pulse, schedule = default_schedule(params)
         eta = efficiency(pulse, schedule, params, method="full_quadrature")
         assert eta == pytest.approx(0.8038156508928471, rel=1e-4)
+
+    def test_efficiency_pinned(self):
+        # value of the unfactorized full quadrature (refine 1) at opacity
+        # 100, b = 0.6; the factorized sums may only move it by rounding
+        params = MediumParams.reduced(100.0)
+        pulse, schedule = default_schedule(params)
+        eta = efficiency(pulse, schedule, params, method="full_quadrature")
+        assert eta == pytest.approx(0.8038156508928593, rel=1e-12)
+
+    def test_overshoot_is_numerical_failure(self, monkeypatch):
+        # doubled amplitudes quadruple the energy: eta > 1 is reported with
+        # its excess, never clamped to 1
+        params = MediumParams.reduced(100.0)
+        pulse, schedule = default_schedule(params)
+        eta = efficiency(pulse, schedule, params, method="full_quadrature")
+        full = holeburn.storage.restored_field_full
+        monkeypatch.setattr(holeburn.storage, "restored_field_full",
+                            lambda *args, **kw: 2.0 * full(*args, **kw))
+        with pytest.raises(NumericsError) as err:
+            retrieve(pulse, schedule, params, method="full_quadrature")
+        assert err.value.residual == pytest.approx(4.0 * eta - 1.0, rel=1e-12)
