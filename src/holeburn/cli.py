@@ -50,6 +50,15 @@ from .storage import _METHODS, StorageSchedule, default_schedule, retrieve
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
+# Scenario fields that must hold finite real numbers (None where optional)
+# and those that must hold integers.
+_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "gamma_over_delta0", "v_over_c",
+                "delta1_over_delta0", "hold_times_delta0")
+_INT_FIELDS = ("series_order", "n_time", "refine")
+
+
+def _is_real(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +109,13 @@ class Scenario:
         data = dict(data)
         for key in ("alpha0_L_values", "delta0_T_values"):
             if data.get(key) is not None:
-                data[key] = tuple(float(v) for v in data[key])
+                try:
+                    data[key] = tuple(float(v) for v in data[key])
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"{key} must be a list of numbers") from None
+                if not data[key]:
+                    raise ConfigurationError(f"{key} must not be empty")
         return cls(**data)
 
     @classmethod
@@ -114,6 +129,23 @@ class Scenario:
 
     # -- validation ---------------------------------------------------------
 
+    def _number_violations(self):
+        """Non-numeric or non-finite values; the range checks need numbers."""
+        bad = []
+        values = [(name, getattr(self, name)) for name in _REAL_FIELDS]
+        values += [(name, v) for name in ("alpha0_L_values", "delta0_T_values")
+                   for v in getattr(self, name) or ()]
+        if _is_real(self.tpi1_rule):
+            values.append(("tpi1_rule", self.tpi1_rule))
+        for name, val in values:
+            if val is not None and not (_is_real(val) and math.isfinite(val)):
+                bad.append(f"{name} must be a finite number, got {val!r}")
+        for name in _INT_FIELDS:
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int):
+                bad.append(f"{name} must be an integer, got {val!r}")
+        return bad
+
     def violations(self):
         """List of precondition violations; empty when the scenario is valid."""
         bad = []
@@ -121,17 +153,22 @@ class Scenario:
             bad.append(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if (self.alpha0_L is None) == (self.alpha0_L_values is None):
             bad.append("exactly one of alpha0_L / alpha0_L_values is required")
+        numbers = self._number_violations()
+        if numbers:
+            return bad + numbers
         for aL in self._alpha0_L_list():
-            if aL < 0:
+            if self.kind == "transmit" and aL < 0:
                 bad.append(f"alpha0_L must be non-negative, got {aL}")
+            elif self.kind != "transmit" and not aL > 0:
+                bad.append(f"alpha0_L must be positive, got {aL}")
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
                                       ("b", self.b)) if val is not None]
         if len(dur) != 1:
             bad.append("exactly one of delta0_T / delta0_T_values / b is "
                        f"required, got {dur or 'none'}")
-        for dT in (self.delta0_T_values or ()) + ((self.delta0_T,) if
-                                                  self.delta0_T else ()):
+        for dT in (self.delta0_T_values or ()) + (
+                () if self.delta0_T is None else (self.delta0_T,)):
             if not dT > 0:
                 bad.append(f"delta0_T must be positive, got {dT}")
         if self.b is not None and not self.b > 0:
@@ -143,10 +180,9 @@ class Scenario:
         if self.delta1_over_delta0 is not None and not self.delta1_over_delta0 > 1.0:
             bad.append("delta1_over_delta0 must exceed 1 (conversion band "
                        "wider than the hole)")
-        if not (self.tpi1_rule == "half-transit"
-                or isinstance(self.tpi1_rule, (int, float))):
+        if not (self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)):
             bad.append("tpi1_rule must be 'half-transit' or a transit fraction")
-        if isinstance(self.tpi1_rule, (int, float)) and not self.tpi1_rule > 0:
+        if _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
             bad.append("tpi1_rule fraction must be positive")
         if not self.hold_times_delta0 > 0:
             bad.append("hold_times_delta0 must be positive")
@@ -165,7 +201,7 @@ class Scenario:
     def validate(self):
         bad = self.violations()
         if bad:
-            raise ConfigurationError("invalid scenario:\n  " + "\n  ".join(bad))
+            raise ConfigurationError("invalid scenario: " + "; ".join(bad))
 
     # -- derived pieces -----------------------------------------------------
 
@@ -395,15 +431,23 @@ def _sweep_point(args):
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
         return alpha0_L, params.delta0 * pulse.duration, eta, None
-    except NumericsError:
-        raise
+    except NumericsError as exc:
+        failure = {"message": f"numerical failure: {exc}",
+                   "residual": None if exc.residual is None
+                   else float(exc.residual)}
     except (ConfigurationError, PreconditionError, DomainError) as exc:
-        return alpha0_L, params.delta0 * pulse.duration, math.nan, str(exc)
+        failure = {"message": str(exc)}
+    return alpha0_L, params.delta0 * pulse.duration, math.nan, failure
 
 
 def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
-    """Tabulate eta against sqrt(alpha0 L); per-point validation failures
-    are recorded in the sidecar and the sweep continues."""
+    """Tabulate eta against sqrt(alpha0 L).
+
+    Per-point failures are recorded in the sidecar (``failures`` holds the
+    message, ``residuals`` the residual of each numerical failure) and the
+    sweep continues.  After writing both files a NumericsError is raised
+    if any point failed numerically.
+    """
     scenario.validate()
     points = sorted(scenario._alpha0_L_list())
     jobs = [(scenario.to_dict(), aL, tol) for aL in points]
@@ -418,11 +462,21 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
     _write_csv(path, "sqrt_alpha0_L, alpha0_L, delta0_T, eta",
                [[math.sqrt(r[0]) for r in rows], [r[0] for r in rows],
                 [r[1] for r in rows], [r[2] for r in rows]])
-    failures = {_num(r[0]): r[3] for r in rows if r[3] is not None}
+    failed = {_num(r[0]): r[3] for r in rows if r[3] is not None}
+    residuals = {key: f["residual"] for key, f in failed.items()
+                 if "residual" in f}
     _write_json(path + ".json", {
         "method": scenario.method, "b": scenario.b,
-        "convergence_tol": tol, "failures": failures,
+        "convergence_tol": tol,
+        "failures": {key: f["message"] for key, f in failed.items()},
+        "residuals": residuals,
     })
+    if residuals:
+        raise NumericsError(
+            f"sweep points alpha0_L = {', '.join(residuals)} failed "
+            f"numerically; table and sidecar written to {path}",
+            residual=max((r for r in residuals.values() if r is not None),
+                         default=None))
     return [path, path + ".json"]
 
 

@@ -168,6 +168,12 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     kernel, evaluated with one FFT per step by summing the kernels over
     the detuning grid first.  Raises a configuration error when the z step
     violates dz * alpha0 <= MAX_STEP_OPACITY.
+
+    With ``energy_probe`` the time-reversed field entering every step is
+    kept (in blocks of at most ``n_atoms`` steps, so the extra memory never
+    exceeds the kernel matrix) and contracted with all class kernels in one
+    matrix product per block; the per-step coherence energies at the final
+    grid time are summed into ``tank_energy`` in step order.
     """
     if n_atoms > 512:
         raise ConfigurationError("oracle instances are capped at 512 detunings")
@@ -198,14 +204,21 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     a = env.samples.astype(complex)
     energy_in = env.energy()
     tank = 0.0
-    probe_kernels = kernels if energy_probe else None
-    for _ in range(n_steps):
+    if energy_probe:
+        # time-reversed field entering each step, kept for at most n_atoms
+        # steps; its dot product with a class's kernel is that class's
+        # coherence at the final grid time t*, one matrix product per block
+        history = np.empty((min(n_steps, n_atoms), n), dtype=complex)
+        class_weights = weights * gvals
+        tank_scale = (2.0 * params.alpha0 / np.pi) * dz
+    for step in range(n_steps):
         if energy_probe:
-            # per-class coherence at the final grid time t*: dot product
-            # of the kernel with the time-reversed history
-            sigma_star = -0.5j * probe_kernels @ a[::-1]
-            tank += (2.0 * params.alpha0 / np.pi) * dz * float(
-                np.sum(weights * gvals * np.abs(sigma_star) ** 2))
+            row = step % len(history)
+            history[row] = a[::-1]
+            if row == len(history) - 1 or step == n_steps - 1:
+                for sigma_star in -0.5j * (history[:row + 1] @ kernels.T):
+                    tank += tank_scale * float(
+                        np.sum(class_weights * np.abs(sigma_star) ** 2))
         source = np.fft.ifft(np.fft.fft(a, 2 * n) * combined_f)[:n]
         sigma_sum = -0.5j * source
         a = a + dz * (-1j * params.alpha0 / np.pi) * sigma_sum

@@ -19,6 +19,11 @@ from .errors import ConfigurationError
 from .medium import MediumParams, slow_light_velocity
 from .special import SQRT_PI
 
+# Largest grid auto_grid builds.  Every preset, test and benchmark
+# workload fits in 2^14 samples (panels-light at alpha0 L = 340); 2^20
+# leaves a factor of 64 and keeps one complex grid at 16 MB.
+MAX_GRID_SAMPLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SampledEnvelope:
@@ -112,13 +117,20 @@ def auto_grid(pulse: PulseSpec, params: MediumParams, z=None,
 
     Window = max(8 T, 4 L/v + 8 T); dt resolves the largest spectral
     feature (default: the hole width) at ten samples per 1/feature.
+    Raises a configuration error, before allocating, when the grid would
+    exceed MAX_GRID_SAMPLES.
     """
     z = params.length if z is None else z
     delay = z / slow_light_velocity(params)
     window = max(8.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
     feature = max_spectral_feature or params.delta0
     dt = min(0.1 / feature, pulse.duration / 8.0)
-    n = 1 << int(np.ceil(np.log2(max(window / dt, min_samples))))
+    samples = max(window / dt, min_samples)
+    if not samples <= MAX_GRID_SAMPLES:
+        raise ConfigurationError(
+            f"grid of {samples:.3g} samples exceeds the budget of "
+            f"{MAX_GRID_SAMPLES} (window {window:.3g}, dt {dt:.3g})")
+    n = 1 << int(np.ceil(np.log2(samples)))
     t_start = pulse.center_time - 0.25 * n * dt
     t = t_start + dt * np.arange(n)
     return SampledEnvelope(t_start=t_start, dt=dt, samples=pulse.amplitude(t))

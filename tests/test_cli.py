@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import holeburn.cli
+import holeburn.propagation
 from holeburn.cli import PRESETS, Scenario, main, run_sweep, run_transmit
-from holeburn.errors import ConfigurationError
+from holeburn.errors import ConfigurationError, NumericsError
+from holeburn.medium import MediumParams
+from holeburn.propagation import PulseSpec, auto_grid
 
 
 class TestScenario:
@@ -93,6 +97,26 @@ class TestStore:
         assert original.shape[1] == 3
 
 
+class TestGridBudget:
+    def test_oversized_grid_rejected_before_allocation(self):
+        # 4 L/v at alpha0 L = 6e4 needs ~1.35e6 samples at dt = 0.1, one
+        # doubling past the budget; the check runs before any array exists
+        params = MediumParams.reduced(6e4)
+        with pytest.raises(ConfigurationError, match="budget"):
+            auto_grid(PulseSpec(duration=10.0), params)
+
+    def test_transmit_over_budget_exit_code(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the fig2 grid (4096 samples) against a budget lowered to 2048
+        monkeypatch.setattr(holeburn.propagation, "MAX_GRID_SAMPLES", 2048)
+        path = tmp_path / "s.json"
+        Scenario(kind="transmit", alpha0_L=100.0, delta0_T=10.0).save(path)
+        assert main(["transmit", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget" in err
+
+
 class TestSweep:
     def scenario(self):
         return Scenario(kind="sweep-efficiency", alpha0_L_values=(4.0, 9.0),
@@ -140,6 +164,31 @@ class TestSweep:
         assert set(side["failures"]) == {"4", "9"}
 
 
+    def test_numerical_failure_recorded_then_exit_3(self, tmp_path, capsys,
+                                                    monkeypatch):
+        real_retrieve = holeburn.cli.retrieve
+
+        def retrieve(pulse, schedule, params, **kwargs):
+            if params.opacity == 9.0:
+                raise NumericsError("quadrature diverged", residual=0.25)
+            return real_retrieve(pulse, schedule, params, **kwargs)
+
+        monkeypatch.setattr(holeburn.cli, "retrieve", retrieve)
+        path = tmp_path / "s.json"
+        self.scenario().save(path)
+        assert main(["sweep-efficiency", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numerical failure" in err
+        table = np.loadtxt(tmp_path / "efficiency.csv", delimiter=",")
+        assert table.shape[0] == 2
+        assert 0.0 < table[0, 3] < 1.0 and np.isnan(table[1, 3])
+        side = json.loads((tmp_path / "efficiency.csv.json").read_text())
+        assert set(side["failures"]) == {"9"}
+        assert "quadrature diverged" in side["failures"]["9"]
+        assert side["residuals"] == {"9": 0.25}
+
+
 class TestTolOption:
     @pytest.mark.parametrize("command", ["transmit", "store",
                                          "sweep-efficiency", "validate"])
@@ -166,3 +215,54 @@ class TestValidateCommand:
                                     "delta0_T": 10.0}))
         assert main(["validate", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 2
+
+
+class TestExitCodeContract:
+    """Scenarios that used to pass validation and then raise a traceback."""
+
+    CASES = {
+        # MediumParams requires alpha0 > 0
+        "store_zero_opacity":
+            ("store", '{"kind": "store", "alpha0_L": 0, "delta0_T": 10.0}'),
+        # NaN < 0 is False, so a sign check alone lets NaN through
+        "sweep_nan_opacity":
+            ("sweep-efficiency",
+             '{"kind": "sweep-efficiency", "alpha0_L_values": [4.0, NaN], '
+             '"b": 0.6, "method": "revival"}'),
+        # an infinite window overflows the grid size
+        "transmit_infinite_duration":
+            ("transmit",
+             '{"kind": "transmit", "alpha0_L": 10.0, "delta0_T": Infinity}'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("validate_only", [False, True],
+                             ids=["run", "validate"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, case,
+                                  validate_only):
+        command, text = self.CASES[case]
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        command = "validate" if validate_only else command
+        assert main([command, "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_transmit_keeps_zero_opacity(self):
+        scenario = Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0)
+        assert scenario.violations() == []
+
+    @pytest.mark.parametrize("values", [[], [4.0, "deep"], 9.0])
+    def test_malformed_value_lists_rejected(self, values):
+        with pytest.raises(ConfigurationError):
+            Scenario.from_dict({"kind": "sweep-efficiency", "b": 0.6,
+                                "alpha0_L_values": values})
+
+    def test_non_numeric_fields_listed(self):
+        scenario = Scenario(kind="store", alpha0_L="10", delta0_T=5.0,
+                            n_time=512.0)
+        bad = scenario.violations()
+        assert any("alpha0_L" in b for b in bad)
+        assert any("n_time" in b for b in bad)

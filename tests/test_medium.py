@@ -5,17 +5,54 @@ the closed forms (Dawson integral, scaled complementary error function).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from holeburn.errors import NumericsError, PreconditionError
 from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
                              chi_exact_gaussian, chi_quadrature,
                              chi_second_order, inverse_group_velocity,
                              slow_light_velocity)
+from holeburn.special import erfcx
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def reference_chi_quadrature(omega_offset, profile, params, tol=1e-11):
+    """Complex-integrand form of chi_quadrature: the regularized integrand
+    (deficit - h exp(-(v/delta0)^2)) / (v + i gamma) evaluated through the
+    profile's numpy methods, once per part."""
+    omega = float(omega_offset)
+    d0, gamma = params.delta0, params.gamma_ab
+    window = 50.0 * max(d0, gamma, abs(omega))
+    if profile.kind == "uniform":
+        return complex(0.0, -1.0)
+    h_at = float(profile.deficit(omega, d0))
+
+    def regularized(u):
+        sub = h_at * np.exp(-((u - omega) / d0) ** 2)
+        return (profile.deficit(u, d0) - sub) / ((u - omega) + 1j * gamma)
+
+    parts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for part in (lambda u: regularized(u).real,
+                     lambda u: regularized(u).imag):
+            parts.append(integrate.quad(
+                part, omega - window, omega + window, points=[omega],
+                limit=300, epsabs=tol, epsrel=tol)[0])
+    val = complex(*parts) - 1j * np.pi * h_at * erfcx(gamma / d0)
+    return -1j - val / np.pi
+
+
+def asymmetric_tabulated_hole():
+    """Tabulated hole, narrower below the centre than above it."""
+    x = np.linspace(-8, 8, 321)
+    width = np.where(x > 0, 1.3, 0.8)
+    return HoleProfile.tabulated(x, 1.0 - np.exp(-(x / width) ** 2))
 
 
 class TestMediumParams:
@@ -181,6 +218,29 @@ class TestChiQuadrature:
             val = chi_quadrature(float(omega), prof, params)
             ref = chi_exact_gaussian(float(omega), params)
             assert abs(val - ref) / abs(ref) < 1e-3
+
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-4, 0.05])
+    @pytest.mark.parametrize("profile", [HoleProfile.gaussian(),
+                                         asymmetric_tabulated_hole()],
+                             ids=["gaussian", "tabulated"])
+    def test_matches_complex_integrand_reference(self, profile, gamma):
+        params = MediumParams.reduced(10.0, gamma_over_delta0=gamma)
+        for omega in (0.0, 0.3, -0.3, 1.7, -1.7, 6.0, -6.0):
+            val = chi_quadrature(omega, profile, params)
+            ref = reference_chi_quadrature(omega, profile, params)
+            assert abs(val - ref) <= 1e-13, (omega, val, ref)
+
+    def test_lossless_absorption_has_no_quadrature_part(self):
+        # at gamma = 0 the imaginary integrand vanishes identically, so
+        # Im chi is exactly -g(Omega) = h(Omega) - 1, with no quadrature noise
+        params = MediumParams.reduced(10.0)
+        tab = asymmetric_tabulated_hole()
+        for omega in (0.3, -1.7, 6.0):
+            val = chi_quadrature(omega, HoleProfile.gaussian(), params)
+            assert val.imag + (1.0 - math.exp(-omega ** 2)) == 0.0
+            val = chi_quadrature(omega, tab, params)
+            assert val.imag + (1.0 - float(tab.deficit(omega))) == 0.0
 
 
 class TestAbsorptionCoefficient:

@@ -8,11 +8,33 @@ import pytest
 from holeburn.errors import ConfigurationError, DomainError
 from holeburn.medium import (HoleProfile, MediumParams, exact_gaussian_model,
                              slow_light_velocity)
-from holeburn.oracle import (AtomState, adiabatic_uv, coherence_convolution,
-                             detuning_grid, time_domain_propagate)
+from holeburn.oracle import (AtomState, _filon_kernels, adiabatic_uv,
+                             coherence_convolution, detuning_grid,
+                             time_domain_propagate)
 from holeburn.propagation import PulseSpec, SampledEnvelope, auto_grid, propagate
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def reference_probe_march(env, z, profile, params, n_atoms, n_steps):
+    """The lossless co-integration with the energy probe taken step by step:
+    one kernel-matrix dot with the time-reversed field before each z step."""
+    dz = z / n_steps
+    nodes, weights = detuning_grid(n_atoms, params)
+    gvals = np.asarray(profile(nodes, params.delta0), dtype=float)
+    n = env.n
+    kernels = _filon_kernels(nodes, params.gamma_ab, env.dt, n)
+    combined_f = np.fft.fft(np.einsum("k,k,kj->j", weights, gvals, kernels),
+                            2 * n)
+    a = env.samples.astype(complex)
+    tank = 0.0
+    for _ in range(n_steps):
+        sigma_star = -0.5j * kernels @ a[::-1]
+        tank += (2.0 * params.alpha0 / np.pi) * dz * float(
+            np.sum(weights * gvals * np.abs(sigma_star) ** 2))
+        source = np.fft.ifft(np.fft.fft(a, 2 * n) * combined_f)[:n]
+        a = a + dz * (-1j * params.alpha0 / np.pi) * (-0.5j * source)
+    return a, tank
 
 
 def smooth_turn_on_envelope(delta0_T=40.0, n=2048, dt=0.25):
@@ -195,3 +217,20 @@ class TestTimeDomainPropagate:
         err = math.sqrt(float(np.sum(np.abs(out.samples - ref.samples) ** 2)
                               * env.dt) / ref.energy())
         assert err < 0.01
+
+    @pytest.mark.parametrize("n_steps", [10, 16, 40])
+    def test_energy_probe_matches_per_step_reference(self, n_steps):
+        # 16 detuning classes: 10 steps fit one history block, 16 fill it
+        # exactly, 40 take two full blocks and a partial one
+        params = MediumParams.reduced(2.0, gamma_over_delta0=0.05)
+        env = auto_grid(PulseSpec(duration=5.0), params)
+        prof = HoleProfile.gaussian()
+        z = 0.5  # within the Euler step limit at 10 steps
+        ref_a, ref_tank = reference_probe_march(env, z, prof, params, 16,
+                                                n_steps)
+        out, diag = time_domain_propagate(env, z, prof, params,
+                                          n_atoms=16, n_steps=n_steps,
+                                          energy_probe=True)
+        assert diag.tank_energy == pytest.approx(ref_tank, rel=1e-13)
+        peak = np.max(np.abs(ref_a))
+        assert np.max(np.abs(out.samples - ref_a)) <= 1e-13 * peak
