@@ -44,9 +44,10 @@ from .errors import (ConfigurationError, DomainError, NumericsError,
                      PreconditionError)
 from .medium import (HoleProfile, MediumParams, exact_gaussian_model,
                      second_order_model, slow_light_velocity)
-from .propagation import (PulseSpec, SampledEnvelope, auto_grid, propagate,
-                          stretched_duration)
-from .storage import _METHODS, StorageSchedule, default_schedule, retrieve
+from .propagation import (MAX_GRID_SAMPLES, PulseSpec, SampledEnvelope,
+                          auto_grid, propagate, stretched_duration)
+from .storage import (_METHODS, MAX_REFINE, StorageSchedule, default_schedule,
+                      retrieve)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
@@ -192,8 +193,11 @@ class Scenario:
             bad.append("series_order must lie in 0..6")
         if self.n_time < 2 or self.n_time & (self.n_time - 1):
             bad.append("n_time must be a power of two")
-        if self.refine < 1:
-            bad.append("refine must be at least 1")
+        elif self.n_time > MAX_GRID_SAMPLES:
+            bad.append(f"n_time must not exceed {MAX_GRID_SAMPLES}, "
+                       f"got {self.n_time}")
+        if not 1 <= self.refine <= MAX_REFINE:
+            bad.append(f"refine must lie in 1..{MAX_REFINE}, got {self.refine}")
         if self.kind == "transmit" and self.b is not None:
             bad.append("transmit scenarios need an explicit delta0_T")
         return bad

@@ -19,7 +19,6 @@ lengths in 1/alpha0, so scenarios are fully specified by the dimensionless
 groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -206,12 +205,6 @@ def _scalar_deficit(profile: HoleProfile, d0):
     return lambda u: float(profile.deficit(u, d0))
 
 
-@functools.lru_cache(maxsize=64)
-def _erfcx_scalar(x):
-    """erfcx at one float; chi_quadrature needs it once per gamma/delta0."""
-    return float(erfcx(x))
-
-
 def _quad_real(func, a, b, point, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -284,7 +277,7 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
         err = max(err, im_err)
     if err > 1e-6:
         raise NumericsError("susceptibility quadrature did not converge", residual=err)
-    return complex(-re / np.pi, (h_at * _erfcx_scalar(gamma / d0) - 1.0) - im / np.pi)
+    return complex(-re / np.pi, (h_at * erfcx(gamma / d0) - 1.0) - im / np.pi)
 
 
 def absorption_coefficient(omega_offset, profile, params: MediumParams):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import sympy
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
@@ -41,6 +40,11 @@ from .special import SQRT_PI, erf, erfc
 KERNEL_RANGE = 14.0
 
 _QUAD_LIMIT = 300
+
+# Largest ``refine`` a scenario may ask for.  Full quadrature builds
+# (48 refine) x (200 refine) arrays, and the sweep's convergence guard
+# doubles refine: at the cap those arrays hold 20 MB each.
+MAX_REFINE = 8
 
 
 @dataclass(frozen=True)
@@ -446,14 +450,36 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     return out if np.ndim(t) else float(out[0])
 
 
-@lru_cache(maxsize=16)
-def _series_derivative(n):
-    """Analytic 2n-th derivative of the frozen field times (rho - zeta)^n."""
-    zeta, xh, dT, a, rho = sympy.symbols("zeta xh dT a rho")
-    w1 = dT ** 2 + a * zeta
-    frozen = dT / sympy.sqrt(w1) * sympy.exp(-(xh - zeta) ** 2 / (2 * w1))
-    expr = sympy.diff(frozen * (rho - zeta) ** n, zeta, 2 * n)
-    return sympy.lambdify((zeta, xh, dT, a, rho), expr, modules="numpy")
+def _series_derivatives(order, zeta, xh, dT, a, rho):
+    """d^{2n}/dzeta^{2n} [dT w^{-1/2} exp(-(xh - zeta)^2 / 2w) (rho - zeta)^n]
+    for n = 0..order, with w = dT^2 + a zeta.
+
+    Truncated Taylor ("jet") arithmetic in the offset h from zeta
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13): binomial
+    jets for w^{-1/2} and (rho - zeta - h)^n, a geometric jet for 1/w, and
+    the recurrence e_k = (1/k) sum_j j g_j e_{k-j} for e = exp(g).
+    """
+    n_coef = 2 * order + 1
+    w = dT * dT + a * zeta
+    d = xh - zeta
+    r = -a / w
+    inv_w, inv_sqrt = [1.0 / w], [dT / np.sqrt(w)]
+    for k in range(1, n_coef):
+        inv_w.append(inv_w[-1] * r)
+        inv_sqrt.append(inv_sqrt[-1] * r * (2 * k - 1) / (2 * k))
+    # exponent -(d - h)^2 / 2w = (-d^2/2 + d h - h^2/2) / w
+    g = [-0.5 * d * d * inv_w[k] + (d * inv_w[k - 1] if k > 0 else 0.0)
+         - (0.5 * inv_w[k - 2] if k > 1 else 0.0) for k in range(n_coef)]
+    e = [np.exp(g[0])]
+    for k in range(1, n_coef):
+        e.append(sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
+    f = [sum(inv_sqrt[j] * e[k - j] for j in range(k + 1))
+         for k in range(n_coef)]
+    rz = rho - zeta
+    return [math.factorial(2 * n)
+            * sum(math.comb(n, k) * (-1) ** k * rz ** (n - k) * f[2 * n - k]
+                  for k in range(n + 1))
+            for n in range(order + 1)]
 
 
 def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
@@ -469,8 +495,10 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     with beta = a/2 and zeta = rho - (y - q).  The n = 0 truncation is the
     simple depth-slice field whose factorized limit is revival_envelope.
-    Orders above 6 are rejected (factorial growth of the analytic
-    derivative expressions).
+    The derivatives come from ``_series_derivatives`` (Taylor jets, O(order^2)
+    array operations per time sample).  Orders above 6 are rejected, the
+    same range a scenario's ``series_order`` accepts; the jets themselves
+    would allow more.
     """
     if order < 0 or order > 6:
         raise DomainError("series order must lie in 0..6")
@@ -483,7 +511,6 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     beta = 0.5 * a
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
-    terms = [_series_derivative(n) for n in range(order + 1)]
 
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t_arr.shape, dtype=float)
@@ -498,12 +525,9 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
         weight = np.exp(-0.25 * pp * pp - gamma_red * pp)
         zeta0 = rho - (y - q)[None, :]
         xh = (x - p)[:, None]
-        total = np.zeros(pp.shape)
-        fact = 1.0
-        for n, term in enumerate(terms):
-            if n > 0:
-                fact *= n
-            total += beta ** n / fact * term(zeta0, xh, dT, a, rho)
+        derivs = _series_derivatives(order, zeta0, xh, dT, a, rho)
+        total = sum(beta ** n / math.factorial(n) * deriv
+                    for n, deriv in enumerate(derivs))
         out.ravel()[i] = (0.5 * (1.0 - vc) * pulse.peak
                           * float(np.einsum("i,j,ij->", wp, wq, weight * total)))
     return out if np.ndim(t) else float(out[0])

@@ -11,7 +11,8 @@ import holeburn.propagation
 from holeburn.cli import PRESETS, Scenario, main, run_sweep, run_transmit
 from holeburn.errors import ConfigurationError, NumericsError
 from holeburn.medium import MediumParams
-from holeburn.propagation import PulseSpec, auto_grid
+from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
+from holeburn.storage import MAX_REFINE
 
 
 class TestScenario:
@@ -115,6 +116,47 @@ class TestGridBudget:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget" in err
+
+
+class TestSizeCaps:
+    """n_time and refine one step past their caps exit 2 before any work."""
+
+    CASES = {
+        "store_n_time": ("store", {"kind": "store", "alpha0_L": 25.0,
+                                   "delta0_T": 5.0,
+                                   "n_time": 2 * MAX_GRID_SAMPLES}),
+        "store_refine": ("store", {"kind": "store", "alpha0_L": 25.0,
+                                   "delta0_T": 5.0,
+                                   "refine": MAX_REFINE + 1}),
+        "sweep_refine": ("sweep-efficiency",
+                         {"kind": "sweep-efficiency", "alpha0_L_values": [9.0],
+                          "b": 0.6, "refine": MAX_REFINE + 1}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("validate_only", [False, True],
+                             ids=["run", "validate"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch, case,
+                                  validate_only):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started on an over-cap scenario")
+
+        monkeypatch.setattr(holeburn.cli, "auto_grid", unreachable)
+        monkeypatch.setattr(holeburn.cli, "retrieve", unreachable)
+        command, data = self.CASES[case]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        command = "validate" if validate_only else command
+        assert main([command, "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        field = case.split("_", 1)[1]
+        assert err.count("\n") == 1 and f"{field} must" in err
+
+    def test_caps_themselves_valid(self):
+        scenario = Scenario(kind="store", alpha0_L=25.0, delta0_T=5.0,
+                            n_time=MAX_GRID_SAMPLES, refine=MAX_REFINE)
+        assert scenario.violations() == []
 
 
 class TestSweep:

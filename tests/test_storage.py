@@ -7,6 +7,9 @@ quadrature (scipy) of the defining integrals.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
 from holeburn.propagation import PulseSpec, transmitted_gaussian
 from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
                               _deficit_kernel, _established_kernel,
-                              _gl_interval, _reduced,
+                              _gl_interval, _reduced, _series_derivatives,
                               appendix_series_field,
                               bandwidth_reduction_factor, default_schedule,
                               efficiency, established_signal, kappa,
@@ -27,6 +30,7 @@ from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
                               restored_field_full, retrieve, revival_envelope)
 
 SQRT_PI = math.sqrt(math.pi)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def reduced_setup(alpha0_L, delta0_T, hold=10.0):
@@ -307,6 +311,29 @@ class TestAppendixSeries:
                                     params, order=0)
         assert val == pytest.approx(ref, rel=1e-8)
 
+    def test_derivatives_match_frozen_symbolic_values(self):
+        # 2n-th derivatives for n = 0..6 frozen from symbolic
+        # differentiation; compared per order and per (dT, a, rho) set
+        with open(os.path.join(DATA, "series_derivatives.json")) as fh:
+            frozen = json.load(fh)
+        points = np.array(frozen["points"])
+        sets = np.unique(points[:, 2:], axis=0)
+        assert len(sets) == 3 and sorted(frozen["values"]) == list("0123456")
+        got = np.array([_series_derivatives(6, *pt) for pt in points])
+        for n, ref in frozen["values"].items():
+            ref = np.array(ref)
+            for dT, a, rho in sets:
+                sel = np.all(points[:, 2:] == (dT, a, rho), axis=1)
+                scale = np.max(np.abs(ref[sel]))
+                np.testing.assert_allclose(got[sel, int(n)], ref[sel],
+                                           rtol=0, atol=1e-12 * scale)
+
+    def test_order_six_finite(self):
+        params, pulse, schedule = reduced_setup(4.0, 20.0)
+        t = schedule.t_pi2 + np.array([0.5, 1.0, 3.0, 8.0])
+        vals = appendix_series_field(t, pulse, schedule, params, order=6)
+        assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+
     def test_successive_order_ratio(self):
         # with condition delta0 min(t - t_pi2, L/v) << (delta0 T)^2 the
         # N = 2 correction is bounded by that small parameter
@@ -384,3 +411,16 @@ class TestRetrieve:
         with pytest.raises(NumericsError) as err:
             retrieve(pulse, schedule, params, method="full_quadrature")
         assert err.value.residual == pytest.approx(4.0 * eta - 1.0, rel=1e-12)
+
+
+def test_import_leaves_sympy_out():
+    # the series route differentiates with numpy Taylor jets; sympy must
+    # not come back as a runtime dependency
+    src = os.path.dirname(os.path.dirname(holeburn.storage.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, holeburn, holeburn.cli, holeburn.oracle; "
+            "sys.exit('sympy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0
