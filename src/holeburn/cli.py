@@ -46,8 +46,8 @@ from .medium import (HoleProfile, MediumParams, exact_gaussian_model,
                      second_order_model, slow_light_velocity)
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, SampledEnvelope,
                           auto_grid, propagate, stretched_duration)
-from .storage import (_METHODS, MAX_REFINE, StorageSchedule, default_schedule,
-                      retrieve)
+from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
+                      StorageSchedule, default_schedule, retrieve)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
@@ -178,9 +178,11 @@ class Scenario:
             bad.append("gamma_over_delta0 must be non-negative")
         if not 0.0 <= self.v_over_c < 1.0:
             bad.append("v_over_c must lie in [0, 1)")
-        if self.delta1_over_delta0 is not None and not self.delta1_over_delta0 > 1.0:
-            bad.append("delta1_over_delta0 must exceed 1 (conversion band "
-                       "wider than the hole)")
+        d1 = self.delta1_over_delta0
+        if d1 is not None and not 1.0 < d1 <= MAX_DELTA1_OVER_DELTA0:
+            bad.append("delta1_over_delta0 must lie in "
+                       f"(1, {MAX_DELTA1_OVER_DELTA0:g}] (conversion band "
+                       f"wider than the hole), got {d1:g}")
         if not (self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)):
             bad.append("tpi1_rule must be 'half-transit' or a transit fraction")
         if _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
@@ -376,6 +378,12 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
             not result.validity["established_window_ok"]:
         warnings.append("established-signal kernel used before the restored "
                         "peak leaves the early window")
+    if result.validity["spectral_margin"] < 1.0:
+        warnings.append("pulse spectrum not confined inside the hole "
+                        "(delta0 T below sqrt(alpha0 L))")
+    if result.validity["temporal_margin"] < 1.0:
+        warnings.append("pulse not confined inside the slab "
+                        "(delta0 T above alpha0 L)")
     extra = {
         "alpha0_L": alpha0_L,
         "delta0_T": params.delta0 * pulse.duration,

@@ -41,6 +41,19 @@ KERNEL_RANGE = 14.0
 
 _QUAD_LIMIT = 300
 
+# Largest conversion bandwidth a scenario may ask for, in hole widths.  The
+# finite-bandwidth rule needs nodes in proportion to delta1 times the
+# readout time; at this cap the bandwidth factor is within 1.2% of 1.
+MAX_DELTA1_OVER_DELTA0 = 50.0
+
+# Node cap of one panel of the finite-bandwidth rule.  Building the rule
+# (numpy's leggauss) costs O(n^2) memory and O(n^3) time: 0.8 s at 2048.
+MAX_RULE_NODES = 2048
+
+# Entries of one (time sample x node) block of the finite-bandwidth rule:
+# 2^20 complex values, 16 MB.
+_RULE_BLOCK = 1 << 20
+
 # Largest ``refine`` a scenario may ask for.  Full quadrature builds
 # (48 refine) x (200 refine) arrays, and the sweep's convergence guard
 # doubles refine: at the cap those arrays hold 20 MB each.
@@ -240,34 +253,72 @@ def bandwidth_reduction_factor(y):
     return val if val.ndim else float(val)
 
 
+def _band_panels(delta1, gamma, g, d0):
+    """Panel ends of the finite-bandwidth rule on [-delta1, delta1].
+
+    The integrand is analytic on each panel.  The band is split at 0, at
+    the knots of a tabulated hole, and at +-gamma 4^k (k >= 0), so that a
+    panel near 0 stays about its own length away from the poles of the
+    bracket at Delta = +-i gamma.
+    """
+    ends = [0.0, delta1]
+    step = gamma
+    while 0.0 < step < delta1:
+        ends.append(step)
+        step *= 4.0
+    ends = np.concatenate([np.negative(ends), ends])
+    if getattr(g, "kind", None) == "tabulated":
+        ends = np.append(ends, g.detuning_samples * d0)
+    return np.unique(np.clip(ends, -delta1, delta1))
+
+
 def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     """Revival factor when only |Delta| <= delta1 dipoles are converted.
 
     kappa_eff = -(alpha0 v / 2 pi) * integral_{|Delta|<=delta1} g(Delta)
-                (1 - e^{-D b}) / D^2 dDelta,  D = gamma_ab - i Delta,
+                Re[(1 - e^{-D b}) / D^2] dDelta,  D = gamma_ab - i Delta,
     b = 2 x / delta0.  The sharp cutoff produces the characteristic
     ringing superposed on the plateau.
+
+    ``x`` may be an array (a float is returned for a scalar).  Every
+    sample shares one Gauss-Legendre rule per panel (``_band_panels``; for
+    the Gaussian hole at gamma_ab = 0 the two half bands [-delta1, 0] and
+    [0, delta1]), with n = 40 + 0.7 (panel length) b_max nodes, b_max the
+    largest b of the call: n keeps about four nodes per period of
+    e^{i Delta b_max}.  g is evaluated at the nodes once, and the integral
+    for all b is one (n_b x n) @ (g w) product per panel, taken in row
+    blocks of at most ``_RULE_BLOCK`` entries.  A panel rule of more than
+    ``MAX_RULE_NODES`` nodes is refused before anything is built.
     """
-    x = float(x)
-    if x == 0.0:
-        return 0.0
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise DomainError("revival argument x must be finite and non-negative")
     g = _profile_g(profile)
     d0, gamma = params.delta0, params.gamma_ab
     v = slow_light_velocity(params)
-    b = 2.0 * x / d0
-
-    def integrand(delta):
-        if delta == 0.0 and gamma == 0.0:
-            return float(g(0.0, d0)) * 0.5 * b * b
-        dc = complex(gamma, -delta)
-        return -float(g(delta, d0)) * ((1.0 - np.exp(-dc * b)) / dc ** 2).real
-
-    val, err = integrate.quad(integrand, -delta1, delta1, points=[0.0],
-                              limit=_QUAD_LIMIT, epsabs=1e-12, epsrel=1e-10)
-    if err > 1e-7:
-        raise NumericsError("finite-bandwidth revival quadrature did not converge",
-                            residual=err)
-    return params.alpha0 * v / (2.0 * np.pi) * val
+    b = 2.0 * x.ravel() / d0
+    b_max = b.max(initial=0.0)
+    ends = _band_panels(delta1, gamma, g, d0)
+    counts = [40 + math.ceil(0.7 * (hi - lo) * b_max)
+              for lo, hi in zip(ends[:-1], ends[1:])]
+    if max(counts) > MAX_RULE_NODES:
+        raise ConfigurationError(
+            f"conversion band delta1 = {delta1:g} needs {max(counts)} "
+            f"Gauss-Legendre nodes at b = {b_max:g}, above {MAX_RULE_NODES}; "
+            "narrow the band or use infinite bandwidth")
+    val = np.zeros(b.shape)
+    for lo, hi, n in zip(ends[:-1], ends[1:], counts):
+        nodes, w = _gl_interval(n, lo, hi)
+        gw = np.asarray(g(nodes, d0), dtype=float) * w
+        dc = gamma - 1j * nodes
+        rows = _RULE_BLOCK // n
+        for start in range(0, b.size, rows):
+            bracket = -np.expm1(-b[start:start + rows, None] * dc) / (dc * dc)
+            val[start:start + rows] -= bracket.real @ gw
+    if not np.all(np.isfinite(val)):
+        raise NumericsError("finite-bandwidth revival factor is not finite")
+    out = params.alpha0 * v / (2.0 * np.pi) * val.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +332,11 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     A(L, t) = A_in(L - v (t - t_pi2), t_pi1) * kappa[delta0 (t - t_pi2) / 2];
     zero before the read instant and once the readout depth v (t - t_pi2)
     exceeds the slab.
+
+    kappa is the closed form for the Gaussian hole at infinite bandwidth.
+    A finite conversion band takes ``kappa_finite_bandwidth`` in one call
+    for all in-depth samples; other holes at infinite bandwidth take the
+    independent ``kappa_quadrature`` sample by sample.
     """
     schedule.validate(params)
     v, a, rho, vc = _reduced(params)
@@ -300,17 +356,13 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     if schedule.infinite_bandwidth and _profile_g(profile).kind == "gaussian":
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
-        kap = np.zeros_like(np.atleast_1d(xs))
-        flat = np.atleast_1d(np.where(in_depth, xs, 0.0)).ravel()
-        for i, xv in enumerate(flat):
-            if xv <= 0:
-                continue
-            if schedule.infinite_bandwidth:
-                kap.ravel()[i] = kappa_quadrature(xv, profile, params)
-            else:
-                kap.ravel()[i] = kappa_finite_bandwidth(xv, schedule.delta1,
-                                                        profile, params)
-        kap = kap.reshape(np.shape(xs)) if np.ndim(xs) else float(kap[0])
+        kap = np.zeros(np.shape(xs))
+        if schedule.infinite_bandwidth:
+            kap[in_depth] = [kappa_quadrature(xv, profile, params)
+                             for xv in xs[in_depth]]
+        else:
+            kap[in_depth] = kappa_finite_bandwidth(
+                xs[in_depth], schedule.delta1, profile, params)
     out = frozen * kap
     return out if np.ndim(t) else float(out)
 

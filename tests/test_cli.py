@@ -12,7 +12,7 @@ from holeburn.cli import PRESETS, Scenario, main, run_sweep, run_transmit
 from holeburn.errors import ConfigurationError, NumericsError
 from holeburn.medium import MediumParams
 from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
-from holeburn.storage import MAX_REFINE
+from holeburn.storage import MAX_DELTA1_OVER_DELTA0, MAX_REFINE
 
 
 class TestScenario:
@@ -131,6 +131,10 @@ class TestSizeCaps:
         "sweep_refine": ("sweep-efficiency",
                          {"kind": "sweep-efficiency", "alpha0_L_values": [9.0],
                           "b": 0.6, "refine": MAX_REFINE + 1}),
+        "store_delta1_over_delta0": (
+            "store", {"kind": "store", "alpha0_L": 340.0, "delta0_T": 50.0,
+                      "method": "revival",
+                      "delta1_over_delta0": 2 * MAX_DELTA1_OVER_DELTA0}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -153,10 +157,43 @@ class TestSizeCaps:
         field = case.split("_", 1)[1]
         assert err.count("\n") == 1 and f"{field} must" in err
 
+    def test_bandwidth_cap_itself_valid(self):
+        scenario = Scenario(kind="store", alpha0_L=25.0, delta0_T=5.0,
+                            method="revival",
+                            delta1_over_delta0=MAX_DELTA1_OVER_DELTA0)
+        assert scenario.violations() == []
+
     def test_caps_themselves_valid(self):
         scenario = Scenario(kind="store", alpha0_L=25.0, delta0_T=5.0,
                             n_time=MAX_GRID_SAMPLES, refine=MAX_REFINE)
         assert scenario.violations() == []
+
+
+class TestRegimeWarnings:
+    """Margins of the double confinement sqrt(alpha0 L) << delta0 T <<
+    alpha0 L below 1 are reported in the sidecar whatever the method."""
+
+    @pytest.mark.parametrize("method, alpha0_L, delta0_T, expected", [
+        ("established", 100.0, 0.5, "spectrum"),
+        ("full_quadrature", 100.0, 0.5, "spectrum"),
+        ("established", 25.0, 30.0, "slab"),
+        ("full_quadrature", 25.0, 30.0, "slab"),
+        ("established", 100.0, 19.0, None),
+    ])
+    def test_margin_warning(self, tmp_path, method, alpha0_L, delta0_T,
+                            expected):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": alpha0_L,
+                                    "delta0_T": delta0_T, "method": method}))
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        side = json.loads(
+            (tmp_path / f"store_aL{alpha0_L:g}_restored.csv.json").read_text())
+        margins = [w for w in side["warnings"] if "not confined" in w]
+        if expected is None:
+            assert margins == []
+        else:
+            assert len(margins) == 1 and expected in margins[0]
 
 
 class TestSweep:

@@ -27,7 +27,8 @@ from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
                               bandwidth_reduction_factor, default_schedule,
                               efficiency, established_signal, kappa,
                               kappa_finite_bandwidth, kappa_quadrature,
-                              restored_field_full, retrieve, revival_envelope)
+                              restored_field_full, retrieval_grid, retrieve,
+                              revival_envelope)
 
 SQRT_PI = math.sqrt(math.pi)
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -70,6 +71,54 @@ def reference_restored_field_full(t, pulse, schedule, profile, params,
         out.ravel()[i] = (a / (2.0 * np.pi) * pulse.peak
                           * float(np.einsum("i,j,ij->", wp, wq, weight * r)))
     return out if np.ndim(t) else float(out[0])
+
+
+def reference_kappa_finite_bandwidth(x, delta1, profile, params, knots=()):
+    """Per-sample adaptive quadrature of the finite-bandwidth revival factor
+    over [-delta1, delta1], split at Delta = 0 and at the in-band ``knots``.
+
+    Without knots this is the finite-bandwidth route as it stood before the
+    node rule.  A tabulated hole needs its spline knots: across them the
+    integrand is only twice differentiable, and the unsplit quadrature is
+    off by up to 1e-8 of peak."""
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    g = HoleProfile.gaussian() if profile is None else profile
+    d0, gamma = params.delta0, params.gamma_ab
+    v = slow_light_velocity(params)
+    b = 2.0 * x / d0
+
+    def integrand(delta):
+        if delta == 0.0 and gamma == 0.0:
+            return float(g(0.0, d0)) * 0.5 * b * b
+        dc = complex(gamma, -delta)
+        return -float(g(delta, d0)) * ((1.0 - np.exp(-dc * b)) / dc ** 2).real
+
+    points = [0.0] + [k for k in knots if 0.0 < abs(k) < delta1]
+    val, err = integrate.quad(integrand, -delta1, delta1, points=points,
+                              limit=300 + len(points), epsabs=1e-12,
+                              epsrel=1e-10)
+    assert err <= 1e-7
+    return params.alpha0 * v / (2.0 * np.pi) * val
+
+
+def lorentzian_hole(delta, delta0):
+    """A bare callable g (no HoleProfile): a Lorentzian-shaped hole."""
+    u = np.asarray(delta, dtype=float) / delta0
+    return u * u / (1.0 + u * u)
+
+
+def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
+    """Params and the revival arguments x of the in-depth samples of the
+    retrieval grid (0 < y, readout depth inside the slab)."""
+    _, pulse, schedule = reduced_setup(alpha0_L, delta0_T)
+    params = MediumParams.reduced(alpha0_L, gamma_over_delta0=gamma)
+    elapsed = (retrieval_grid(pulse, schedule, params, n_time=n_time)
+               - schedule.t_pi2)
+    v = slow_light_velocity(params)
+    keep = (elapsed > 0) & (params.length - v * elapsed >= 0.0)
+    return params, 0.5 * params.delta0 * elapsed[keep]
 
 
 def tabulated_gaussian_hole():
@@ -154,6 +203,102 @@ class TestBandwidthReduction:
         assert ratio == pytest.approx(0.88716208329047837, rel=0.02)
 
 
+class TestKappaFiniteBandwidth:
+    PROFILES = {"gaussian": (0.0, HoleProfile.gaussian),
+                "gaussian-lossy": (0.05, HoleProfile.gaussian),
+                "gaussian-narrow-line": (1e-3, HoleProfile.gaussian),
+                "tabulated": (0.0, tabulated_gaussian_hole),
+                "callable": (0.0, lambda: lorentzian_hole)}
+
+    @pytest.mark.parametrize("delta1", [1.5, 5.0, 6.0])
+    @pytest.mark.parametrize("alpha0_L, delta0_T", [(25.0, 10.0),
+                                                    (100.0, 19.0)])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_matches_quad_reference(self, profile, alpha0_L, delta0_T,
+                                    delta1):
+        gamma, make = self.PROFILES[profile]
+        prof = make()
+        # a 128-sample grid: the same b range, a quarter of the quad calls
+        params, x = in_depth_x(alpha0_L, delta0_T, gamma, n_time=128)
+        knots = prof.detuning_samples if profile == "tabulated" else ()
+        ref = np.array([reference_kappa_finite_bandwidth(xv, delta1, prof,
+                                                         params, knots)
+                        for xv in x])
+        peak = np.max(np.abs(ref))
+        assert peak > 0.5
+        got = kappa_finite_bandwidth(x, delta1, prof, params)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * peak
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.05])
+    def test_doubled_nodes_agree(self, gamma, monkeypatch):
+        # every panel rule at twice its node count; the value at the
+        # largest b of the grid must not move
+        params, x = in_depth_x(100.0, 19.0, gamma)
+        one = kappa_finite_bandwidth(x, 6.0, None, params)
+        gl = holeburn.storage._gl_interval
+        counts = []
+
+        def doubled(n, lo, hi):
+            counts.append(n)
+            return gl(2 * n, lo, hi)
+
+        monkeypatch.setattr(holeburn.storage, "_gl_interval", doubled)
+        two = kappa_finite_bandwidth(x, 6.0, None, params)
+        assert counts
+        assert abs(two[-1] - one[-1]) <= 1e-13 * np.max(np.abs(one))
+
+    def test_scalar_matches_array_element(self):
+        params, x = in_depth_x(25.0, 10.0)
+        arr = kappa_finite_bandwidth(x, 5.0, None, params)
+        for i in (0, len(x) // 2, len(x) - 1):
+            val = kappa_finite_bandwidth(x[i], 5.0, None, params)
+            assert isinstance(val, float)
+            assert abs(val - arr[i]) <= 1e-13 * np.max(np.abs(arr))
+        assert kappa_finite_bandwidth(0.0, 5.0, None, params) == 0.0
+
+    def test_row_blocks_stitched(self, monkeypatch):
+        # blocks of 4 rows, the last one partial, reproduce the single block
+        params, x = in_depth_x(25.0, 10.0)
+        whole = kappa_finite_bandwidth(x, 5.0, None, params)
+        n = 40 + math.ceil(0.7 * 5.0 * 2.0 * x[-1] / params.delta0)
+        assert len(x) % 4
+        monkeypatch.setattr(holeburn.storage, "_RULE_BLOCK", 4 * n + 1)
+        blocked = kappa_finite_bandwidth(x, 5.0, None, params)
+        np.testing.assert_array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf])
+    def test_bad_argument_rejected(self, x):
+        params = MediumParams.reduced(10.0)
+        with pytest.raises(DomainError):
+            kappa_finite_bandwidth(x, 5.0, None, params)
+
+    def test_node_cap(self, monkeypatch):
+        # refused before the rule is built; a rule at the cap is built
+        def unreachable(*args):
+            raise AssertionError("rule built above the node cap")
+
+        params = MediumParams.reduced(10.0)
+        cap = holeburn.storage.MAX_RULE_NODES
+        x_cap = 0.5 * (cap - 40) / (0.7 * 5.0) * params.delta0
+        gl = holeburn.storage._gl_interval
+        monkeypatch.setattr(holeburn.storage, "_gl_interval", unreachable)
+        with pytest.raises(ConfigurationError):
+            kappa_finite_bandwidth([1.0, 1.001 * x_cap], 5.0, None, params)
+        monkeypatch.setattr(holeburn.storage, "MAX_RULE_NODES", 100)
+        x_100 = 0.5 * 59.5 / (0.7 * 5.0) * params.delta0
+        with pytest.raises(ConfigurationError):
+            kappa_finite_bandwidth(x_100 * 1.01, 5.0, None, params)
+        monkeypatch.setattr(holeburn.storage, "_gl_interval", gl)
+        assert math.isfinite(kappa_finite_bandwidth(x_100, 5.0, None, params))
+
+    def test_non_finite_result(self):
+        params = MediumParams.reduced(10.0)
+        with pytest.raises(NumericsError):
+            kappa_finite_bandwidth(
+                [1.0, 2.0], 5.0,
+                lambda d, d0: np.where(np.abs(d) < 1.0, np.nan, 1.0), params)
+
+
 class TestRevivalEnvelope:
     def test_vanishes_at_read_instant(self):
         params, pulse, schedule = reduced_setup(100.0, 19.0)
@@ -187,6 +332,25 @@ class TestRevivalEnvelope:
         assert np.mean(ratio) == pytest.approx(0.887162, rel=0.02)
         # ringing: the deviation from the smooth plateau changes sign
         assert np.sum(np.diff(np.sign(ratio - np.mean(ratio))) != 0) >= 3
+
+
+    def test_finite_bandwidth_one_kernel_call(self, monkeypatch):
+        # every in-depth sample goes to kappa_finite_bandwidth in one call
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        clipped = StorageSchedule(t_pi1=schedule.t_pi1, t_pi2=schedule.t_pi2,
+                                  delta1=5.0)
+        calls = []
+        kfb = holeburn.storage.kappa_finite_bandwidth
+
+        def counting(x, *args):
+            calls.append(np.shape(x))
+            return kfb(x, *args)
+
+        monkeypatch.setattr(holeburn.storage, "kappa_finite_bandwidth",
+                            counting)
+        result = retrieve(pulse, clipped, params, method="revival")
+        assert len(calls) == 1 and calls[0][0] > 1
+        assert 0.0 < result.efficiency < 1.0
 
 
 class TestEstablishedSignal:
