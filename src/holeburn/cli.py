@@ -13,7 +13,8 @@ reduced units (alpha0 = delta0 = 1).  Subcommands:
     Run the full write/hold/read protocol and emit the delayed original
     (no storage, time column t - t_pi1) and the restored waveform (time
     column t - t_pi2) with the input and stretched durations recorded in
-    the JSON sidecar.
+    the JSON sidecar.  A panel writes its three files only after its
+    retrieval has succeeded.
 ``sweep-efficiency``
     Tabulate recovery efficiency against sqrt(alpha0 L) under the
     matched schedule delta0 T = b (alpha0 L)^(3/4), t_pi1 = L/(2v).
@@ -23,11 +24,15 @@ reduced units (alpha0 = delta0 = 1).  Subcommands:
     Write one of the pinned scenario files (fig2, fig4a, fig4b, fig5,
     fig6) into the output directory.
 
-All numeric output uses a fixed ``%.12e`` format and sorted JSON keys,
-and sweep points are merged in sorted parameter order regardless of the
-worker count, so identical scenarios produce byte-identical files.
+Every file is written here, by ``_write_csv`` (fixed ``%.12e`` columns
+under a ``#  `` header) or ``_write_json`` (sorted keys, indent 2), each
+to ``<name>.tmp`` and then renamed over ``<name>``.  Sweep points are
+merged in sorted parameter order regardless of the worker count, so
+identical scenarios produce byte-identical files.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (including a scenario file
+that is missing or is not a JSON object with a ``kind``, and an ``--out``
+that is not a writable directory), 3 numerical failure.
 """
 
 import argparse
@@ -36,6 +41,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -51,15 +57,23 @@ from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
-# Scenario fields that must hold finite real numbers (None where optional)
-# and those that must hold integers.
-_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "gamma_over_delta0", "v_over_c",
-                "delta1_over_delta0", "hold_times_delta0")
+# Scenario fields that must hold finite real numbers, those that may also be
+# None, and those that must hold integers.
+_REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
+_OPTIONAL_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "delta1_over_delta0")
 _INT_FIELDS = ("series_order", "n_time", "refine")
 
 
 def _is_real(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_finite(val):
+    """A real number that a float holds finitely (JSON ints are unbounded)."""
+    try:
+        return _is_real(val) and math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -103,30 +117,36 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        if not isinstance(data, dict):
+            raise ConfigurationError("a scenario must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {unknown}")
+        if "kind" not in data:
+            raise ConfigurationError("scenario field 'kind' is required")
         data = dict(data)
         for key in ("alpha0_L_values", "delta0_T_values"):
-            if data.get(key) is not None:
-                try:
-                    data[key] = tuple(float(v) for v in data[key])
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"{key} must be a list of numbers") from None
-                if not data[key]:
-                    raise ConfigurationError(f"{key} must not be empty")
+            values = data.get(key)
+            if values is None:
+                continue
+            if not (isinstance(values, (list, tuple)) and values
+                    and all(map(_is_finite, values))):
+                raise ConfigurationError(
+                    f"{key} must be a non-empty list of finite numbers")
+            data[key] = tuple(float(v) for v in values)
         return cls(**data)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"cannot read scenario: {exc}") from None
+        return cls.from_dict(data)
 
     def save(self, path):
-        _atomic_write_text(path, json.dumps(self.to_dict(), indent=2,
-                                            sort_keys=True) + "\n")
+        _write_json(path, self.to_dict())
 
     # -- validation ---------------------------------------------------------
 
@@ -134,12 +154,14 @@ class Scenario:
         """Non-numeric or non-finite values; the range checks need numbers."""
         bad = []
         values = [(name, getattr(self, name)) for name in _REAL_FIELDS]
+        values += [(name, getattr(self, name)) for name in _OPTIONAL_REAL_FIELDS
+                   if getattr(self, name) is not None]
         values += [(name, v) for name in ("alpha0_L_values", "delta0_T_values")
                    for v in getattr(self, name) or ()]
         if _is_real(self.tpi1_rule):
             values.append(("tpi1_rule", self.tpi1_rule))
         for name, val in values:
-            if val is not None and not (_is_real(val) and math.isfinite(val)):
+            if not _is_finite(val):
                 bad.append(f"{name} must be a finite number, got {val!r}")
         for name in _INT_FIELDS:
             val = getattr(self, name)
@@ -202,6 +224,9 @@ class Scenario:
             bad.append(f"refine must lie in 1..{MAX_REFINE}, got {self.refine}")
         if self.kind == "transmit" and self.b is not None:
             bad.append("transmit scenarios need an explicit delta0_T")
+        if self.kind != "transmit" and self.delta0_T_values is not None:
+            bad.append("delta0_T_values is for transmit; store and sweep "
+                       "scenarios take delta0_T or b")
         return bad
 
     def validate(self):
@@ -269,23 +294,24 @@ PRESETS = {
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path, text):
-    tmp = str(path) + ".tmp"
+@contextmanager
+def _replacing(path):
+    """Write ``path.tmp``, then rename it over ``path``: no partial files."""
+    tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
 
 
 def _write_csv(path, header, columns):
-    data = np.column_stack(columns)
-    tmp = str(path) + ".tmp"
-    np.savetxt(tmp, data, delimiter=", ", header=" " + header, fmt=_FMT)
-    os.replace(tmp, path)
+    with _replacing(path) as fh:
+        np.savetxt(fh, np.column_stack(columns), delimiter=", ",
+                   header=" " + header, fmt=_FMT)
 
 
 def _write_json(path, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
-                       + "\n")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _num(x):
@@ -350,21 +376,15 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 def _store_panel(scenario: Scenario, alpha0_L, out_dir):
+    """Write one panel's three files, only once its retrieval succeeded."""
     params = scenario.params_for(alpha0_L)
     pulse, schedule = scenario.pulse_and_schedule(params)
-    profile = HoleProfile.gaussian()
 
     # delayed original: transmitted profile with the control pulses off
     env = auto_grid(pulse, params)
     original = propagate(env, params.length, exact_gaussian_model(params),
                          params)
-    tag = f"store_aL{_num(alpha0_L)}"
-    original_path = os.path.join(out_dir, f"{tag}_original.csv")
-    _write_csv(original_path, "t_minus_tpi1, re, im",
-               [original.times - schedule.t_pi1, original.samples.real,
-                original.samples.imag])
-
-    result = retrieve(pulse, schedule, params, profile=profile,
+    result = retrieve(pulse, schedule, params, profile=HoleProfile.gaussian(),
                       method=scenario.method,
                       series_order=scenario.series_order,
                       n_time=scenario.n_time, refine=scenario.refine)
@@ -384,7 +404,9 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
     if result.validity["temporal_margin"] < 1.0:
         warnings.append("pulse not confined inside the slab "
                         "(delta0 T above alpha0 L)")
-    extra = {
+    sidecar = {
+        "method": result.method, "eta": result.efficiency,
+        "params": asdict(params), "validity": result.validity,
         "alpha0_L": alpha0_L,
         "delta0_T": params.delta0 * pulse.duration,
         "T": pulse.duration,
@@ -396,12 +418,17 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
                                else schedule.delta1 / params.delta0),
         "warnings": warnings,
     }
-    restored_path = os.path.join(out_dir, f"{tag}_restored.csv")
-    tmp = restored_path + ".tmp"
-    result.save(tmp, params, extra=extra)
-    os.replace(tmp, restored_path)
-    os.replace(tmp + ".json", restored_path + ".json")
-    return [original_path, restored_path, restored_path + ".json"]
+
+    stem = os.path.join(out_dir, f"store_aL{_num(alpha0_L)}")
+    _write_csv(f"{stem}_original.csv", "t_minus_tpi1, re, im",
+               [original.times - schedule.t_pi1, original.samples.real,
+                original.samples.imag])
+    restored = result.envelope
+    _write_csv(f"{stem}_restored.csv", "t_minus_tpi2, re, im",
+               [restored.times, restored.samples.real, restored.samples.imag])
+    _write_json(f"{stem}_restored.csv.json", sidecar)
+    return [f"{stem}_original.csv", f"{stem}_restored.csv",
+            f"{stem}_restored.csv.json"]
 
 
 def run_store(scenario: Scenario, out_dir):
@@ -565,7 +592,8 @@ def main(argv=None):
         for path in written:
             print(path)
         return 0
-    except (ConfigurationError, PreconditionError, DomainError) as exc:
+    except (ConfigurationError, PreconditionError, DomainError,
+            OSError) as exc:  # OSError: --out is not a writable directory
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -142,13 +142,6 @@ class HoleProfile:
             raise ConfigurationError(f"{path}: expected two columns (delta_over_delta0, g)")
         return cls.tabulated(data[:, 0], data[:, 1])
 
-    def to_file(self, path):
-        if self.kind != "tabulated":
-            raise ConfigurationError("only tabulated profiles can be written out")
-        header = " delta_over_delta0, g"
-        data = np.column_stack([self.detuning_samples, self.g_values])
-        np.savetxt(path, data, delimiter=", ", header=header, fmt="%.12e")
-
     def __call__(self, delta, delta0=1.0):
         """g at physical detuning ``delta`` for hole width ``delta0``."""
         x = np.asarray(delta, dtype=float) / delta0

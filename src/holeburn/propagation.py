@@ -75,17 +75,6 @@ class SampledEnvelope:
             return self.t_start + (i + shift) * self.dt
         return self.t_start + i * self.dt
 
-    def save_csv(self, path):
-        data = np.column_stack([self.times, self.samples.real, self.samples.imag])
-        np.savetxt(path, data, delimiter=", ", header=" t, re, im", fmt="%.12e")
-
-    @classmethod
-    def load_csv(cls, path) -> "SampledEnvelope":
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        t = data[:, 0]
-        return cls(t_start=float(t[0]), dt=float(t[1] - t[0]),
-                   samples=data[:, 1] + 1j * data[:, 2])
-
 
 @dataclass(frozen=True)
 class PulseSpec:

@@ -21,7 +21,6 @@ with t_w, t_r the write/read instants.  For the Gaussian hole
 a = sqrt(pi) (1 - v/c).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -124,29 +123,6 @@ class RetrievalResult:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigurationError("efficiency must lie in [0, 1]")
-
-    def save(self, csv_path, params: MediumParams = None, extra=None):
-        """Write the waveform CSV and a JSON sidecar next to it."""
-        data = np.column_stack([self.envelope.times,
-                                self.envelope.samples.real,
-                                self.envelope.samples.imag])
-        np.savetxt(csv_path, data, delimiter=", ",
-                   header=" t_minus_tpi2, re, im", fmt="%.12e")
-        side = {"method": self.method, "eta": self.efficiency,
-                "params": _params_dict(params), "validity": self.validity}
-        if extra:
-            side.update(extra)
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _params_dict(params):
-    if params is None:
-        return None
-    return {"alpha0": params.alpha0, "gamma_ab": params.gamma_ab,
-            "delta0": params.delta0, "length": params.length,
-            "inv_c": params.inv_c}
 
 
 def _reduced(params: MediumParams):
@@ -289,6 +265,10 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     for all b is one (n_b x n) @ (g w) product per panel, taken in row
     blocks of at most ``_RULE_BLOCK`` entries.  A panel rule of more than
     ``MAX_RULE_NODES`` nodes is refused before anything is built.
+
+    At gamma_ab = 0 the bracket's part b gamma / (gamma^2 + Delta^2) is
+    pi b delta(Delta), which no node rule sees; it is added as pi b g(0)
+    (zero for the Gaussian hole).
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
@@ -315,6 +295,8 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
         for start in range(0, b.size, rows):
             bracket = -np.expm1(-b[start:start + rows, None] * dc) / (dc * dc)
             val[start:start + rows] -= bracket.real @ gw
+    if gamma == 0.0:
+        val -= np.pi * b * float(g(0.0, d0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
     out = params.alpha0 * v / (2.0 * np.pi) * val.reshape(x.shape)

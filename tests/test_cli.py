@@ -1,10 +1,14 @@
 """Scenario serialization, subcommand behavior, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holeburn.cli
 import holeburn.propagation
@@ -67,8 +71,9 @@ class TestTransmit:
     def test_outputs_and_peak(self, tmp_path):
         scenario = Scenario(kind="transmit", alpha0_L=100.0, delta0_T=10.0)
         run_transmit(scenario, str(tmp_path))
-        out = np.loadtxt(tmp_path / "transmit_dT10_second_order.csv",
-                         delimiter=",")
+        path = tmp_path / "transmit_dT10_second_order.csv"
+        assert path.read_text().splitlines()[0] == "#  t, re, im"
+        out = np.loadtxt(path, delimiter=",")
         peak = float(np.max(np.hypot(out[:, 1], out[:, 2])))
         assert peak == pytest.approx(10.0 / math.sqrt(200.0), rel=1e-3)
 
@@ -90,12 +95,33 @@ class TestStore:
         assert side["T_s"] > side["T"]
         assert 0.0 <= side["eta"] <= 1.0
         assert "warnings" in side
+        assert side["params"]["length"] == 100.0
+        assert side["validity"]["spectral_margin"] > 1.0
+        for name, column in [("restored", "t_minus_tpi2"),
+                             ("original", "t_minus_tpi1")]:
+            path = tmp_path / f"store_aL100_{name}.csv"
+            assert path.read_text().splitlines()[0] == f"#  {column}, re, im"
         restored = np.loadtxt(tmp_path / "store_aL100_restored.csv",
                               delimiter=",")
         assert restored[0, 1] == 0.0  # zero at t = t_pi2
         original = np.loadtxt(tmp_path / "store_aL100_original.csv",
                               delimiter=",")
         assert original.shape[1] == 3
+
+    @pytest.mark.parametrize("error, code", [(NumericsError, 3),
+                                             (ConfigurationError, 2)])
+    def test_failed_panel_leaves_no_file(self, tmp_path, monkeypatch, error,
+                                         code):
+        def retrieve(*args, **kwargs):
+            raise error("retrieval failed")
+
+        monkeypatch.setattr(holeburn.cli, "retrieve", retrieve)
+        path = tmp_path / "s.json"
+        PRESETS["fig4a"].save(path)
+        out = tmp_path / "out"
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(out)]) == code
+        assert list(out.iterdir()) == []
 
 
 class TestGridBudget:
@@ -296,6 +322,9 @@ class TestValidateCommand:
                      "--out", str(tmp_path)]) == 2
 
 
+_STORE = '{"kind": "store", "alpha0_L": 25.0, "delta0_T": 5.0'
+
+
 class TestExitCodeContract:
     """Scenarios that used to pass validation and then raise a traceback."""
 
@@ -312,6 +341,36 @@ class TestExitCodeContract:
         "transmit_infinite_duration":
             ("transmit",
              '{"kind": "transmit", "alpha0_L": 10.0, "delta0_T": Infinity}'),
+        # the scenario file cannot be read as a JSON object
+        "missing_file": ("store", None),
+        "malformed_json": ("store", _STORE),
+        "top_level_int": ("store", "5"),
+        "top_level_null": ("store", "null"),
+        "top_level_false": ("store", "false"),
+        "top_level_float": ("store", "0.0"),
+        "top_level_list": ("store", "[1, 2]"),
+        "missing_kind": ("store", "{}"),
+        # fields that have a numeric default may not be null
+        "null_v_over_c": ("store", _STORE + ', "v_over_c": null}'),
+        "null_gamma_over_delta0":
+            ("store", _STORE + ', "gamma_over_delta0": null}'),
+        "null_hold_times_delta0":
+            ("store", _STORE + ', "hold_times_delta0": null}'),
+        # a string is not a list of opacities
+        "string_opacity_list":
+            ("sweep-efficiency",
+             '{"kind": "sweep-efficiency", "alpha0_L_values": "49", '
+             '"b": 0.6, "method": "revival"}'),
+        # pulse_and_schedule reads delta0_T or b, never delta0_T_values
+        "store_duration_list":
+            ("store", '{"kind": "store", "alpha0_L": 25.0, '
+                      '"delta0_T_values": [5.0], "method": "revival"}'),
+        "sweep_duration_list":
+            ("sweep-efficiency",
+             '{"kind": "sweep-efficiency", "alpha0_L_values": [9.0], '
+             '"delta0_T_values": [5.0], "method": "revival"}'),
+        # --out names an existing file (the scenario itself)
+        "out_is_a_file": ("store", _STORE + "}"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -321,10 +380,12 @@ class TestExitCodeContract:
                                   validate_only):
         command, text = self.CASES[case]
         path = tmp_path / "s.json"
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
+        out = path if case == "out_is_a_file" else tmp_path
         command = "validate" if validate_only else command
         assert main([command, "--scenario", str(path),
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error")
         assert not list(tmp_path.glob("*.csv"))
@@ -345,3 +406,28 @@ class TestExitCodeContract:
         bad = scenario.violations()
         assert any("alpha0_L" in b for b in bad)
         assert any("n_time" in b for b in bad)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+            | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["transmit", "store", "sweep-efficiency",
+                               "revival", "full_quadrature", "half-transit"]))
+_JSON = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4), max_leaves=10)
+_SCENARIO_DICTS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(Scenario)]), _JSON, max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(doc=_JSON | _SCENARIO_DICTS)
+def test_validate_never_raises(tmp_path_factory, doc):
+    """Any JSON document, as a scenario file, is valid (0) or rejected with
+    one stderr line (2); validate builds no grid, so nothing else runs."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--scenario", str(path),
+                     "--out", str(path.parent)])
+    assert (code, err.getvalue().count("\n")) in [(0, 0), (2, 1)]

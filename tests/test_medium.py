@@ -116,7 +116,8 @@ class TestHoleProfile:
         x = np.linspace(-6, 6, 121)
         prof = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
         path = tmp_path / "hole.csv"
-        prof.to_file(path)
+        np.savetxt(path, np.column_stack([x, prof.g_values]), delimiter=", ",
+                   header=" delta_over_delta0, g", fmt="%.12e")
         back = HoleProfile.from_file(path)
         probe = np.linspace(-5, 5, 57)
         np.testing.assert_allclose(back(probe), prof(probe), atol=1e-10)

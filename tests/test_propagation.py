@@ -26,18 +26,6 @@ class TestSampledEnvelope:
         env = SampledEnvelope(t_start=0.0, dt=0.5, samples=np.ones(8))
         assert env.energy() == pytest.approx(4.0)
 
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        env = SampledEnvelope(t_start=-3.0, dt=0.25,
-                              samples=rng.normal(size=64) + 1j * rng.normal(size=64))
-        path = tmp_path / "env.csv"
-        env.save_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "#  t, re, im"
-        back = SampledEnvelope.load_csv(path)
-        np.testing.assert_allclose(back.samples, env.samples, atol=1e-11)
-        assert back.t_start == pytest.approx(env.t_start, abs=1e-11)
-
     def test_peak_time_refinement(self):
         pulse = PulseSpec(duration=2.0, center_time=0.37)
         t = -20.0 + 0.25 * np.arange(256)

@@ -298,6 +298,24 @@ class TestKappaFiniteBandwidth:
                 [1.0, 2.0], 5.0,
                 lambda d, d0: np.where(np.abs(d) < 1.0, np.nan, 1.0), params)
 
+    def test_zero_linewidth_hole_floor(self):
+        # at gamma = 0 the bracket's pi b delta(Delta) part weighs g(0);
+        # at gamma / delta0 = 1e-9 the node rule integrates it itself
+        def floored_hole(delta, delta0):
+            u = np.asarray(delta, dtype=float) / delta0
+            return 0.1 + 0.9 * (1.0 - np.exp(-u * u))
+
+        x = [1.0, 2.0, 4.0]
+        zero = kappa_finite_bandwidth(x, 5.0, floored_hole,
+                                      MediumParams.reduced(10.0))
+        tiny = kappa_finite_bandwidth(x, 5.0, floored_hole,
+                                      MediumParams.reduced(10.0, 1e-9))
+        np.testing.assert_allclose(zero, tiny, rtol=1e-7)
+        np.testing.assert_allclose(zero, [0.711108, 0.780749, 0.784975],
+                                   rtol=1e-6)
+        # the Gaussian hole has no floor, so its results do not move
+        assert HoleProfile.gaussian()(0.0) == 0.0
+
 
 class TestRevivalEnvelope:
     def test_vanishes_at_read_instant(self):
@@ -534,19 +552,6 @@ class TestRetrieve:
     def test_efficiency_bounds_invariant(self):
         with pytest.raises(ConfigurationError):
             RetrievalResult(envelope=None, efficiency=1.5, method="revival")
-
-    def test_save_formats(self, tmp_path):
-        params, pulse, schedule = reduced_setup(25.0, 10.0)
-        result = retrieve(pulse, schedule, params, method="established")
-        path = tmp_path / "restored.csv"
-        result.save(path, params, extra={"note": "test"})
-        header = path.read_text().splitlines()[0]
-        assert header == "#  t_minus_tpi2, re, im"
-        side = json.loads((tmp_path / "restored.csv.json").read_text())
-        assert side["method"] == "established"
-        assert side["eta"] == pytest.approx(result.efficiency)
-        assert side["note"] == "test"
-        assert side["params"]["length"] == params.length
 
     def test_efficiency_golden_regression(self):
         # frozen full-quadrature reference at opacity 100, b = 0.6 schedule
