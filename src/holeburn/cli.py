@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -375,6 +374,26 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # store
 # ---------------------------------------------------------------------------
 
+def _regime_warnings(method, validity):
+    """Readable warnings for the validity indicators a retrieval left out
+    of regime; empty when the result is clean."""
+    warnings = []
+    if method == "revival" and validity["revival_condition_fraction"] > 0.5:
+        warnings.append("revival product form used outside its validity "
+                        "window (elapsed time not small against the pulse "
+                        "duration squared)")
+    if method == "established" and not validity["established_window_ok"]:
+        warnings.append("established-signal kernel used before the restored "
+                        "peak leaves the early window")
+    if validity["spectral_margin"] < 1.0:
+        warnings.append("pulse spectrum not confined inside the hole "
+                        "(delta0 T below sqrt(alpha0 L))")
+    if validity["temporal_margin"] < 1.0:
+        warnings.append("pulse not confined inside the slab "
+                        "(delta0 T above alpha0 L)")
+    return warnings
+
+
 def _store_panel(scenario: Scenario, alpha0_L, out_dir):
     """Write one panel's three files, only once its retrieval succeeded."""
     params = scenario.params_for(alpha0_L)
@@ -388,22 +407,6 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
                       method=scenario.method,
                       series_order=scenario.series_order,
                       n_time=scenario.n_time, refine=scenario.refine)
-    warnings = []
-    if scenario.method == "revival" and \
-            result.validity["revival_condition_fraction"] > 0.5:
-        warnings.append("revival product form used outside its validity "
-                        "window (elapsed time not small against the pulse "
-                        "duration squared)")
-    if scenario.method == "established" and \
-            not result.validity["established_window_ok"]:
-        warnings.append("established-signal kernel used before the restored "
-                        "peak leaves the early window")
-    if result.validity["spectral_margin"] < 1.0:
-        warnings.append("pulse spectrum not confined inside the hole "
-                        "(delta0 T below sqrt(alpha0 L))")
-    if result.validity["temporal_margin"] < 1.0:
-        warnings.append("pulse not confined inside the slab "
-                        "(delta0 T above alpha0 L)")
     sidecar = {
         "method": result.method, "eta": result.efficiency,
         "params": asdict(params), "validity": result.validity,
@@ -416,7 +419,7 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
         "t_pi2": schedule.t_pi2,
         "delta1_over_delta0": (None if schedule.infinite_bandwidth
                                else schedule.delta1 / params.delta0),
-        "warnings": warnings,
+        "warnings": _regime_warnings(scenario.method, result.validity),
     }
 
     stem = os.path.join(out_dir, f"store_aL{_num(alpha0_L)}")
@@ -445,7 +448,10 @@ def run_store(scenario: Scenario, out_dir):
 # ---------------------------------------------------------------------------
 
 def _sweep_point(args):
-    """One sweep point; module-level so process pools can pickle it."""
+    """One sweep point: (alpha0_L, delta0_T, eta, failure, warnings).
+
+    Module-level so process pools can pickle it.
+    """
     scenario_dict, alpha0_L, tol = args
     scenario = Scenario.from_dict(scenario_dict)
     params = scenario.params_for(alpha0_L)
@@ -469,14 +475,15 @@ def _sweep_point(args):
                     "efficiency not converged: doubling the quadrature "
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
-        return alpha0_L, params.delta0 * pulse.duration, eta, None
+        return (alpha0_L, params.delta0 * pulse.duration, eta, None,
+                _regime_warnings(scenario.method, result.validity))
     except NumericsError as exc:
         failure = {"message": f"numerical failure: {exc}",
                    "residual": None if exc.residual is None
                    else float(exc.residual)}
     except (ConfigurationError, PreconditionError, DomainError) as exc:
         failure = {"message": str(exc)}
-    return alpha0_L, params.delta0 * pulse.duration, math.nan, failure
+    return alpha0_L, params.delta0 * pulse.duration, math.nan, failure, []
 
 
 def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
@@ -484,13 +491,17 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
 
     Per-point failures are recorded in the sidecar (``failures`` holds the
     message, ``residuals`` the residual of each numerical failure) and the
-    sweep continues.  After writing both files a NumericsError is raised
-    if any point failed numerically.
+    sweep continues.  ``warnings`` lists, per point, the regime warnings a
+    ``store`` of that point would carry.  After writing both files a
+    NumericsError is raised if any point failed numerically.
     """
     scenario.validate()
     points = sorted(scenario._alpha0_L_list())
     jobs = [(scenario.to_dict(), aL, tol) for aL in points]
     if workers > 1:
+        # multiprocessing is loaded only when a pool is asked for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
@@ -509,6 +520,7 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
         "convergence_tol": tol,
         "failures": {key: f["message"] for key, f in failed.items()},
         "residuals": residuals,
+        "warnings": {_num(r[0]): r[4] for r in rows if r[4]},
     })
     if residuals:
         raise NumericsError(

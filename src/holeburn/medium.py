@@ -17,6 +17,11 @@ plus the absorption-coefficient and inverse-group-velocity integrals.
 Internally everything is expressed in reduced units: frequencies in delta0,
 lengths in 1/alpha0, so scenarios are fully specified by the dimensionless
 groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
+
+``scipy.integrate`` and ``scipy.interpolate`` are imported on first use:
+the first by ``_quad``, the one adaptive-quadrature helper (here and in
+``storage.kappa_quadrature``), the second by a tabulated ``HoleProfile``.
+The Gaussian-hole paths load neither.
 """
 
 import math
@@ -24,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .special import SQRT_PI, dawson, erfcx
@@ -117,7 +121,9 @@ class HoleProfile:
                 raise ValueError("g values must lie in [0, 1]")
             object.__setattr__(self, "detuning_samples", d)
             object.__setattr__(self, "g_values", np.clip(g, 0.0, 1.0))
-            spline = interpolate.CubicSpline(d, self.g_values, bc_type="natural")
+            from scipy.interpolate import CubicSpline
+
+            spline = CubicSpline(d, self.g_values, bc_type="natural")
             object.__setattr__(self, "_spline", spline)
             if d[0] < 0.0 < d[-1] and abs(float(spline(0.0))) > 1e-6:
                 raise ValueError("hole profile must satisfy g(0) = 0")
@@ -198,11 +204,20 @@ def _scalar_deficit(profile: HoleProfile, d0):
     return lambda u: float(profile.deficit(u, d0))
 
 
-def _quad_real(func, a, b, point, tol):
+def _quad(func, a, b, epsabs, epsrel, points=None):
+    """Adaptive ``scipy.integrate.quad`` of a real integrand: (value, error).
+
+    The one adaptive-quadrature entry point; ``scipy.integrate`` (and the
+    ``scipy.optimize`` it pulls in) is imported on the first call, so a run
+    that never integrates adaptively never loads it.  ``IntegrationWarning``
+    is silenced: every caller checks the returned error estimate instead.
+    """
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(func, a, b, points=[point], limit=_QUAD_LIMIT,
-                              epsabs=tol, epsrel=tol)
+        return integrate.quad(func, a, b, points=points, limit=_QUAD_LIMIT,
+                              epsabs=epsabs, epsrel=epsrel)
 
 
 def chi_exact_gaussian(omega_offset, params: MediumParams):
@@ -263,10 +278,10 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
         return -(deficit(u) - h_at * math.exp(-(v / d0) ** 2)) * gamma / (v * v + gamma2)
 
     a, b = omega - window, omega + window
-    re, err = _quad_real(real_part, a, b, omega, tol)
+    re, err = _quad(real_part, a, b, tol, tol, points=[omega])
     im = 0.0
     if gamma > 0.0:
-        im, im_err = _quad_real(imag_part, a, b, omega, tol)
+        im, im_err = _quad(imag_part, a, b, tol, tol, points=[omega])
         err = max(err, im_err)
     if err > 1e-6:
         raise NumericsError("susceptibility quadrature did not converge", residual=err)
@@ -296,13 +311,13 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
         # substitution Delta = gamma tan(psi) turns the Lorentzian weight into
         # a flat measure: integral f L dDelta = (1/pi) integral f(gamma tan psi) dpsi
         half = np.pi / 2.0
-        deficit, e1 = integrate.quad(
+        deficit, e1 = _quad(
             lambda psi: profile.deficit(gamma * np.tan(psi), d0) / np.pi,
-            -half, half, limit=_QUAD_LIMIT, epsabs=1e-12, epsrel=1e-10)
+            -half, half, 1e-12, 1e-10)
         term1 = 1.0 - deficit
-        term2, e2 = integrate.quad(
+        term2, e2 = _quad(
             lambda psi: profile.second_derivative(gamma * np.tan(psi), d0) / np.pi,
-            -half, half, limit=_QUAD_LIMIT, epsabs=1e-12, epsrel=1e-10)
+            -half, half, 1e-12, 1e-10)
         if max(e1, e2) > 1e-7:
             raise NumericsError("absorption quadrature did not converge",
                                 residual=max(e1, e2))
@@ -321,10 +336,7 @@ def inverse_group_velocity(profile, params: MediumParams):
             return float(lim)
         return profile(t, d0) * t * t / (t * t + gamma * gamma) ** 2
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, -window, window,
-                                  points=[0.0], limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-11)
+    val, err = _quad(integrand, -window, window, 1e-13, 1e-11, points=[0.0])
     if err > 1e-7:
         raise NumericsError("group-velocity quadrature did not converge", residual=err)
     # analytic tail for the flat background g -> 1 beyond the window

@@ -27,18 +27,16 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, NumericsError, PreconditionError
-from .medium import HoleProfile, MediumParams, _profile_g, slow_light_velocity
+from .medium import (HoleProfile, MediumParams, _profile_g, _quad,
+                     slow_light_velocity)
 from .propagation import PulseSpec, SampledEnvelope, transmitted_gaussian
 from .special import SQRT_PI, erf, erfc
 
 # Reduced-time reach of the detuning kernel exp(-(p+q)^2/4); beyond this the
 # weight is < 1e-21 and the (p, q) quadrature can be truncated.
 KERNEL_RANGE = 14.0
-
-_QUAD_LIMIT = 300
 
 # Largest conversion bandwidth a scenario may ask for, in hole widths.  The
 # finite-bandwidth rule needs nodes in proportion to delta1 times the
@@ -204,12 +202,10 @@ def kappa_quadrature(x, profile, params: MediumParams):
         return min(s, b) * float(kern(d0 * s)) * math.exp(-gamma * s)
 
     cut = 30.0 / d0
-    val1, e1 = integrate.quad(f, 0.0, min(b, cut), limit=_QUAD_LIMIT,
-                              epsabs=1e-13, epsrel=1e-12)
+    val1, e1 = _quad(f, 0.0, min(b, cut), 1e-13, 1e-12)
     val2, e2 = (0.0, 0.0)
     if b < cut:
-        val2, e2 = integrate.quad(f, b, cut, limit=_QUAD_LIMIT,
-                                  epsabs=1e-13, epsrel=1e-12)
+        val2, e2 = _quad(f, b, cut, 1e-13, 1e-12)
     if max(e1, e2) > 1e-8:
         raise NumericsError("revival-factor quadrature did not converge",
                             residual=max(e1, e2))
@@ -601,7 +597,10 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
 
     ``refine`` scales the quadrature node counts (deterministic for a
     given value); method validity indicators are attached rather than
-    enforced, mirroring how the figure panels mix regimes.
+    enforced, mirroring how the figure panels mix regimes.  A restored
+    energy that is not finite and positive, or a validity indicator that
+    is not finite, raises NumericsError: a degenerate pulse duration or
+    opacity is never reported as eta = 0.
     """
     label = _method_field(method, series_order)
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
@@ -622,8 +621,12 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     env = SampledEnvelope(t_start=float(t[0] - schedule.t_pi2), dt=dt,
                           samples=np.asarray(amp, dtype=complex))
     total = env.energy()
+    if not (math.isfinite(total) and total > 0.0):
+        raise NumericsError(
+            f"restored energy is {total:g}: the waveform is zero or not "
+            "finite (degenerate pulse duration or opacity)")
     tail = float(np.sum(np.abs(env.samples[-max(2, env.n // 64):]) ** 2) * dt)
-    if total > 0 and tail / total > 1e-3:
+    if tail / total > 1e-3:
         raise ConfigurationError(
             "retrieval grid truncates the restored waveform "
             f"(tail fraction {tail / total:.2e})")
@@ -643,6 +646,9 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
         "spectral_margin": float(d0 * pulse.duration / math.sqrt(params.opacity)),
         "temporal_margin": float(params.opacity / (d0 * pulse.duration)),
     }
+    bad = sorted(key for key, val in validity.items() if not math.isfinite(val))
+    if bad:
+        raise NumericsError(f"validity indicators {bad} are not finite")
     return RetrievalResult(envelope=env, efficiency=eta,
                            method=label, validity=validity)
 

@@ -123,6 +123,23 @@ class TestStore:
                      "--out", str(out)]) == code
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("alpha0_L, b, code", [(25.0, 1e-300, 2),
+                                                   (1e-300, 0.6, 3)],
+                             ids=["duration", "opacity"])
+    def test_degenerate_panel_exit_code(self, tmp_path, capsys, alpha0_L, b,
+                                        code):
+        # delta0 T = 1e-300 needs a grid beyond the budget (exit 2); at
+        # alpha0 L = 1e-300 the restored waveform is zero (exit 3)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": alpha0_L,
+                                    "b": b, "method": "revival"}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["store", "--scenario", str(path),
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
 
 class TestGridBudget:
     def test_oversized_grid_rejected_before_allocation(self):
@@ -267,6 +284,52 @@ class TestSweep:
         assert np.all(np.isnan(table[:, 3]))
         side = json.loads(open(files[1]).read())
         assert set(side["failures"]) == {"4", "9"}
+
+    @pytest.mark.parametrize("fields, point", [
+        ({"alpha0_L_values": [9.0], "b": 1e-300}, "9"),
+        ({"alpha0_L_values": [1e-300], "b": 0.6}, "1e-300"),
+    ], ids=["duration", "opacity"])
+    def test_degenerate_point_exit_3(self, tmp_path, capsys, fields, point):
+        # the restored waveform underflows to zero: a recorded numerical
+        # failure, not a clean eta = 0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "sweep-efficiency",
+                                    "method": "revival", **fields}))
+        with np.errstate(all="ignore"):
+            assert main(["sweep-efficiency", "--scenario", str(path),
+                         "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        side = json.loads((tmp_path / "efficiency.csv.json").read_text())
+        assert set(side["failures"]) == {point}
+        assert "restored energy is 0" in side["failures"][point]
+        assert side["residuals"] == {point: None}
+        table = np.loadtxt(tmp_path / "efficiency.csv", delimiter=",",
+                           ndmin=2)
+        assert np.isnan(table[0, 3])
+
+    def test_regime_warnings_per_point(self, tmp_path):
+        # at b = 0.6, alpha0 L = 4 gives delta0 T = 0.85 below sqrt(alpha0 L):
+        # the point carries the warnings a store of it would carry
+        files = run_sweep(self.scenario(), str(tmp_path))
+        side = json.loads(open(files[1]).read())
+        assert list(side["warnings"]) == ["4"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": 4.0,
+                                    "b": 0.6, "method": "revival"}))
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        store = json.loads(
+            (tmp_path / "store_aL4_restored.csv.json").read_text())
+        assert side["warnings"]["4"] == store["warnings"]
+        assert any("spectrum not confined" in w for w in store["warnings"])
+
+    def test_no_regime_warnings_in_regime(self, tmp_path):
+        scenario = Scenario(kind="sweep-efficiency",
+                            alpha0_L_values=(9.0, 25.0), b=0.6,
+                            method="full_quadrature")
+        files = run_sweep(scenario, str(tmp_path))
+        side = json.loads(open(files[1]).read())
+        assert side["failures"] == {} and side["warnings"] == {}
 
 
     def test_numerical_failure_recorded_then_exit_3(self, tmp_path, capsys,
@@ -431,3 +494,30 @@ def test_validate_never_raises(tmp_path_factory, doc):
         code = main(["validate", "--scenario", str(path),
                      "--out", str(path.parent)])
     assert (code, err.getvalue().count("\n")) in [(0, 0), (2, 1)]
+
+
+def test_presets_leave_integrators_unloaded(tmp_path, fresh_python):
+    # every preset runs in closed form or on fixed node rules, so no preset
+    # run may import adaptive quadrature, splines or scipy.optimize
+    code = """
+import contextlib, io, json, sys
+from holeburn.cli import main
+
+out = sys.argv[1]
+runs = {"fig2": "transmit", "fig4a": "store", "fig4b": "store",
+        "fig5": "store", "fig6": "sweep-efficiency"}
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, command in runs.items():
+        main(["preset", name, "--out", out])
+        codes[name] = main([command, "--scenario", f"{out}/{name}.json",
+                            "--out", f"{out}/{name}", "--workers", "1"])
+loaded = [m for m in ("scipy.integrate", "scipy.interpolate",
+                      "scipy.optimize") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+    result = fresh_python(code, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == dict.fromkeys(PRESETS, 0)
+    assert report["loaded"] == []

@@ -4,6 +4,8 @@ Frozen reference values were computed with 30-digit mpmath evaluation of
 the closed forms (Dawson integral, scaled complementary error function).
 """
 
+import inspect
+import json
 import math
 import warnings
 
@@ -290,3 +292,46 @@ class TestInverseGroupVelocity:
                                   length=10.0)
             vals.append(inverse_group_velocity(HoleProfile.gaussian(), params))
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def lazy_path_values():
+    """Every call that imports scipy.integrate or scipy.interpolate on first
+    use, as a list of floats.  Self-contained: its source is also run in a
+    fresh interpreter."""
+    import numpy as np
+
+    from holeburn.medium import (HoleProfile, MediumParams,
+                                 absorption_coefficient, chi_quadrature,
+                                 inverse_group_velocity)
+    from holeburn.storage import kappa_quadrature
+
+    narrow = MediumParams.reduced(25.0)
+    lossy = MediumParams.reduced(25.0, gamma_over_delta0=0.05)
+    x = np.linspace(-6.0, 6.0, 241)
+    tabulated = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
+    values = []
+    for params in (narrow, lossy):
+        chi = chi_quadrature(0.5, None, params)
+        values += [chi.real, chi.imag]
+    values.append(absorption_coefficient(0.3, None, lossy))
+    values.append(inverse_group_velocity(None, lossy))
+    values.append(kappa_quadrature(1.0, tabulated, narrow))
+    return values
+
+
+def test_lazy_imports_in_fresh_interpreter(fresh_python):
+    # scipy.integrate and scipy.interpolate load on first use; from a fresh
+    # interpreter, where neither is loaded yet, the calls that need them
+    # must work and give the in-process values bit for bit
+    code = (inspect.getsource(lazy_path_values) + """
+import json, sys
+import holeburn
+loaded = [m for m in ("scipy.integrate", "scipy.interpolate")
+          if m in sys.modules]
+print(json.dumps({"loaded_by_import": loaded, "values": lazy_path_values()}))
+""")
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    fresh = json.loads(result.stdout)
+    assert fresh["loaded_by_import"] == []
+    assert fresh["values"] == lazy_path_values()

@@ -8,8 +8,6 @@ quadrature (scipy) of the defining integrals.
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -568,6 +566,26 @@ class TestRetrieve:
         eta = efficiency(pulse, schedule, params, method="full_quadrature")
         assert eta == pytest.approx(0.8038156508928593, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["revival", "established",
+                                        "full_quadrature", "series"])
+    @pytest.mark.parametrize("alpha0_L, b", [(9.0, 1e-300), (1e-300, 0.6)],
+                             ids=["duration", "opacity"])
+    def test_degenerate_point_is_numerical_failure(self, alpha0_L, b, method):
+        # the restored waveform underflows to zero, and the revival
+        # fraction divides by (delta0 T)^2 = 0: never a clean eta = 0
+        params = MediumParams.reduced(alpha0_L)
+        pulse, schedule = default_schedule(params, b=b)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericsError, match="restored energy is 0"):
+            retrieve(pulse, schedule, params, method=method)
+
+    def test_non_finite_indicator_is_numerical_failure(self, monkeypatch):
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        monkeypatch.setattr(holeburn.storage, "revival_validity",
+                            lambda *args: math.inf)
+        with pytest.raises(NumericsError, match="revival_condition_fraction"):
+            retrieve(pulse, schedule, params, method="established")
+
     def test_overshoot_is_numerical_failure(self, monkeypatch):
         # doubled amplitudes quadruple the energy: eta > 1 is reported with
         # its excess, never clamped to 1
@@ -582,14 +600,10 @@ class TestRetrieve:
         assert err.value.residual == pytest.approx(4.0 * eta - 1.0, rel=1e-12)
 
 
-def test_import_leaves_sympy_out():
+def test_import_leaves_sympy_out(fresh_python):
     # the series route differentiates with numpy Taylor jets; sympy must
     # not come back as a runtime dependency
-    src = os.path.dirname(os.path.dirname(holeburn.storage.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, holeburn, holeburn.cli, holeburn.oracle; "
             "sys.exit('sympy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
