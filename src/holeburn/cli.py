@@ -25,8 +25,9 @@ reduced units (alpha0 = delta0 = 1).  Subcommands:
     fig6) into the output directory.
 
 Every file is written here, by ``_write_csv`` (fixed ``%.12e`` columns
-under a ``#  `` header) or ``_write_json`` (sorted keys, indent 2), each
-to ``<name>.tmp`` and then renamed over ``<name>``.  Sweep points are
+under a ``#  `` header, formatted in blocks of rows) or ``_write_json``
+(sorted keys, indent 2), each to ``<name>.tmp`` and then renamed over
+``<name>``; a write that fails removes ``<name>.tmp``.  Sweep points are
 merged in sorted parameter order regardless of the worker count, so
 identical scenarios produce byte-identical files.
 
@@ -40,7 +41,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -56,6 +57,9 @@ from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
+# Rows formatted by one ``%`` call in ``_write_csv``: bounds the transient
+# string and tuple to under 1 MB at any grid size.
+_CSV_BLOCK = 4096
 # Scenario fields that must hold finite real numbers, those that may also be
 # None, and those that must hold integers.
 _REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
@@ -295,17 +299,31 @@ PRESETS = {
 
 @contextmanager
 def _replacing(path):
-    """Write ``path.tmp``, then rename it over ``path``: no partial files."""
+    """Write ``path.tmp``, then rename it over ``path``: no partial files.
+
+    A write that raises removes ``path.tmp`` and leaves ``path`` as it was.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_csv(path, header, columns):
+    """``np.savetxt(fmt=_FMT, delimiter=", ")``'s bytes, one ``%`` per block
+    of ``_CSV_BLOCK`` rows instead of one per row."""
+    table = np.column_stack(columns)
+    row = ", ".join([_FMT] * table.shape[1]) + "\n"
     with _replacing(path) as fh:
-        np.savetxt(fh, np.column_stack(columns), delimiter=", ",
-                   header=" " + header, fmt=_FMT)
+        fh.write(f"#  {header}\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):

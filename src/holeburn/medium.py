@@ -231,7 +231,8 @@ def chi_exact_gaussian(omega_offset, params: MediumParams):
             "chi_exact_gaussian assumes gamma_ab << delta0 "
             f"(gamma_ab/delta0 = {params.gamma_ab / params.delta0:.3g})")
     x = np.asarray(omega_offset, dtype=float) / params.delta0
-    out = (2.0 / SQRT_PI) * dawson(x) - 1j * (1.0 - np.exp(-x * x))
+    with np.errstate(over="ignore"):  # x^2 = inf far out: exp(-x^2) = 0
+        out = (2.0 / SQRT_PI) * dawson(x) - 1j * (1.0 - np.exp(-x * x))
     return out if np.ndim(omega_offset) else complex(out)
 
 

@@ -324,12 +324,16 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     depth = params.length - v * (t - schedule.t_pi2)
     in_depth = (y > 0) & (depth >= 0.0)
 
-    frozen = np.where(
-        in_depth,
-        transmitted_gaussian(np.where(in_depth, depth, 0.0), schedule.t_pi1,
-                             pulse.duration, params,
-                             center_time=pulse.center_time) * pulse.peak,
-        0.0)
+    # A degenerate duration underflows the Gaussian's width^2 to 0; the
+    # inf/nan samples that follow are retrieve's restored-energy failure,
+    # not a numpy warning on stderr.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frozen = np.where(
+            in_depth,
+            transmitted_gaussian(np.where(in_depth, depth, 0.0),
+                                 schedule.t_pi1, pulse.duration, params,
+                                 center_time=pulse.center_time) * pulse.peak,
+            0.0)
     xs = 0.5 * y
     if schedule.infinite_bandwidth and _profile_g(profile).kind == "gaussian":
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)

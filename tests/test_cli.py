@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import holeburn.cli
 import holeburn.propagation
-from holeburn.cli import PRESETS, Scenario, main, run_sweep, run_transmit
+from holeburn.cli import (_CSV_BLOCK, PRESETS, Scenario, _write_csv,
+                          _write_json, main, run_sweep, run_transmit)
 from holeburn.errors import ConfigurationError, NumericsError
 from holeburn.medium import MediumParams
 from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
@@ -357,6 +358,36 @@ class TestSweep:
         assert side["residuals"] == {"9": 0.25}
 
 
+class TestWriters:
+    # values whose %.12e text is easy to get wrong: signed zero, the
+    # smallest subnormal, three-digit exponents, nan and the infinities
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("ncols", [3, 4])
+    @pytest.mark.parametrize("nrows", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_csv_bytes_match_savetxt(self, tmp_path, nrows, ncols):
+        rng = np.random.default_rng(nrows + ncols)
+        values = rng.standard_normal(nrows * ncols) * 10.0 ** rng.integers(
+            -20, 20, nrows * ncols)
+        values[:len(self.SPECIAL)] = self.SPECIAL[:nrows * ncols]
+        table = values.reshape(nrows, ncols)
+        header = ", ".join(f"c{j}" for j in range(ncols))
+        _write_csv(tmp_path / "out.csv", header, list(table.T))
+        with open(tmp_path / "ref.csv", "w") as fh:
+            np.savetxt(fh, table, delimiter=", ", header=" " + header,
+                       fmt="%.12e")
+        assert ((tmp_path / "out.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": object()})
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert path.read_text() == "old\n"
+
+
 class TestTolOption:
     @pytest.mark.parametrize("command", ["transmit", "store",
                                          "sweep-efficiency", "validate"])
@@ -521,3 +552,22 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
     report = json.loads(result.stdout)
     assert report["codes"] == dict.fromkeys(PRESETS, 0)
     assert report["loaded"] == []
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("sweep-efficiency", {"kind": "sweep-efficiency",
+                          "alpha0_L_values": [9.0, 25.0], "b": 1e-300}),
+    ("store", {"kind": "store", "alpha0_L": 1e-300, "b": 0.6}),
+], ids=["duration", "opacity"])
+def test_degenerate_revival_one_stderr_line(tmp_path, fresh_python, command,
+                                            scenario):
+    # the underflowed waveform is one numerical failure, with no numpy
+    # RuntimeWarning beside it (a fresh interpreter prints warnings as is)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**scenario, "method": "revival"}))
+    code = "import sys; from holeburn.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = fresh_python(code, command, "--scenario", str(path),
+                          "--out", str(tmp_path / "out"))
+    assert result.returncode == 3
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith("numerical failure")

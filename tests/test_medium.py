@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import wofz
 
 from holeburn.errors import NumericsError, PreconditionError
 from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
@@ -233,6 +234,22 @@ class TestChiQuadrature:
             val = chi_quadrature(omega, profile, params)
             ref = reference_chi_quadrature(omega, profile, params)
             assert abs(val - ref) <= 1e-13, (omega, val, ref)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="the quadrature window is 50 |Omega| wide with "
+                       "one break point, at Omega: far off resonance "
+                       "QUADPACK never samples the hole at u = 0")
+    def test_matches_faddeeva_form_far_off_resonance(self):
+        # Gaussian hole: chi_hat = -i + i conj(w(Omega + i gamma)), w the
+        # Faddeeva function
+        worst = 0.0
+        for gamma in (0.0, 0.05):
+            params = MediumParams.reduced(10.0, gamma_over_delta0=gamma)
+            for omega in (14.1, 20.0, 31.4):
+                val = chi_quadrature(omega, HoleProfile.gaussian(), params)
+                ref = -1j + 1j * np.conj(wofz(omega + 1j * gamma))
+                worst = max(worst, abs(val - ref))
+        assert worst <= 1e-12
 
     def test_lossless_absorption_has_no_quadrature_part(self):
         # at gamma = 0 the imaginary integrand vanishes identically, so
