@@ -43,6 +43,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -553,6 +554,7 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="holeburn",

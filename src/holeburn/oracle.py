@@ -138,11 +138,15 @@ def _filon_kernels(nodes, gamma, dt, n):
     x = (nodes + 1j * gamma) * dt
     alpha, beta = _filon_weights(x)
     tau = dt * np.arange(n)
-    phase = np.exp((1j * nodes[:, None] - gamma) * tau[None, :])
-    w = np.empty((nodes.size, n), dtype=complex)
-    w[:, 0] = alpha
-    w[:, 1:] = (alpha + beta * np.exp(-1j * x))[:, None]
-    return dt * w * phase
+    # one (classes x n) array, built in place: the phase, then the node
+    # weights, multiplied from the left (numpy's complex product is not
+    # bitwise symmetric in its operands)
+    kernels = np.multiply.outer(1j * nodes - gamma, tau)
+    np.exp(kernels, out=kernels)
+    np.multiply(dt * alpha, kernels[:, 0], out=kernels[:, 0])
+    np.multiply((dt * (alpha + beta * np.exp(-1j * x)))[:, None],
+                kernels[:, 1:], out=kernels[:, 1:])
+    return kernels
 
 
 @dataclass(frozen=True)

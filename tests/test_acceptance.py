@@ -7,6 +7,7 @@ are pinned to the stated acceptance values.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     d1.mkdir(), d2.mkdir()
     f1 = cli.run_transmit(scenario, str(d1))
     f2 = cli.run_transmit(scenario, str(d2))
-    same_runs = all(open(p, "rb").read() == open(q, "rb").read()
+    same_runs = all(Path(p).read_bytes() == Path(q).read_bytes()
                     for p, q in zip(f1, f2))
     sweep = cli.Scenario(kind="sweep-efficiency", alpha0_L_values=(4.0, 9.0),
                          b=0.6, method="revival")
@@ -276,7 +277,7 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     d3.mkdir(), d4.mkdir()
     g1 = cli.run_sweep(sweep, str(d3), workers=1)
     g2 = cli.run_sweep(sweep, str(d4), workers=2)
-    same_workers = all(open(p, "rb").read() == open(q, "rb").read()
+    same_workers = all(Path(p).read_bytes() == Path(q).read_bytes()
                        for p, q in zip(g1, g2))
     report(9, roundtrip_ok and energy_ok and same_runs and same_workers,
            f"transform round-trip {roundtrip:.1e} (tol 1e-12); lossless "

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestTransmit:
         scenario = Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0)
         files = run_transmit(scenario, str(tmp_path))
         assert len(files) == 3
-        texts = [open(f, "rb").read() for f in files]
+        texts = [Path(f).read_bytes() for f in files]
         assert texts[0] == texts[1] == texts[2]
 
     def test_outputs_and_peak(self, tmp_path):
@@ -108,6 +109,22 @@ class TestStore:
         original = np.loadtxt(tmp_path / "store_aL100_original.csv",
                               delimiter=",")
         assert original.shape[1] == 3
+
+    def test_valid_call_after_rejected_arguments(self, tmp_path, capsys):
+        # the parser is built once per process; a call argparse rejects
+        # must leave nothing behind for the next call
+        with pytest.raises(SystemExit):
+            main(["store", "--out", str(tmp_path), "--workers", "two"])
+        capsys.readouterr()
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": 25.0,
+                                    "b": 0.6, "method": "revival"}))
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        side = json.loads(
+            (tmp_path / "store_aL25_restored.csv.json").read_text())
+        assert side["method"] == "revival"
+        assert 0.0 < side["eta"] <= 1.0
 
     @pytest.mark.parametrize("error, code", [(NumericsError, 3),
                                              (ConfigurationError, 2)])
@@ -251,7 +268,7 @@ class TestSweep:
         np.testing.assert_allclose(table[:, 0], np.sqrt(table[:, 1]),
                                    rtol=1e-12)
         assert np.all((table[:, 3] >= 0.0) & (table[:, 3] <= 1.0))
-        side = json.loads(open(files[1]).read())
+        side = json.loads(Path(files[1]).read_text())
         assert side["failures"] == {}
 
     def test_deterministic_across_workers(self, tmp_path):
@@ -260,8 +277,8 @@ class TestSweep:
         one.mkdir(), two.mkdir()
         f1 = run_sweep(self.scenario(), str(one), workers=1)
         f2 = run_sweep(self.scenario(), str(two), workers=2)
-        assert open(f1[0], "rb").read() == open(f2[0], "rb").read()
-        assert open(f1[1], "rb").read() == open(f2[1], "rb").read()
+        assert Path(f1[0]).read_bytes() == Path(f2[0]).read_bytes()
+        assert Path(f1[1]).read_bytes() == Path(f2[1]).read_bytes()
 
     def test_convergence_guard_exit_code(self, tmp_path):
         # an impossible tolerance forces the doubled-resolution check to
@@ -283,7 +300,7 @@ class TestSweep:
         table = np.loadtxt(files[0], delimiter=",")
         assert table.shape[0] == 2
         assert np.all(np.isnan(table[:, 3]))
-        side = json.loads(open(files[1]).read())
+        side = json.loads(Path(files[1]).read_text())
         assert set(side["failures"]) == {"4", "9"}
 
     @pytest.mark.parametrize("fields, point", [
@@ -312,7 +329,7 @@ class TestSweep:
         # at b = 0.6, alpha0 L = 4 gives delta0 T = 0.85 below sqrt(alpha0 L):
         # the point carries the warnings a store of it would carry
         files = run_sweep(self.scenario(), str(tmp_path))
-        side = json.loads(open(files[1]).read())
+        side = json.loads(Path(files[1]).read_text())
         assert list(side["warnings"]) == ["4"]
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"kind": "store", "alpha0_L": 4.0,
@@ -329,7 +346,7 @@ class TestSweep:
                             alpha0_L_values=(9.0, 25.0), b=0.6,
                             method="full_quadrature")
         files = run_sweep(scenario, str(tmp_path))
-        side = json.loads(open(files[1]).read())
+        side = json.loads(Path(files[1]).read_text())
         assert side["failures"] == {} and side["warnings"] == {}
 
 

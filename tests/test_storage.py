@@ -453,6 +453,41 @@ class TestRestoredFieldFull:
         assert np.max(np.abs(arr - ref)) <= 1e-13 * peak
         assert np.max(np.abs(scalars - ref)) <= 1e-13 * peak
 
+    @pytest.mark.parametrize("alpha0_L", [9.0, 100.0])
+    def test_retrieval_grid_matches_unfactorized(self, alpha0_L):
+        # every 8th sample of the grid a retrieval uses: the late u-node
+        # loop skips only factors below e^-U_NODE_REACH
+        params = MediumParams.reduced(alpha0_L)
+        pulse, schedule = default_schedule(params)
+        prof = HoleProfile.gaussian()
+        t = retrieval_grid(pulse, schedule, params)[::8]
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the same samples in descending order
+        rev = restored_field_full(t[::-1], pulse, schedule, prof, params)
+        assert np.max(np.abs(rev[::-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("y", [
+        [13.0, 40.0, 30.0, 30.0, 20.0, 14.0, 14.0, 2.0],
+        [14.0, 25.0, 60.0],
+        [0.5, 3.0, 13.9],
+        [[14.1, 0.5, 40.0], [7.0, 40.0, -1.0]],
+        [20.0, np.nan, 14.0, 5.0],
+    ], ids=["late-descending-duplicates", "late-only", "early-only", "2d",
+            "nan"])
+    def test_sample_order_and_shape(self, y):
+        # late samples are sorted internally; the result comes back in the
+        # caller's order and shape, and a NaN time stays NaN
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        prof = HoleProfile.gaussian()
+        t = schedule.t_pi2 + np.array(y)
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        assert arr.shape == t.shape
+        np.testing.assert_allclose(arr, ref, rtol=0.0,
+                                   atol=1e-13 * np.nanmax(np.abs(ref)))
+
 
 class TestAppendixSeries:
     def test_vanishes_at_read_instant(self):
