@@ -25,11 +25,15 @@ reduced units (alpha0 = delta0 = 1).  Subcommands:
     fig6) into the output directory.
 
 Every file is written here, by ``_write_csv`` (fixed ``%.12e`` columns
-under a ``#  `` header, formatted in blocks of rows) or ``_write_json``
-(sorted keys, indent 2), each to ``<name>.tmp`` and then renamed over
-``<name>``; a write that fails removes ``<name>.tmp``.  Sweep points are
-merged in sorted parameter order regardless of the worker count, so
-identical scenarios produce byte-identical files.
+under a ``#  `` header) or ``_write_json`` (sorted keys, indent 2), each
+to ``<name>.tmp`` and then renamed over ``<name>``; a write that fails
+removes ``<name>.tmp``.  CSV values are formatted by a numpy kernel,
+``_format_block``, in blocks of rows; it prints the bytes that ``%`` and
+``np.savetxt`` print, and passes to ``%`` itself every value it cannot
+round correctly on its own (near a rounding tie, non-finite, subnormal or
+with a three-digit exponent).  Sweep points are merged in sorted
+parameter order regardless of the worker count, so identical scenarios
+produce byte-identical files.
 
 Exit codes: 0 success, 2 validation failure (including a scenario file
 that is missing or is not a JSON object with a ``kind``, and an ``--out``
@@ -58,9 +62,16 @@ from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
-# Rows formatted by one ``%`` call in ``_write_csv``: bounds the transient
-# string and tuple to under 1 MB at any grid size.
+# Rows formatted per ``_format_block`` call in ``_write_csv``: bounds the
+# transient arrays and text to a few MB at any grid size.
 _CSV_BLOCK = 4096
+# Index of decimal exponent 0 in the exponent tables of ``_format_tables``,
+# which cover exponents -101..99: the fast path's -99..98 plus the one-off
+# estimates that ``_format_block`` corrects or sends to the fallback.
+_E0 = 101
+# One value's slot in ``_format_block``: its text, NUL-padded to the 20
+# bytes of the longest ``_FMT`` output, then its separator word.
+_SLOT = np.dtype([("text", "S20"), ("sep", "u4")])
 # Scenario fields that must hold finite real numbers, those that may also be
 # None, and those that must hold integers.
 _REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
@@ -231,6 +242,21 @@ class Scenario:
         if self.kind != "transmit" and self.delta0_T_values is not None:
             bad.append("delta0_T_values is for transmit; store and sweep "
                        "scenarios take delta0_T or b")
+        if self.kind == "transmit" and len(self._alpha0_L_list()) > 1:
+            bad.append("transmit takes one opacity, got alpha0_L_values "
+                       f"{list(self.alpha0_L_values)}")
+        # each panel's files are named by _num of its value: equal tags
+        # would overwrite one panel with the next
+        field = ("alpha0_L_values" if self.kind == "store" else
+                 "delta0_T_values" if self.kind == "transmit" else None)
+        seen = {}
+        for val in (getattr(self, field) if field else None) or ():
+            tag = _num(val)
+            if tag in seen:
+                bad.append(f"{field} {seen[tag]!r} and {val!r} share the "
+                           f"file tag {tag!r}")
+            else:
+                seen[tag] = val
         return bad
 
     def validate(self):
@@ -315,16 +341,108 @@ def _replacing(path):
         raise
 
 
+@cache
+def _format_tables():
+    """Lookup tables of ``_format_block``, built on its first call.
+
+    ``scale[e + _E0]`` is 10^(12 - e), correctly rounded.  The others are
+    text as native ``uint32`` words, NUL-padded: ``quad[k]`` the four
+    digits of k in 0..9999, ``head[10 s + d]`` the sign (s = 1 for minus),
+    the leading digit d and the point, ``tail[e + _E0]`` "e±XX", and
+    ``sep`` the separator after a value inside a row (", ") and at its end
+    ("\\n").
+    """
+    exps = range(-_E0, 100)
+    scale = np.array([float(f"1e{12 - e}") for e in exps])
+    k = np.arange(10000)
+    quad = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    quad = (quad + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+    def as_words(texts):
+        return np.frombuffer(b"".join(t.encode().ljust(4, b"\0")
+                                      for t in texts), np.uint32)
+
+    head = as_words(f"{s}{d}." for s in ("", "-") for d in range(10))
+    # three-digit exponents are cut short here; those values fall back
+    tail = as_words(f"e{e:+03d}"[:4] for e in exps)
+    sep = as_words(["\0\0, ", "\0\0\n"])
+    return scale, quad, head, tail, sep
+
+
+def _format_block(block):
+    """``_FMT`` text of each value of a 2-D float64 block, values joined by
+    ", " and rows ended by "\\n": the bytes ``%`` prints for them.
+
+    Fast path, for finite 1e-99 <= |x| < 1e99 and for ±0: with
+    e = floor(log10 |x|), y = fl(|x| fl(10^(12 - e))) lies within 2.3e-3
+    of the exact |x| 10^(12 - e) (two roundings of relative size 2^-53
+    below 1e13).  So when m = rint(y) lies in [1e12, 1e13) and y lies 0.01
+    or more from a half-integer, m is the correctly rounded 13-digit
+    mantissa that ``%`` prints, and no tie is possible.  A y in
+    [1e12 - 0.04, 1e12) belongs to an |x| just below 10^e, whose mantissa
+    at exponent e - 1 rounds up to 1e13, so it prints as m = 1e12 at e
+    too.  An e off by one (log10 near a power of ten, or a mantissa
+    carried into the next decade) is corrected once.  The digits come from
+    the lookup tables, one NUL-padded slot per value, and the NULs are
+    dropped at the end.
+
+    Every other value goes through ``_FMT % x`` itself: a y near a tie or
+    still out of range, nan, ±inf, subnormals and three-digit exponents.
+    """
+    scale, quad, head, tail, sep = _format_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-99) & (a < 1e99)
+    a = np.where(fast, a, 1.0)  # keeps log10 and the index cast finite
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += _E0
+    y = a * scale[e]
+    m = np.rint(y)
+    low = 1e12 - 0.04
+    off = np.flatnonzero((y < low) | (m >= 1e13))
+    if off.size:
+        e[off] += np.where(m[off] >= 1e13, 1, -1)
+        y[off] = a[off] * scale[e[off]]
+        m[off] = np.rint(y[off])
+    fast &= (np.abs(y - m) < 0.49) & (y >= low) & (m < 1e13)
+    fast &= (e >= _E0 - 99) & (e <= _E0 + 98)
+    # zeros print m = 0 at e = 0; a fallback slot only needs valid indices
+    m = np.where(fast, m, 0.0).astype(np.int64)
+    fast |= zero
+
+    lead = m // 10**12
+    m -= lead * 10**12
+    lead += 10 * np.signbit(x)
+    hi = m // 10**8
+    m -= hi * 10**8
+    mid = m // 10**4
+    m -= mid * 10**4
+    nrow, ncol = block.shape
+    slots = np.empty((nrow, ncol, 6), np.uint32)
+    words = slots.reshape(-1, 6)
+    words[:, 0] = head[lead]
+    words[:, 1] = quad[hi]
+    words[:, 2] = quad[mid]
+    words[:, 3] = quad[m]
+    words[:, 4] = tail[e]
+    slots[:, :-1, 5] = sep[0]
+    slots[:, -1, 5] = sep[1]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        words.view(_SLOT)["text"][slow, 0] = [_FMT % v
+                                              for v in x[slow].tolist()]
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_csv(path, header, columns):
-    """``np.savetxt(fmt=_FMT, delimiter=", ")``'s bytes, one ``%`` per block
-    of ``_CSV_BLOCK`` rows instead of one per row."""
-    table = np.column_stack(columns)
-    row = ", ".join([_FMT] * table.shape[1]) + "\n"
+    """``np.savetxt(fmt=_FMT, delimiter=", ")``'s bytes, formatted by
+    ``_format_block`` in blocks of ``_CSV_BLOCK`` rows."""
+    table = np.column_stack(columns).astype(np.float64, copy=False)
     with _replacing(path) as fh:
         fh.write(f"#  {header}\n")
         for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start:start + _CSV_BLOCK]))
 
 
 def _write_json(path, payload):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,60 @@ class TestSweep:
         assert side["residuals"] == {"9": 0.25}
 
 
+def _percent_csv(header, table):
+    """The writer's bytes as one ``%`` per row prints them."""
+    row = ", ".join(["%.12e"] * table.shape[1]) + "\n"
+    return (f"#  {header}\n"
+            + "".join(row % tuple(r) for r in table.tolist())).encode()
+
+
+class _CountingFormat(str):
+    """``_FMT`` that counts the values the CSV kernel sends to ``%``."""
+    calls = 0
+
+    def __mod__(self, value):
+        self.calls += 1
+        return str.__mod__(self, value)
+
+
+def _kernel_cases():
+    """Value families for the CSV kernel, each a 1-D float64 array."""
+    rng = np.random.default_rng(12)
+    powers = np.array([float(f"1e{k}") for k in range(-100, 101)])
+    # every power of ten and its neighbours 1-4 ulp away
+    up, down = powers, powers
+    near = [powers]
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    # just below each power, where log10 may round up to the power
+    near += [powers * (1.0 - k * 1e-14) for k in range(1, 80)]
+    ties = []
+    for k, j in zip(rng.integers(10**12, 10**13, 40000),
+                    rng.integers(-4, 4, 40000)):
+        exact = Decimal(f"{k}.5e{j}")
+        if Decimal(float(exact)) == exact:
+            ties.append(float(exact))
+    special = [np.copysign(np.nan, -1.0), np.nan, np.inf, -np.inf, 0.0,
+               -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 9.9999999999995e98,
+               9.99999999999995e99, -9.99999999999995e99, 1e-99,
+               9.99999999999995e-100, 1234567890123.5, 1e300, 0.1]
+    near = np.concatenate(near)
+    return {
+        "random_bits": np.frombuffer(rng.bytes(8 << 20), np.float64),
+        "powers_of_ten": np.concatenate([near, -near]),
+        "ties": np.array(ties + [-t for t in ties]),
+        "special": np.array(special),
+        # short binary fractions: exact 13-digit mantissas, none near a tie
+        "all_fast": rng.integers(-10**6, 10**6, 4 * 4097) / 8.0
+        * 10.0 ** rng.integers(-90, 90, 4 * 4097),
+    }
+
+
+_KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.filterwarnings("error")
 class TestWriters:
     # values whose %.12e text is easy to get wrong: signed zero, the
     # smallest subnormal, three-digit exponents, nan and the infinities
@@ -395,6 +450,46 @@ class TestWriters:
                        fmt="%.12e")
         assert ((tmp_path / "out.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_csv_bytes_match_percent(self, tmp_path, monkeypatch, case):
+        values = _KERNEL_CASES[case]
+        table = values[:len(values) // 3 * 3].reshape(-1, 3)
+        fmt = _CountingFormat("%.12e")
+        monkeypatch.setattr(holeburn.cli, "_FMT", fmt)
+        _write_csv(tmp_path / "out.csv", "a, b, c", list(table.T))
+        assert ((tmp_path / "out.csv").read_bytes()
+                == _percent_csv("a, b, c", table))
+        # which values the kernel leaves to %: none, all, or some
+        if case == "all_fast":
+            assert fmt.calls == 0
+        elif case == "ties":
+            assert fmt.calls == table.size
+        else:
+            assert 0 < fmt.calls < table.size
+
+    @pytest.mark.parametrize("ncols", [1, 4])
+    @pytest.mark.parametrize("nrows", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_row_counts_match_percent(self, tmp_path, nrows, ncols):
+        values = np.concatenate([_KERNEL_CASES["all_fast"],
+                                 _KERNEL_CASES["special"]])[-nrows * ncols:]
+        table = values[:nrows * ncols].reshape(nrows, ncols)
+        _write_csv(tmp_path / "out.csv", "c", list(table.T))
+        assert (tmp_path / "out.csv").read_bytes() == _percent_csv("c", table)
+
+    def test_fig2_tables_match_percent(self, tmp_path, monkeypatch):
+        tables = []
+        write_csv = holeburn.cli._write_csv
+
+        def recording(path, header, columns):
+            tables.append((path, header, np.column_stack(columns)))
+            write_csv(path, header, columns)
+
+        monkeypatch.setattr(holeburn.cli, "_write_csv", recording)
+        run_transmit(PRESETS["fig2"], str(tmp_path))
+        assert len(tables) == 6
+        for path, header, table in tables:
+            assert Path(path).read_bytes() == _percent_csv(header, table)
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "x.json"
@@ -482,6 +577,18 @@ class TestExitCodeContract:
              '"delta0_T_values": [5.0], "method": "revival"}'),
         # --out names an existing file (the scenario itself)
         "out_is_a_file": ("store", _STORE + "}"),
+        # run_transmit used only the first opacity
+        "transmit_opacity_list":
+            ("transmit", '{"kind": "transmit", "alpha0_L_values": [10, 60], '
+                         '"delta0_T": 5.0}'),
+        # two panels whose file names are the same: the first is overwritten
+        "store_panel_tags_collide":
+            ("store", '{"kind": "store", "alpha0_L_values": '
+                      '[25.0000001, 25.0000002], "b": 0.6, '
+                      '"method": "revival"}'),
+        "transmit_panel_tags_collide":
+            ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, '
+                         '"delta0_T_values": [5, 5]}'),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -500,6 +607,20 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error")
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_panel_tag_collision_named(self):
+        store = Scenario(kind="store", b=0.6,
+                         alpha0_L_values=(25.0000001, 25.0000002))
+        assert store.violations() == [
+            "alpha0_L_values 25.0000001 and 25.0000002 share the file tag "
+            "'25'"]
+        # a sweep writes one table whatever its points
+        sweep = Scenario(kind="sweep-efficiency",
+                         alpha0_L_values=(25.0000001, 25.0000002), b=0.6)
+        assert sweep.violations() == []
+        transmit = Scenario(kind="transmit", alpha0_L_values=(10.0,),
+                            delta0_T_values=(5.0, 10.0))
+        assert transmit.violations() == []
 
     def test_transmit_keeps_zero_opacity(self):
         scenario = Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0)
