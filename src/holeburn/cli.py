@@ -20,6 +20,8 @@ reduced units (alpha0 = delta0 = 1).  Subcommands:
     matched schedule delta0 T = b (alpha0 L)^(3/4), t_pi1 = L/(2v).
 ``validate``
     Check a scenario file against every module precondition and exit.
+    It writes nothing: a missing ``--out`` is checked (its nearest
+    existing ancestor must be a directory) but not created.
 ``preset <name>``
     Write one of the pinned scenario files (fig2, fig4a, fig4b, fig5,
     fig6) into the output directory.
@@ -35,9 +37,14 @@ with a three-digit exponent).  Sweep points are merged in sorted
 parameter order regardless of the worker count, so identical scenarios
 produce byte-identical files.
 
+``--workers`` (default 1) is the process count for sweep points; a value
+below 1 is a validation failure, for every subcommand that takes it.  Only
+``preset`` and the three run commands create ``--out``.
+
 Exit codes: 0 success, 2 validation failure (including a scenario file
-that is missing or is not a JSON object with a ``kind``, and an ``--out``
-that is not a writable directory), 3 numerical failure.
+that is missing or is not a JSON object with a ``kind``, an ``--out``
+that is not a writable directory, and a ``--tol`` or ``--workers`` out of
+range), 3 numerical failure.
 """
 
 import argparse
@@ -683,9 +690,10 @@ def _build_parser():
         p.add_argument("--scenario", required=scenario_required,
                        help="path to a scenario JSON file")
         p.add_argument("--out", default=".",
-                       help="output directory (created if missing)")
+                       help="output directory (created if missing, except "
+                            "by validate)")
         p.add_argument("--workers", type=int, default=1,
-                       help="process count for sweep points")
+                       help="process count for sweep points (at least 1)")
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance (spectral leakage bound for "
                             "transmit; eta convergence bound for sweeps)")
@@ -702,6 +710,19 @@ def _build_parser():
     return parser
 
 
+def _check_out(path):
+    """Raise unless ``path`` is a directory or could be made one; make nothing.
+
+    The nearest existing ancestor of a missing ``path`` must be a directory,
+    as ``os.makedirs`` would need it to be.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigurationError(f"--out {path!r}: {probe!r} is not a directory")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -709,6 +730,15 @@ def main(argv=None):
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise ConfigurationError(
                 f"--tol must be a positive finite number, got {tol!r}")
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigurationError(
+                f"--workers must be at least 1, got {workers}")
+        if args.command == "validate":
+            _check_out(args.out)
+            Scenario.load(args.scenario).validate()
+            print("scenario valid")
+            return 0
         os.makedirs(args.out, exist_ok=True)
         if args.command == "preset":
             path = os.path.join(args.out, f"{args.name}.json")
@@ -717,10 +747,6 @@ def main(argv=None):
             return 0
 
         scenario = Scenario.load(args.scenario)
-        if args.command == "validate":
-            scenario.validate()
-            print("scenario valid")
-            return 0
         if args.command == "transmit":
             if scenario.kind != "transmit":
                 raise ConfigurationError(
@@ -737,8 +763,7 @@ def main(argv=None):
                 raise ConfigurationError(
                     f"scenario kind {scenario.kind!r} does not match "
                     "'sweep-efficiency'")
-            written = run_sweep(scenario, args.out, workers=args.workers,
-                                tol=tol)
+            written = run_sweep(scenario, args.out, workers=workers, tol=tol)
         for path in written:
             print(path)
         return 0

@@ -23,7 +23,7 @@ a = sqrt(pi) (1 - v/c).
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -136,7 +136,10 @@ def _reduced(params: MediumParams):
     return v, a, rho, params.inv_c * v
 
 
-@lru_cache(maxsize=32)
+# Unbounded, so that each rule size is built once per process: one pass of
+# the panels-light benchmark asks for 45 sizes.  A scenario's sizes are bounded
+# by MAX_RULE_NODES and MAX_REFINE; all 2048 sizes together hold ~33 MB.
+@cache
 def _gl(n):
     return leggauss(n)
 

@@ -513,12 +513,43 @@ class TestTolOption:
         assert err.count("\n") == 1 and "--tol" in err
 
 
+class TestWorkersOption:
+    @pytest.mark.parametrize("command", ["transmit", "store",
+                                         "sweep-efficiency", "validate"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_rejected(self, tmp_path, capsys, command, workers):
+        path = tmp_path / "s.json"
+        PRESETS["fig6"].save(path)
+        assert main([command, "--scenario", str(path), "--out",
+                     str(tmp_path), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestValidateCommand:
     def test_valid(self, tmp_path):
         path = tmp_path / "s.json"
         PRESETS["fig2"].save(path)
         assert main(["validate", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 0
+
+    def test_missing_out_not_created(self, tmp_path, capsys):
+        # validate writes nothing, so it creates no output directory
+        path = tmp_path / "s.json"
+        PRESETS["fig2"].save(path)
+        assert main(["validate", "--scenario", str(path),
+                     "--out", str(tmp_path / "made" / "by" / "validate")]) == 0
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "made").exists()
+
+    def test_out_below_a_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        PRESETS["fig2"].save(path)
+        assert main(["validate", "--scenario", str(path),
+                     "--out", str(path / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error")
 
     def test_invalid(self, tmp_path):
         path = tmp_path / "s.json"
@@ -690,6 +721,47 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
     report = json.loads(result.stdout)
     assert report["codes"] == dict.fromkeys(PRESETS, 0)
     assert report["loaded"] == []
+
+
+def test_numpy_only_runs_leave_scipy_unloaded(tmp_path, fresh_python):
+    # import holeburn, preset, validate and the full-quadrature and
+    # established sweeps evaluate no special function, so no scipy module
+    # may load; scipy.special comes in on a special function's first call
+    code = """
+import contextlib, io, json, sys
+import holeburn
+from holeburn.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+loaded = {"import": scipy_loaded()}
+codes = {}
+with open(f"{out}/established.json", "w") as f:
+    json.dump({"kind": "sweep-efficiency", "alpha0_L_values": [9.0, 25.0],
+               "b": 0.6, "method": "established"}, f)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes["preset"] = main(["preset", "fig6", "--out", out])
+    codes["validate"] = main(["validate", "--scenario", f"{out}/fig6.json",
+                              "--out", out])
+    loaded["preset, validate"] = scipy_loaded()
+    codes["fig6"] = main(["sweep-efficiency", "--scenario",
+                          f"{out}/fig6.json", "--out", f"{out}/fig6",
+                          "--workers", "1"])
+    codes["established"] = main(["sweep-efficiency", "--scenario",
+                                 f"{out}/established.json", "--out",
+                                 f"{out}/established", "--workers", "1"])
+    loaded["sweeps"] = scipy_loaded()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+    result = fresh_python(code, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == dict.fromkeys(
+        ["preset", "validate", "fig6", "established"], 0)
+    assert report["loaded"] == dict.fromkeys(
+        ["import", "preset, validate", "sweeps"], [])
 
 
 @pytest.mark.parametrize("command, scenario", [

@@ -6,6 +6,7 @@ with adaptive quadrature.
 """
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -113,3 +114,33 @@ def test_scalar_in_float_out_and_one_parameter_x(func):
     assert type(func(0.5)) is float
     assert func(np.array([0.5, 1.0])).shape == (2,)
     assert list(inspect.signature(func).parameters) == ["x"]
+
+
+def first_call_values():
+    # the four functions on scalars and on one array, as JSON-exact floats
+    from holeburn import special
+
+    x = [-5.0, -0.1, 0.0, 1e-8, 0.7, 2.5, 9.0, 27.0]
+    return {name: [getattr(special, name)(v) for v in x]
+            + getattr(special, name)(np.array(x)).tolist()
+            for name in ("dawson", "erf", "erfc", "erfcx")}
+
+
+def test_first_call_loads_scipy_special(fresh_python):
+    # scipy.special loads on the first call of a special function; called
+    # first thing in a fresh interpreter, every function must give the
+    # in-process values bit for bit
+    code = ("import numpy as np\n" + inspect.getsource(first_call_values)
+            + """
+import json, sys
+import holeburn
+before = "scipy.special" in sys.modules
+values = first_call_values()
+print(json.dumps({"before": before, "after": "scipy.special" in sys.modules,
+                  "values": values}))
+""")
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    fresh = json.loads(result.stdout)
+    assert (fresh["before"], fresh["after"]) == (False, True)
+    assert fresh["values"] == first_call_values()

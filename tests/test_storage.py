@@ -635,6 +635,20 @@ class TestRetrieve:
         assert err.value.residual == pytest.approx(4.0 * eta - 1.0, rel=1e-12)
 
 
+def test_gl_keeps_every_rule_size():
+    # a 32-entry cache thrashed on runs that ask for ~45 rule sizes; a
+    # second round over more sizes than that must be served from the cache
+    sizes = range(2, 42)
+    for n in sizes:
+        holeburn.storage._gl(n)
+    before = holeburn.storage._gl.cache_info()
+    for n in sizes:
+        holeburn.storage._gl(n)
+    after = holeburn.storage._gl.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(sizes)
+
+
 def test_import_leaves_sympy_out(fresh_python):
     # the series route differentiates with numpy Taylor jets; sympy must
     # not come back as a runtime dependency
