@@ -65,7 +65,7 @@ from .medium import (HoleProfile, MediumParams, exact_gaussian_model,
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, SampledEnvelope,
                           auto_grid, propagate, stretched_duration)
 from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
-                      StorageSchedule, default_schedule, retrieve)
+                      StorageSchedule, retrieve)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
@@ -283,28 +283,27 @@ class Scenario:
                                     self.v_over_c)
 
     def pulse_and_schedule(self, params):
-        """Build (PulseSpec, StorageSchedule) for one panel."""
+        """Build (PulseSpec, StorageSchedule) for one panel.
+
+        T = delta0_T / delta0, or b (alpha0 L)^(3/4) / delta0 under the
+        matched schedule (``storage.default_schedule``); t_pi1 is the
+        ``tpi1_rule`` fraction of the transit time L/v (one half for
+        "half-transit"), and t_pi2 follows after ``hold_times_delta0``.
+        """
+        d0 = params.delta0
         if self.b is not None:
-            pulse, schedule = default_schedule(
-                params, b=self.b, hold=self.hold_times_delta0 / params.delta0)
+            duration = self.b * params.opacity ** 0.75 / d0
         else:
-            pulse = PulseSpec(duration=self.delta0_T / params.delta0)
-            t_pi1 = params.length / (2.0 * slow_light_velocity(params))
-            schedule = StorageSchedule(
-                t_pi1=t_pi1,
-                t_pi2=t_pi1 + self.hold_times_delta0 / params.delta0)
-        if self.tpi1_rule != "half-transit":
-            transit = params.length / slow_light_velocity(params)
-            t_pi1 = float(self.tpi1_rule) * transit
-            schedule = StorageSchedule(
-                t_pi1=t_pi1,
-                t_pi2=t_pi1 + self.hold_times_delta0 / params.delta0,
-                delta1=schedule.delta1)
-        if self.delta1_over_delta0 is not None:
-            schedule = StorageSchedule(
-                t_pi1=schedule.t_pi1, t_pi2=schedule.t_pi2,
-                delta1=self.delta1_over_delta0 * params.delta0)
-        return pulse, schedule
+            duration = self.delta0_T / d0
+        pulse = PulseSpec(duration=duration)
+        fraction = (0.5 if self.tpi1_rule == "half-transit"
+                    else float(self.tpi1_rule))
+        t_pi1 = fraction * (params.length / slow_light_velocity(params))
+        delta1 = (math.inf if self.delta1_over_delta0 is None
+                  else self.delta1_over_delta0 * d0)
+        return pulse, StorageSchedule(
+            t_pi1=t_pi1, t_pi2=t_pi1 + self.hold_times_delta0 / d0,
+            delta1=delta1)
 
 
 PRESETS = {
@@ -596,24 +595,22 @@ def _sweep_point(args):
 
     Module-level so process pools can pickle it.
     """
-    scenario_dict, alpha0_L, tol = args
-    scenario = Scenario.from_dict(scenario_dict)
+    scenario, alpha0_L, tol = args
     params = scenario.params_for(alpha0_L)
     pulse, schedule = scenario.pulse_and_schedule(params)
+
+    def run(refine):
+        return retrieve(pulse, schedule, params,
+                        profile=HoleProfile.gaussian(),
+                        method=scenario.method,
+                        series_order=scenario.series_order,
+                        n_time=scenario.n_time, refine=refine)
+
     try:
-        result = retrieve(pulse, schedule, params,
-                          profile=HoleProfile.gaussian(),
-                          method=scenario.method,
-                          series_order=scenario.series_order,
-                          n_time=scenario.n_time, refine=scenario.refine)
+        result = run(scenario.refine)
         eta = result.efficiency
         if tol is not None:
-            eta2 = retrieve(pulse, schedule, params,
-                            profile=HoleProfile.gaussian(),
-                            method=scenario.method,
-                            series_order=scenario.series_order,
-                            n_time=scenario.n_time,
-                            refine=2 * scenario.refine).efficiency
+            eta2 = run(2 * scenario.refine).efficiency
             if abs(eta2 - eta) > tol:
                 raise NumericsError(
                     "efficiency not converged: doubling the quadrature "
@@ -641,7 +638,7 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
     """
     scenario.validate()
     points = sorted(scenario._alpha0_L_list())
-    jobs = [(scenario.to_dict(), aL, tol) for aL in points]
+    jobs = [(scenario, aL, tol) for aL in points]
     if workers > 1:
         # multiprocessing is loaded only when a pool is asked for
         from concurrent.futures import ProcessPoolExecutor
@@ -716,6 +713,8 @@ def _check_out(path):
     The nearest existing ancestor of a missing ``path`` must be a directory,
     as ``os.makedirs`` would need it to be.
     """
+    if not path:
+        raise ConfigurationError("--out must name a directory, got ''")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -747,23 +746,18 @@ def main(argv=None):
             return 0
 
         scenario = Scenario.load(args.scenario)
-        if args.command == "transmit":
-            if scenario.kind != "transmit":
-                raise ConfigurationError(
-                    f"scenario kind {scenario.kind!r} does not match 'transmit'")
-            written = run_transmit(scenario, args.out,
-                                   tol=1e-6 if tol is None else tol)
-        elif args.command == "store":
-            if scenario.kind != "store":
-                raise ConfigurationError(
-                    f"scenario kind {scenario.kind!r} does not match 'store'")
-            written = run_store(scenario, args.out)
-        else:
-            if scenario.kind != "sweep-efficiency":
-                raise ConfigurationError(
-                    f"scenario kind {scenario.kind!r} does not match "
-                    "'sweep-efficiency'")
-            written = run_sweep(scenario, args.out, workers=workers, tol=tol)
+        if scenario.kind != args.command:
+            raise ConfigurationError(
+                f"scenario kind {scenario.kind!r} does not match {args.command!r}")
+        # the run commands are named after the scenario kinds, _KINDS
+        runners = {
+            "transmit": lambda: run_transmit(
+                scenario, args.out, tol=1e-6 if tol is None else tol),
+            "store": lambda: run_store(scenario, args.out),
+            "sweep-efficiency": lambda: run_sweep(
+                scenario, args.out, workers=workers, tol=tol),
+        }
+        written = runners[args.command]()
         for path in written:
             print(path)
         return 0

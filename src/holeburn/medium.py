@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError, PreconditionError
+from .errors import NumericsError, PreconditionError
 from .special import SQRT_PI, dawson, erfcx
 
 _QUAD_LIMIT = 300
@@ -139,14 +139,6 @@ class HoleProfile:
     @classmethod
     def tabulated(cls, detunings, g_values):
         return cls(kind="tabulated", detuning_samples=detunings, g_values=g_values)
-
-    @classmethod
-    def from_file(cls, path):
-        """Read a two-column text table ``# delta_over_delta0, g``."""
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigurationError(f"{path}: expected two columns (delta_over_delta0, g)")
-        return cls.tabulated(data[:, 0], data[:, 1])
 
     def __call__(self, delta, delta0=1.0):
         """g at physical detuning ``delta`` for hole width ``delta0``."""
@@ -360,13 +352,14 @@ def second_order_model(params: MediumParams):
     return lambda omega: chi_second_order(omega, params)
 
 
-def quadrature_model(profile, params: MediumParams, tol=1e-10):
+def quadrature_model(profile, params: MediumParams):
     """chi_hat(Omega) callable backed by adaptive quadrature.
 
-    Calls :func:`chi_quadrature` once per distinct frequency of the array
-    it is given (a Python loop; repeated frequencies hit a per-call
-    cache).  Uses the even/odd symmetry chi_hat(-Omega) = -conj(chi_hat(Omega))
-    valid for symmetric profiles to halve the work on symmetric grids.
+    Calls :func:`chi_quadrature` at tolerance 1e-10 once per distinct
+    frequency of the array it is given (a Python loop; repeated
+    frequencies hit a per-call cache).  Uses the even/odd symmetry
+    chi_hat(-Omega) = -conj(chi_hat(Omega)) valid for symmetric profiles
+    to halve the work on symmetric grids.
     """
     symmetric = _profile_g(profile).kind in ("gaussian", "uniform")
 
@@ -377,7 +370,7 @@ def quadrature_model(profile, params: MediumParams, tol=1e-10):
         for i, w in enumerate(om):
             key = abs(w) if symmetric else w
             if key not in cache:
-                val = chi_quadrature(key, profile, params, tol=tol)
+                val = chi_quadrature(key, profile, params, tol=1e-10)
                 # quadrature noise must not beat the flat-background
                 # attenuation exp(-alpha0 z / 2) of the far wings
                 cache[key] = complex(val.real, max(val.imag, -1.0))

@@ -28,38 +28,17 @@ from .propagation import SampledEnvelope
 MAX_STEP_OPACITY = 0.05
 
 
-@dataclass(frozen=True)
-class AtomState:
-    """Bloch-equator coordinates of one detuning class.
-
-    sigma_ab = (u + i v) / 2 by construction.
-    """
-
-    detuning: float
-    u: float
-    v: float
-
-    @property
-    def sigma(self) -> complex:
-        return 0.5 * complex(self.u, self.v)
-
-    @classmethod
-    def from_sigma(cls, detuning, sigma) -> "AtomState":
-        return cls(detuning=detuning, u=2.0 * sigma.real, v=2.0 * sigma.imag)
-
-
-def coherence_convolution(delta, env: SampledEnvelope, t, params: MediumParams,
-                          onset_tol=1e-6):
+def coherence_convolution(delta, env: SampledEnvelope, t, params: MediumParams):
     """Coherence of the ``delta`` class at time ``t`` from the field history.
 
     Trapezoidal sum over the grid of ``env`` back to its first sample; the
-    envelope must have effectively turned on inside the window, otherwise
-    the discarded tail is not negligible and a configuration error is
-    raised.
+    envelope must have effectively turned on inside the window (at most
+    1e-6 of its energy in the leading 1/128 of the grid), otherwise the
+    discarded tail is not negligible and a configuration error is raised.
     """
     total = env.energy()
     head = float(np.sum(np.abs(env.samples[: max(2, env.n // 128)]) ** 2) * env.dt)
-    if total > 0 and head / total > onset_tol:
+    if total > 0 and head / total > 1e-6:
         raise ConfigurationError(
             "envelope history window too short: the pulse onset lies before "
             f"the first sample (leading energy fraction {head / total:.2e})")
@@ -91,18 +70,18 @@ def adiabatic_uv(delta, amplitude, time_derivative):
     return -amplitude / delta, -time_derivative / delta ** 2
 
 
-def detuning_grid(n_atoms, params: MediumParams, span=4000.0):
+def detuning_grid(n_atoms, params: MediumParams):
     """Detuning nodes and weights, clustered where the hole edge dominates.
 
     Nodes Delta = delta0 tan(theta) with theta uniform put about half of
     them inside |Delta| < delta0 while the weights delta0 sec^2(theta)
-    dtheta keep the flat far wings integrable out to span * delta0.  The
+    dtheta keep the flat far wings integrable out to 4000 delta0.  The
     far wings contribute to the dispersion slope as 1/span, so the span
     must stay large even though the hole structure ends at a few delta0.
     """
     if n_atoms < 8:
         raise ConfigurationError("need at least 8 detuning classes")
-    theta_max = np.arctan(span)
+    theta_max = np.arctan(4000.0)
     dtheta = 2.0 * theta_max / n_atoms
     theta = -theta_max + dtheta * (np.arange(n_atoms) + 0.5)
     nodes = params.delta0 * np.tan(theta)

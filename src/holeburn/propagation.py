@@ -10,6 +10,7 @@ positive real slope of the second-order susceptibility produces a positive
 group delay.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -91,30 +92,23 @@ class PulseSpec:
         if not self.duration > 0:
             raise ConfigurationError("pulse duration must be positive")
 
-    def fits_hole(self, params: MediumParams) -> bool:
-        """Spectral width 1/T must sit inside the hole width."""
-        return 1.0 / self.duration < params.delta0
-
     def amplitude(self, t):
         arg = (np.asarray(t, dtype=float) - self.center_time) / self.duration
         return self.peak * np.exp(-0.5 * arg * arg)
 
 
-def auto_grid(pulse: PulseSpec, params: MediumParams, z=None,
-              max_spectral_feature=None, min_samples=1024) -> SampledEnvelope:
+def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
     """Sample a pulse on a grid sized so delayed replicas never wrap.
 
-    Window = max(8 T, 4 L/v + 8 T); dt resolves the largest spectral
-    feature (default: the hole width) at ten samples per 1/feature.
-    Raises a configuration error, before allocating, when the grid would
-    exceed MAX_GRID_SAMPLES.
+    Window = max(8 T, 4 L/v + 8 T) for the slab length L; dt resolves the
+    hole width at ten samples per 1/delta0 (and T at eight), and the grid
+    holds at least 1024 samples.  Raises a configuration error, before
+    allocating, when the grid would exceed MAX_GRID_SAMPLES.
     """
-    z = params.length if z is None else z
-    delay = z / slow_light_velocity(params)
+    delay = params.length / slow_light_velocity(params)
     window = max(8.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
-    feature = max_spectral_feature or params.delta0
-    dt = min(0.1 / feature, pulse.duration / 8.0)
-    samples = max(window / dt, min_samples)
+    dt = min(0.1 / params.delta0, pulse.duration / 8.0)
+    samples = max(window / dt, 1024)
     if not samples <= MAX_GRID_SAMPLES:
         raise ConfigurationError(
             f"grid of {samples:.3g} samples exceeds the budget of "
@@ -197,18 +191,22 @@ class ConfinementReport:
     delay_over_duration: float
     spectral_margin: float   # d0 T / sqrt(alpha0 L): pulse spectrum inside hole
     temporal_margin: float   # alpha0 L / (d0 T): pulse inside slab
-    opacity_ok: bool         # sqrt(alpha0 L) >= threshold
+    opacity_ok: bool         # sqrt(alpha0 L) >= 3
 
 
-def confinement_report(T, params: MediumParams, threshold=3.0) -> ConfinementReport:
-    """Evaluate the double confinement condition sqrt(a0 L) << d0 T << a0 L."""
+def confinement_report(T, params: MediumParams) -> ConfinementReport:
+    """Evaluate the double confinement condition sqrt(a0 L) << d0 T << a0 L.
+
+    The one definition of the two margins, which ``storage.retrieve``
+    reports as validity indicators; ``opacity_ok`` asks sqrt(a0 L) >= 3.
+    """
     delay = params.length / slow_light_velocity(params)
     d0T = params.delta0 * T
-    rootod = np.sqrt(params.opacity)
+    rootod = math.sqrt(params.opacity)
     return ConfinementReport(
         group_delay=delay,
         delay_over_duration=delay / T,
         spectral_margin=d0T / rootod,
         temporal_margin=params.opacity / d0T,
-        opacity_ok=bool(rootod >= threshold),
+        opacity_ok=bool(rootod >= 3.0),
     )

@@ -31,7 +31,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigurationError, DomainError, NumericsError, PreconditionError
 from .medium import (HoleProfile, MediumParams, _profile_g, _quad,
                      slow_light_velocity)
-from .propagation import PulseSpec, SampledEnvelope, transmitted_gaussian
+from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
+                          transmitted_gaussian)
 from .special import SQRT_PI, erf, erfc
 
 # Reduced-time reach of the detuning kernel exp(-(p+q)^2/4); beyond this the
@@ -629,10 +630,11 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
 
     ``refine`` scales the quadrature node counts (deterministic for a
     given value); method validity indicators are attached rather than
-    enforced, mirroring how the figure panels mix regimes.  A restored
-    energy that is not finite and positive, or a validity indicator that
-    is not finite, raises NumericsError: a degenerate pulse duration or
-    opacity is never reported as eta = 0.
+    enforced, mirroring how the figure panels mix regimes; the spectral
+    and temporal margins are those of ``propagation.confinement_report``.
+    A restored energy that is not finite and positive, or a validity
+    indicator that is not finite, raises NumericsError: a degenerate pulse
+    duration or opacity is never reported as eta = 0.
     """
     label = _method_field(method, series_order)
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
@@ -663,20 +665,20 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
             "retrieval grid truncates the restored waveform "
             f"(tail fraction {tail / total:.2e})")
 
-    d0 = params.delta0
-    v = slow_light_velocity(params)
     eta = total / (pulse.peak ** 2 * SQRT_PI * pulse.duration)
     if eta > 1.0:
         raise NumericsError(
             f"restored energy exceeds the input energy (eta = {eta:.6g}); "
             "the quadrature overshoots", residual=eta - 1.0)
     peak_t = env.peak_time() + schedule.t_pi2
+    confinement = confinement_report(pulse.duration, params)
     validity = {
         "revival_condition_fraction": float(
             revival_validity(peak_t, pulse, schedule, params)),
-        "established_window_ok": bool(d0 * (peak_t - schedule.t_pi2) > 5.0),
-        "spectral_margin": float(d0 * pulse.duration / math.sqrt(params.opacity)),
-        "temporal_margin": float(params.opacity / (d0 * pulse.duration)),
+        "established_window_ok": bool(
+            params.delta0 * (peak_t - schedule.t_pi2) > 5.0),
+        "spectral_margin": float(confinement.spectral_margin),
+        "temporal_margin": float(confinement.temporal_margin),
     }
     bad = sorted(key for key, val in validity.items() if not math.isfinite(val))
     if bad:

@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import holeburn.cli
 import holeburn.propagation
-from holeburn.cli import (_CSV_BLOCK, PRESETS, Scenario, _write_csv,
+from holeburn.cli import (_CSV_BLOCK, _KINDS, PRESETS, Scenario, _write_csv,
                           _write_json, main, run_sweep, run_transmit)
 from holeburn.errors import ConfigurationError, NumericsError
-from holeburn.medium import MediumParams
+from holeburn.medium import MediumParams, slow_light_velocity
 from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
-from holeburn.storage import MAX_DELTA1_OVER_DELTA0, MAX_REFINE
+from holeburn.storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
+                              default_schedule)
 
 
 class TestScenario:
@@ -55,6 +56,40 @@ class TestScenario:
         assert any("delta1" in b for b in scenario.violations())
 
 
+class TestPulseAndSchedule:
+    @pytest.mark.parametrize("duration", [{"b": 0.6}, {"delta0_T": 7.3}],
+                             ids=["b", "delta0_T"])
+    @pytest.mark.parametrize("rule", ["half-transit", 0.3])
+    @pytest.mark.parametrize("delta1", [None, 5.0])
+    def test_values_unchanged(self, duration, rule, delta1):
+        # the values the matched schedule and the explicit L/v formulas
+        # give, bit for bit, over many opacities
+        rng = np.random.default_rng(0)
+        for alpha0_L in rng.uniform(0.5, 400.0, 50):
+            scenario = Scenario(kind="store", alpha0_L=alpha0_L,
+                                tpi1_rule=rule, delta1_over_delta0=delta1,
+                                hold_times_delta0=12.5, v_over_c=0.2,
+                                **duration)
+            params = scenario.params_for(alpha0_L)
+            pulse, schedule = scenario.pulse_and_schedule(params)
+
+            hold = 12.5 / params.delta0
+            transit = params.length / slow_light_velocity(params)
+            if "b" in duration:
+                want, matched = default_schedule(params, b=0.6, hold=hold)
+                t_pi1 = matched.t_pi1
+            else:
+                want = PulseSpec(duration=7.3 / params.delta0)
+                t_pi1 = params.length / (2.0 * slow_light_velocity(params))
+            if rule != "half-transit":
+                t_pi1 = rule * transit
+            assert pulse == want
+            assert schedule.t_pi1 == t_pi1
+            assert schedule.t_pi2 == t_pi1 + hold
+            assert schedule.delta1 == (math.inf if delta1 is None
+                                       else delta1 * params.delta0)
+
+
 class TestPresetCommand:
     def test_writes_scenario(self, tmp_path, capsys):
         assert main(["preset", "fig4b", "--out", str(tmp_path)]) == 0
@@ -80,11 +115,20 @@ class TestTransmit:
         peak = float(np.max(np.hypot(out[:, 1], out[:, 2])))
         assert peak == pytest.approx(10.0 / math.sqrt(200.0), rel=1e-3)
 
-    def test_kind_mismatch_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("command, kind", [
+        (command, kind) for command in _KINDS for kind in _KINDS
+        if command != kind])
+    def test_kind_mismatch_exit_code(self, tmp_path, capsys, command, kind):
+        preset = {"transmit": "fig2", "store": "fig5",
+                  "sweep-efficiency": "fig6"}[kind]
         path = tmp_path / "s.json"
-        PRESETS["fig5"].save(path)
-        assert main(["transmit", "--scenario", str(path),
+        PRESETS[preset].save(path)
+        assert main([command, "--scenario", str(path),
                      "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"validation error: scenario kind {kind!r} does not "
+                       f"match {command!r}\n")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestStore:
@@ -608,6 +652,8 @@ class TestExitCodeContract:
              '"delta0_T_values": [5.0], "method": "revival"}'),
         # --out names an existing file (the scenario itself)
         "out_is_a_file": ("store", _STORE + "}"),
+        # --out names no directory at all
+        "out_empty": ("store", _STORE + "}"),
         # run_transmit used only the first opacity
         "transmit_opacity_list":
             ("transmit", '{"kind": "transmit", "alpha0_L_values": [10, 60], '
@@ -631,10 +677,10 @@ class TestExitCodeContract:
         path = tmp_path / "s.json"
         if text is not None:
             path.write_text(text)
-        out = path if case == "out_is_a_file" else tmp_path
+        out = {"out_is_a_file": str(path), "out_empty": ""}.get(
+            case, str(tmp_path))
         command = "validate" if validate_only else command
-        assert main([command, "--scenario", str(path),
-                     "--out", str(out)]) == 2
+        assert main([command, "--scenario", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error")
         assert not list(tmp_path.glob("*.csv"))

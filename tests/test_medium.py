@@ -115,16 +115,6 @@ class TestHoleProfile:
             # profile spanning zero must have a hole there
             HoleProfile.tabulated([-2, -1, 1, 2], [1, 1, 1, 1])
 
-    def test_tabulated_roundtrip(self, tmp_path):
-        x = np.linspace(-6, 6, 121)
-        prof = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
-        path = tmp_path / "hole.csv"
-        np.savetxt(path, np.column_stack([x, prof.g_values]), delimiter=", ",
-                   header=" delta_over_delta0, g", fmt="%.12e")
-        back = HoleProfile.from_file(path)
-        probe = np.linspace(-5, 5, 57)
-        np.testing.assert_allclose(back(probe), prof(probe), atol=1e-10)
-
     def test_tabulated_tracks_gaussian(self):
         x = np.linspace(-8, 8, 321)
         prof = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))

@@ -8,7 +8,7 @@ import pytest
 from holeburn.errors import ConfigurationError, DomainError
 from holeburn.medium import (HoleProfile, MediumParams, exact_gaussian_model,
                              slow_light_velocity)
-from holeburn.oracle import (AtomState, _filon_kernels, adiabatic_uv,
+from holeburn.oracle import (_filon_kernels, adiabatic_uv,
                              coherence_convolution, detuning_grid,
                              time_domain_propagate)
 from holeburn.propagation import PulseSpec, SampledEnvelope, auto_grid, propagate
@@ -42,15 +42,6 @@ def smooth_turn_on_envelope(delta0_T=40.0, n=2048, dt=0.25):
     t = dt * np.arange(n)
     ramp = 0.5 * (1.0 + np.vectorize(math.erf)((t - 5.0 * delta0_T) / delta0_T))
     return SampledEnvelope(t_start=0.0, dt=dt, samples=ramp)
-
-
-class TestAtomState:
-    def test_sigma_consistency(self):
-        state = AtomState(detuning=2.0, u=-0.5, v=0.125)
-        assert state.sigma == pytest.approx((-0.5 + 0.125j) / 2.0)
-        back = AtomState.from_sigma(2.0, state.sigma)
-        assert back.u == pytest.approx(state.u)
-        assert back.v == pytest.approx(state.v)
 
 
 class TestCoherenceConvolution:

@@ -41,11 +41,6 @@ class TestPulseSpec:
         with pytest.raises(ConfigurationError):
             PulseSpec(duration=1.0, shape="square")
 
-    def test_fits_hole(self):
-        params = MediumParams.reduced(100.0)
-        assert PulseSpec(duration=10.0).fits_hole(params)
-        assert not PulseSpec(duration=0.5).fits_hole(params)
-
 
 class TestPropagate:
     def test_zero_chi_identity(self):

@@ -17,7 +17,8 @@ import holeburn.storage
 from holeburn.errors import (ConfigurationError, DomainError, NumericsError,
                              PreconditionError)
 from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
-from holeburn.propagation import PulseSpec, transmitted_gaussian
+from holeburn.propagation import (PulseSpec, confinement_report,
+                                  transmitted_gaussian)
 from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
                               _deficit_kernel, _established_kernel,
                               _gl_interval, _reduced, _series_derivatives,
@@ -576,6 +577,21 @@ class TestRetrieve:
         result = retrieve(pulse, schedule, params, method="series",
                           series_order=1)
         assert result.method == "series(1)"
+
+    @pytest.mark.parametrize("method", ["revival", "established",
+                                        "full_quadrature", "series"])
+    def test_margins_from_confinement_report(self, method):
+        # hole width and pulse duration away from 1, so that the order of
+        # the operations shows in the last bit
+        params = MediumParams(alpha0=1.3, gamma_ab=0.0, delta0=0.7,
+                              length=25.0 / 1.3)
+        pulse = PulseSpec(duration=11.1 / 0.7)
+        t_pi1 = params.length / (2.0 * slow_light_velocity(params))
+        schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 3.0)
+        validity = retrieve(pulse, schedule, params, method=method).validity
+        report = confinement_report(pulse.duration, params)
+        assert validity["spectral_margin"] == report.spectral_margin
+        assert validity["temporal_margin"] == report.temporal_margin
 
     def test_unknown_method(self):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
