@@ -108,7 +108,9 @@ def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
     delay = params.length / slow_light_velocity(params)
     window = max(8.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
     dt = min(0.1 / params.delta0, pulse.duration / 8.0)
-    samples = max(window / dt, 1024)
+    # a subnormal duration overflows window / dt to inf: over the budget
+    with np.errstate(over="ignore"):
+        samples = max(window / dt, 1024)
     if not samples <= MAX_GRID_SAMPLES:
         raise ConfigurationError(
             f"grid of {samples:.3g} samples exceeds the budget of "

@@ -44,6 +44,15 @@ KERNEL_RANGE = 14.0
 # (about 2e-22, under the KERNEL_RANGE truncation) are skipped.
 U_NODE_REACH = 50.0
 
+# Floor of the Gaussian-factor exponents of the early samples in
+# restored_field_full.  numpy's exp runs up to ~100x slower on a lane whose
+# result is subnormal or zero, and a dot product ~25x slower on a product
+# that is subnormal.  A factor below e^-300 (5e-131) is taken as e^-300:
+# each such factor adds at most 5e-131 |M[q, u]| to its sample, and since
+# the entries of M lie above 1e-29 (alpha0 L 1 to 1000, b 0.3 to 1) every
+# product stays a normal number.
+_EXP_FLOOR = -300.0
+
 # Largest conversion bandwidth a scenario may ask for, in hole widths.  The
 # finite-bandwidth rule needs nodes in proportion to delta1 times the
 # readout time; at this cap the bandwidth factor is within 1.2% of 1.
@@ -170,7 +179,8 @@ def _deficit_kernel(profile, delta0):
     Returns a callable of the reduced delay sigma = delta0 * s.  Gaussian
     hole: K = sqrt(pi) delta0 exp(-sigma^2/4).  Tabulated profiles are
     transformed numerically on the sampled support (real part only; the
-    tiny odd-part imaginary component of an asymmetric hole is dropped).
+    tiny odd-part imaginary component of an asymmetric hole is dropped),
+    in row blocks of at most ``_RULE_BLOCK`` (sigma x sample) entries.
     """
     profile = _profile_g(profile)
     if getattr(profile, "kind", None) == "gaussian":
@@ -181,10 +191,15 @@ def _deficit_kernel(profile, delta0):
         else (-8.0 * delta0, 8.0 * delta0)
     u = np.linspace(lo, hi, 4097)
     h = np.asarray(1.0 - profile(u, delta0), dtype=float)
+    rows = _RULE_BLOCK // u.size
 
     def kernel(sigma):
-        sig = np.atleast_1d(np.asarray(sigma, dtype=float)) / delta0
-        vals = np.trapezoid(h * np.cos(np.outer(sig, u / delta0)), u, axis=-1)
+        sig = np.ravel(np.asarray(sigma, dtype=float)) / delta0
+        vals = np.empty(sig.size)
+        for start in range(0, sig.size, rows):
+            table = np.cos(np.outer(sig[start:start + rows], u / delta0))
+            table *= h
+            vals[start:start + rows] = np.trapezoid(table, u, axis=-1)
         return vals if np.ndim(sigma) else float(vals[0])
 
     return kernel
@@ -394,11 +409,14 @@ def _u_nodes(rho, dT, a, n_nodes):
 def _established_kernel(xh, yh, rho, dT, a, n_nodes=240):
     """Reduced single-quadrature kernel R(xh, yh) of the established signal
     (equation and nodes in ``_u_nodes``)."""
-    s2, u, w1, c = _u_nodes(rho, dT, a, n_nodes)
     xh = np.asarray(xh, dtype=float)[..., None]
     yh = np.asarray(yh, dtype=float)[..., None]
-    return (c * np.exp(-(xh - u) ** 2 / (2.0 * w1)
-                       - (s2 - yh) ** 2 / (2.0 * a * s2))).sum(axis=-1)
+    # A degenerate opacity or duration overflows this arithmetic to inf or
+    # nan; that is retrieve's restored-energy failure, not a numpy warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s2, u, w1, c = _u_nodes(rho, dT, a, n_nodes)
+        return (c * np.exp(-(xh - u) ** 2 / (2.0 * w1)
+                           - (s2 - yh) ** 2 / (2.0 * a * s2))).sum(axis=-1)
 
 
 def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
@@ -449,15 +467,23 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     so that A ~ sum_{q,u} G[q, u] M[q, u] with G[q, u] = g_u(y - q).
 
-    Below KERNEL_RANGE the q-interval is [0, y]: M is rebuilt per sample
-    and each sample costs one n_q x n_u exponential.  For y >= KERNEL_RANGE
-    the q-nodes span [0, KERNEL_RANGE] at every sample, M is built once and
-    the loop runs over u-nodes instead: the late samples are sorted by y,
-    and node u adds g_u(y - q) M[:, u] only to the contiguous run of
-    samples with s2 + q_first - h < y < s2 + q_last + h, where
-    h^2 = U_NODE_REACH * 2 a s2.  Every factor left out is below
-    e^{-U_NODE_REACH}, about 2e-22, under the 1e-21 at which KERNEL_RANGE
-    already truncates the kernel.
+    Below KERNEL_RANGE the q-interval is [0, y] and M belongs to one
+    sample.  These early samples are taken in blocks of B = max(1, 2^16 //
+    (n_pq n_u)) (6 at the default nodes, 1 from refine 2 on): the block's
+    weights w_q W are contracted with F in one (B n_q x n_p) @ (n_p x n_u)
+    product, and each sample then costs one n_q x n_u exponential (its
+    exponents floored at ``_EXP_FLOOR``) and one dot product.  Blocks stay
+    small because the Gaussian factor and the per-call overhead, not the
+    product, bound the cost: every (B, n_q, n_u) array stays within 512 KB,
+    and blocks of 2 to 6 samples ran equally fast, 8 and 12 slower.
+
+    For y >= KERNEL_RANGE the q-nodes span [0, KERNEL_RANGE] at every
+    sample, M is built once and the loop runs over u-nodes instead: the
+    late samples are sorted by y, and node u adds g_u(y - q) M[:, u] only
+    to the contiguous run of samples with s2 + q_first - h < y < s2 +
+    q_last + h, where h^2 = U_NODE_REACH * 2 a s2.  Every factor left out
+    is below e^{-U_NODE_REACH}, about 2e-22, under the 1e-21 at which
+    KERNEL_RANGE already truncates the kernel.
     """
     schedule.validate(params)
     if not schedule.infinite_bandwidth:
@@ -470,44 +496,63 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     x = d0 * (schedule.t_pi1 - pulse.center_time)
     gamma_red = params.gamma_ab / d0
     kern = _deficit_kernel(profile, d0)
-
-    p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
-    s2, u, w1, c = _u_nodes(rho, dT, a, n_u)
-    f = wp[:, None] * c * np.exp(-(x - p[:, None] - u) ** 2 / (2.0 * w1))
-    neg_inv = -1.0 / (2.0 * a * s2)
-
-    def contract(y_top):
-        q, wq = _gl_interval(n_pq, 0.0, y_top)
-        pp = p[:, None] + q[None, :]
-        weight = (np.asarray(kern(pp.ravel())).reshape(pp.shape) / d0
-                  * np.exp(-gamma_red * pp))
-        return q, wq[:, None] * (weight.T @ f)
-
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     y = d0 * (t_arr.ravel() - schedule.t_pi2)
     sums = np.zeros(y.shape, dtype=float)
-    for i in np.flatnonzero((y > 0) & (y < KERNEL_RANGE)):
-        q, m = contract(y[i])
-        g = np.exp((s2 + q[:, None] - y[i]) ** 2 * neg_inv)
-        sums[i] = np.vdot(g, m)
 
-    # a NaN time joins the late samples and comes out NaN
-    late = np.flatnonzero(~(y < KERNEL_RANGE))
-    if late.size:
-        late = late[np.argsort(y[late], kind="stable")]
-        y_late = y[late]
-        q, m = contract(KERNEL_RANGE)
-        sq = s2[:, None] + q
-        m_rows = np.ascontiguousarray(m.T)
-        h = np.sqrt(U_NODE_REACH * 2.0 * a * s2)
-        lo = np.searchsorted(y_late, sq[:, 0] - h, side="right")
-        hi = np.searchsorted(y_late, sq[:, -1] + h, side="left")
-        acc = np.zeros(late.size, dtype=float)
-        for j in np.flatnonzero(hi > lo):
-            d = y_late[lo[j]:hi[j], None] - sq[j]
-            acc[lo[j]:hi[j]] += np.exp(d * d * neg_inv[j]) @ m_rows[j]
-        acc[np.isnan(y_late)] = np.nan
-        sums[late] = acc
+    p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
+    # A degenerate opacity or duration overflows this arithmetic to inf or
+    # nan; that is retrieve's restored-energy failure, not a numpy warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s2, u, w1, c = _u_nodes(rho, dT, a, n_u)
+        f = wp[:, None] * c * np.exp(-(x - p[:, None] - u) ** 2 / (2.0 * w1))
+        neg_inv = -1.0 / (2.0 * a * s2)
+
+        def contract(y_top):
+            # q-nodes on [0, y_top[b]]; M[b] = (w_q W[b]^T) @ F, one GEMM
+            q, wq = _gl_interval(n_pq, 0.0, y_top[:, None])
+            pp = q[:, :, None] + p
+            weight = (np.asarray(kern(pp.ravel())).reshape(pp.shape)
+                      * (wq / d0)[:, :, None])
+            if gamma_red:  # at gamma = 0 the factor is exactly 1
+                weight *= np.exp(-gamma_red * pp)
+            m = weight.reshape(-1, n_pq) @ f
+            return q, m.reshape(y_top.size, n_pq, n_u)
+
+        early = np.flatnonzero((y > 0) & (y < KERNEL_RANGE))
+        block = max(1, 2 ** 16 // (n_pq * n_u))
+        for start in range(0, early.size, block):
+            idx = early[start:start + block]
+            q, m = contract(y[idx])
+            g = (s2 - y[idx, None])[:, None, :] + q[:, :, None]
+            np.square(g, out=g)
+            g *= neg_inv
+            np.maximum(g, _EXP_FLOOR, out=g)
+            np.exp(g, out=g)
+            sums[idx] = np.matmul(g.reshape(idx.size, 1, -1),
+                                  m.reshape(idx.size, -1, 1)).ravel()
+
+        # a NaN time joins the late samples and comes out NaN
+        late = np.flatnonzero(~(y < KERNEL_RANGE))
+        if late.size:
+            late = late[np.argsort(y[late], kind="stable")]
+            y_late = y[late]
+            (q,), (m,) = contract(np.array([KERNEL_RANGE]))
+            sq = s2[:, None] + q
+            m_rows = np.ascontiguousarray(m.T)
+            h = np.sqrt(U_NODE_REACH * 2.0 * a * s2)
+            lo = np.searchsorted(y_late, sq[:, 0] - h, side="right")
+            hi = np.searchsorted(y_late, sq[:, -1] + h, side="left")
+            acc = np.zeros(late.size, dtype=float)
+            for j, (i0, i1) in enumerate(zip(lo.tolist(), hi.tolist())):
+                if i1 > i0:
+                    d = y_late[i0:i1, None] - sq[j]
+                    np.square(d, out=d)
+                    d *= neg_inv[j]
+                    np.exp(d, out=d)
+                    acc[i0:i1] += d @ m_rows[j]
+            acc[np.isnan(y_late)] = np.nan
+            sums[late] = acc
 
     out = (a / (2.0 * np.pi) * pulse.peak * sums).reshape(t_arr.shape)
     return out if np.ndim(t) else float(out[0])

@@ -186,20 +186,22 @@ class TestStore:
                      "--out", str(out)]) == code
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("alpha0_L, b, code", [(25.0, 1e-300, 2),
-                                                   (1e-300, 0.6, 3)],
-                             ids=["duration", "opacity"])
-    def test_degenerate_panel_exit_code(self, tmp_path, capsys, alpha0_L, b,
-                                        code):
-        # delta0 T = 1e-300 needs a grid beyond the budget (exit 2); at
-        # alpha0 L = 1e-300 the restored waveform is zero (exit 3)
+    @pytest.mark.parametrize("fields, code", [
+        ({"alpha0_L": 25.0, "b": 1e-300}, 2),
+        ({"alpha0_L": 1e-300, "b": 0.6}, 3),
+        ({"alpha0_L": 25.0, "delta0_T": 1e-310}, 2),
+    ], ids=["duration", "opacity", "subnormal-duration"])
+    def test_degenerate_panel_exit_code(self, tmp_path, capsys, fields, code):
+        # delta0 T = 1e-300 needs a grid beyond the budget (exit 2), and a
+        # subnormal delta0 T overflows the grid's sample count to inf
+        # (exit 2); at alpha0 L = 1e-300 the restored waveform is zero
+        # (exit 3).  A numpy RuntimeWarning on the way fails the test.
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"kind": "store", "alpha0_L": alpha0_L,
-                                    "b": b, "method": "revival"}))
+        path.write_text(json.dumps({"kind": "store", "method": "revival",
+                                    **fields}))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["store", "--scenario", str(path),
-                         "--out", str(out)]) == code
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(out)]) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert list(out.iterdir()) == []
 
@@ -218,6 +220,17 @@ class TestGridBudget:
         monkeypatch.setattr(holeburn.propagation, "MAX_GRID_SAMPLES", 2048)
         path = tmp_path / "s.json"
         Scenario(kind="transmit", alpha0_L=100.0, delta0_T=10.0).save(path)
+        assert main(["transmit", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget" in err
+
+    def test_subnormal_duration_over_budget(self, tmp_path, capsys):
+        # window / dt overflows to inf at delta0 T = 1e-310: the budget
+        # error alone, with no numpy RuntimeWarning (which fails the test)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 25.0,
+                                    "delta0_T_values": [1e-310]}))
         assert main(["transmit", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -348,20 +361,25 @@ class TestSweep:
         side = json.loads(Path(files[1]).read_text())
         assert set(side["failures"]) == {"4", "9"}
 
-    @pytest.mark.parametrize("fields, point", [
-        ({"alpha0_L_values": [9.0], "b": 1e-300}, "9"),
-        ({"alpha0_L_values": [1e-300], "b": 0.6}, "1e-300"),
-    ], ids=["duration", "opacity"])
-    def test_degenerate_point_exit_3(self, tmp_path, capsys, fields, point):
+    @pytest.mark.parametrize("fields, point, method", [
+        pytest.param(fields, point, method,
+                     id=name if method == "revival" else f"{name}-{method}")
+        for name, fields, point in [
+            ("duration", {"alpha0_L_values": [9.0], "b": 1e-300}, "9"),
+            ("opacity", {"alpha0_L_values": [1e-300], "b": 0.6}, "1e-300")]
+        for method in ("revival", "established", "full_quadrature")])
+    def test_degenerate_point_exit_3(self, tmp_path, capsys, fields, point,
+                                     method):
         # the restored waveform underflows to zero: a recorded numerical
-        # failure, not a clean eta = 0
+        # failure, not a clean eta = 0, reported in one stderr line (a
+        # numpy RuntimeWarning on the way fails the test)
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"kind": "sweep-efficiency",
-                                    "method": "revival", **fields}))
-        with np.errstate(all="ignore"):
-            assert main(["sweep-efficiency", "--scenario", str(path),
-                         "--out", str(tmp_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+                                    "method": method, **fields}))
+        assert main(["sweep-efficiency", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numerical failure" in err
         side = json.loads((tmp_path / "efficiency.csv.json").read_text())
         assert set(side["failures"]) == {point}
         assert "restored energy is 0" in side["failures"][point]

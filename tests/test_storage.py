@@ -8,6 +8,7 @@ quadrature (scipy) of the defining integrals.
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,75 @@ class TestRestoredFieldFull:
         assert arr.shape == t.shape
         np.testing.assert_allclose(arr, ref, rtol=0.0,
                                    atol=1e-13 * np.nanmax(np.abs(ref)))
+
+    # early samples (0 < y < KERNEL_RANGE) are taken in blocks of
+    # max(1, 2^16 // (n_pq n_u)) samples: 6 at the default nodes
+    BLOCK = max(1, 2 ** 16 // (48 * 200))
+
+    def test_every_early_sample_of_retrieval_grid(self):
+        # all 169 samples below KERNEL_RANGE at alpha0 L = 9: many blocks
+        params = MediumParams.reduced(9.0)
+        pulse, schedule = default_schedule(params)
+        prof = HoleProfile.gaussian()
+        t = retrieval_grid(pulse, schedule, params)
+        t = t[params.delta0 * (t - schedule.t_pi2) < KERNEL_RANGE]
+        assert t.size == 169
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_early", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_edges(self, n_early):
+        # a partial block, one block, and one sample past it; late samples
+        # sit between the early ones in the caller's order
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        prof = HoleProfile.gaussian()
+        early = np.linspace(0.3, 13.7, n_early)
+        late = np.linspace(14.0, 45.0, n_early + 1)
+        y = np.empty(2 * n_early + 1)
+        y[0::2], y[1::2] = late, early
+        t = schedule.t_pi2 + y
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_refined_nodes_block_of_one(self):
+        # at n_pq = 96, n_u = 400 one sample fills a block
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        prof = HoleProfile.gaussian()
+        t = schedule.t_pi2 + np.array([0.4, 20.0, 6.5, 13.9, 30.0, 2.0])
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params,
+                                            n_pq=96, n_u=400)
+        arr = restored_field_full(t, pulse, schedule, prof, params,
+                                  n_pq=96, n_u=400)
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_tabulated_hole_two_blocks(self):
+        # the tabulated kernel is called once per block of weights
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        prof = tabulated_gaussian_hole()
+        y = np.append(np.linspace(0.5, 13.5, self.BLOCK + 1), 20.0)
+        t = schedule.t_pi2 + y
+        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        arr = restored_field_full(t, pulse, schedule, prof, params)
+        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tabulated_kernel_memory_bound():
+    # the sigma x 4097 cosine table is built in row blocks of 255 rows (in
+    # one piece, 3000 sigma values trace ~290 MB); each row is the number
+    # a one-row call gives, across the block edges too
+    kern = _deficit_kernel(tabulated_gaussian_hole(), 1.0)
+    sigma = np.linspace(0.0, 28.0, 3000)
+    tracemalloc.start()
+    try:
+        vals = kern(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    picks = [0, 254, 255, 256, 1500, 2999]
+    assert vals[picks].tolist() == [kern(sigma[i]) for i in picks]
 
 
 class TestAppendixSeries:
