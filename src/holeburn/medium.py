@@ -19,9 +19,8 @@ lengths in 1/alpha0, so scenarios are fully specified by the dimensionless
 groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
 
 ``scipy.integrate`` and ``scipy.interpolate`` are imported on first use:
-the first by ``_quad``, the one adaptive-quadrature helper (here and in
-``storage.kappa_quadrature``), the second by a tabulated ``HoleProfile``.
-The Gaussian-hole paths load neither.
+the first by ``_quad``, the package's one adaptive-quadrature helper, the
+second by a tabulated ``HoleProfile``.  The Gaussian-hole paths load neither.
 """
 
 import math
@@ -181,8 +180,9 @@ def _profile_g(profile):
 
     The susceptibility, absorption and group-velocity routines read
     ``kind``, ``deficit`` and ``second_derivative`` and so need a
-    :class:`HoleProfile`; only the time-domain oracle and the storage
-    detuning kernel also accept a bare callable g(delta, delta0).
+    :class:`HoleProfile`; the time-domain oracle and the storage routes
+    (revival factors, full quadrature) also accept a bare callable
+    g(delta, delta0).
     """
     if profile is None:
         return HoleProfile.gaussian()

@@ -189,26 +189,16 @@ def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
 class ConfinementReport:
     """Diagnostics of pulse confinement inside the slab."""
 
-    group_delay: float
-    delay_over_duration: float
     spectral_margin: float   # d0 T / sqrt(alpha0 L): pulse spectrum inside hole
     temporal_margin: float   # alpha0 L / (d0 T): pulse inside slab
-    opacity_ok: bool         # sqrt(alpha0 L) >= 3
 
 
 def confinement_report(T, params: MediumParams) -> ConfinementReport:
     """Evaluate the double confinement condition sqrt(a0 L) << d0 T << a0 L.
 
     The one definition of the two margins, which ``storage.retrieve``
-    reports as validity indicators; ``opacity_ok`` asks sqrt(a0 L) >= 3.
+    reports as validity indicators.
     """
-    delay = params.length / slow_light_velocity(params)
     d0T = params.delta0 * T
-    rootod = math.sqrt(params.opacity)
-    return ConfinementReport(
-        group_delay=delay,
-        delay_over_duration=delay / T,
-        spectral_margin=d0T / rootod,
-        temporal_margin=params.opacity / d0T,
-        opacity_ok=bool(rootod >= 3.0),
-    )
+    return ConfinementReport(spectral_margin=d0T / math.sqrt(params.opacity),
+                             temporal_margin=params.opacity / d0T)

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, NumericsError, PreconditionError
-from .medium import (HoleProfile, MediumParams, _profile_g, _quad,
-                     slow_light_velocity)
+from .medium import MediumParams, _profile_g, slow_light_velocity
 from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
                           transmitted_gaussian)
 from .special import SQRT_PI, erf, erfc
@@ -38,6 +38,15 @@ from .special import SQRT_PI, erf, erfc
 # Reduced-time reach of the detuning kernel exp(-(p+q)^2/4); beyond this the
 # weight is < 1e-21 and the (p, q) quadrature can be truncated.
 KERNEL_RANGE = 14.0
+
+# The deficit kernel's Chebyshev series spans the reduced delays [0,
+# SIGMA_MAX], where the revival-factor integral is cut (the Gaussian kernel
+# is e^-225 of its peak there).  A series is resolved once its last 8
+# coefficients fall below _SERIES_TOL of the largest; the tabulated
+# transform's rounding noise sits near 1e-14.
+SIGMA_MAX = 30.0
+_SERIES_TOL = 1e-13
+_MAX_SERIES_DEGREE = 1024
 
 # Reach of one u-node's Gaussian in the late-sample loop of
 # restored_field_full, in units of its exponent: factors below e^-50
@@ -173,36 +182,43 @@ def kappa(x, v_over_c=0.0):
     return val if val.ndim else float(val)
 
 
+def _chebyshev(func):
+    """Chebyshev interpolant of func on [0, SIGMA_MAX], its degree doubled
+    from 32 until resolved (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8).  c_k = (2 - [k = 0]) / n sum_j f(x_j)
+    cos(k t_j) at x_j = cos t_j, t_j = pi (j + 1/2) / n is exact to rounding
+    (Chebyshev.interpolate's recurrence loses ~1e-12 at the ends)."""
+    deg = 32
+    while deg <= _MAX_SERIES_DEGREE:
+        t = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
+        coef = np.cos(np.outer(np.arange(deg + 1), t)) @ func(
+            0.5 * SIGMA_MAX * (1.0 + np.cos(t))) * (2.0 / (deg + 1))
+        coef[0] *= 0.5
+        if np.max(np.abs(coef[-8:])) <= _SERIES_TOL * np.max(np.abs(coef)):
+            return Chebyshev(coef, domain=[0.0, SIGMA_MAX])
+        deg *= 2
+    raise NumericsError("deficit kernel is not resolved by a Chebyshev "
+                        f"series of degree {_MAX_SERIES_DEGREE}")
+
+
 def _deficit_kernel(profile, delta0):
     """K(s) = integral dDelta (1 - g) e^{i Delta s}, the stored-dipole sum.
 
-    Returns a callable of the reduced delay sigma = delta0 * s.  Gaussian
-    hole: K = sqrt(pi) delta0 exp(-sigma^2/4).  Tabulated profiles are
-    transformed numerically on the sampled support (real part only; the
-    tiny odd-part imaginary component of an asymmetric hole is dropped),
-    in row blocks of at most ``_RULE_BLOCK`` (sigma x sample) entries.
+    Returns a callable of the reduced delay sigma = delta0 s on [0, SIGMA_MAX].
+    Gaussian hole: K = sqrt(pi) delta0 exp(-sigma^2/4).  Any other hole: the
+    Chebyshev series of the trapezoid sum over 4097 detunings u of the sampled
+    support, sum_u w_u (1 - g) cos(sigma u / delta0) (real part only; the tiny
+    odd-part imaginary component of an asymmetric hole is dropped).
     """
     profile = _profile_g(profile)
     if getattr(profile, "kind", None) == "gaussian":
         return lambda sigma: SQRT_PI * delta0 * np.exp(-0.25 * np.asarray(sigma) ** 2)
-    if getattr(profile, "kind", None) == "uniform":
-        return lambda sigma: np.zeros_like(np.asarray(sigma, dtype=float))
     lo, hi = profile.sample_range(delta0) if hasattr(profile, "sample_range") \
         else (-8.0 * delta0, 8.0 * delta0)
-    u = np.linspace(lo, hi, 4097)
-    h = np.asarray(1.0 - profile(u, delta0), dtype=float)
-    rows = _RULE_BLOCK // u.size
-
-    def kernel(sigma):
-        sig = np.ravel(np.asarray(sigma, dtype=float)) / delta0
-        vals = np.empty(sig.size)
-        for start in range(0, sig.size, rows):
-            table = np.cos(np.outer(sig[start:start + rows], u / delta0))
-            table *= h
-            vals[start:start + rows] = np.trapezoid(table, u, axis=-1)
-        return vals if np.ndim(sigma) else float(vals[0])
-
-    return kernel
+    u, du = np.linspace(lo, hi, 4097, retstep=True)
+    hw = np.asarray(1.0 - profile(u, delta0), dtype=float) * du
+    hw[[0, -1]] *= 0.5
+    return _chebyshev(lambda sigma: np.cos(np.outer(sigma, u / delta0)) @ hw)
 
 
 def kappa_quadrature(x, profile, params: MediumParams):
@@ -210,30 +226,26 @@ def kappa_quadrature(x, profile, params: MediumParams):
 
     kappa = (alpha0 v / 2 pi) * integral_0^inf min(s, b) K(s) e^{-gamma s} ds
     with b = 2 x / delta0; the min(s, b) weight is the area of the
-    tau + tau' = s strip inside [0, inf) x [0, b].
+    tau + tau' = s strip inside [0, inf) x [0, b].  In sigma = delta0 s,
+    cut at SIGMA_MAX, with beta = 2 x and m = min(beta, SIGMA_MAX):
+
+        kappa = (alpha0 v / 2 pi delta0^2) [S1(m) + beta (S0(SIGMA_MAX) - S0(m))],
+
+    S0 and S1 the integrals from 0 of the Chebyshev series W of
+    K e^{-gamma sigma/delta0} and of sigma W.  ``x`` may be an array.
     """
-    x = float(x)
-    if x < 0:
-        raise DomainError("revival argument x must be non-negative")
-    if x == 0.0:
-        return 0.0
-    d0, gamma = params.delta0, params.gamma_ab
-    v = slow_light_velocity(params)
-    b = 2.0 * x / d0
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise DomainError("revival argument x must be finite and non-negative")
+    d0 = params.delta0
     kern = _deficit_kernel(profile, d0)
-
-    def f(s):
-        return min(s, b) * float(kern(d0 * s)) * math.exp(-gamma * s)
-
-    cut = 30.0 / d0
-    val1, e1 = _quad(f, 0.0, min(b, cut), 1e-13, 1e-12)
-    val2, e2 = (0.0, 0.0)
-    if b < cut:
-        val2, e2 = _quad(f, b, cut, 1e-13, 1e-12)
-    if max(e1, e2) > 1e-8:
-        raise NumericsError("revival-factor quadrature did not converge",
-                            residual=max(e1, e2))
-    return params.alpha0 * v / (2.0 * np.pi) * (val1 + val2)
+    w = _chebyshev(lambda sigma: kern(sigma) * np.exp(-params.gamma_ab / d0 * sigma))
+    s0, s1 = w.integ(), (w * Chebyshev.identity(w.domain)).integ()
+    beta = 2.0 * x
+    m = np.minimum(beta, SIGMA_MAX)
+    val = s1(m) - s1(0.0) + beta * (s0(SIGMA_MAX) - s0(m))
+    out = params.alpha0 * slow_light_velocity(params) / (2.0 * np.pi * d0 * d0) * val
+    return out if out.ndim else float(out)
 
 
 def bandwidth_reduction_factor(y):
@@ -336,9 +348,9 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     exceeds the slab.
 
     kappa is the closed form for the Gaussian hole at infinite bandwidth.
-    A finite conversion band takes ``kappa_finite_bandwidth`` in one call
-    for all in-depth samples; other holes at infinite bandwidth take the
-    independent ``kappa_quadrature`` sample by sample.
+    A finite conversion band takes ``kappa_finite_bandwidth``, and other
+    holes at infinite bandwidth take ``kappa_quadrature``, each in one call
+    for all in-depth samples.
     """
     schedule.validate(params)
     v, a, rho, vc = _reduced(params)
@@ -359,16 +371,14 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
                                  center_time=pulse.center_time) * pulse.peak,
             0.0)
     xs = 0.5 * y
-    if schedule.infinite_bandwidth and _profile_g(profile).kind == "gaussian":
+    kap = np.zeros(np.shape(xs))
+    if not schedule.infinite_bandwidth:
+        kap[in_depth] = kappa_finite_bandwidth(
+            xs[in_depth], schedule.delta1, profile, params)
+    elif getattr(_profile_g(profile), "kind", None) == "gaussian":
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
-        kap = np.zeros(np.shape(xs))
-        if schedule.infinite_bandwidth:
-            kap[in_depth] = [kappa_quadrature(xv, profile, params)
-                             for xv in xs[in_depth]]
-        else:
-            kap[in_depth] = kappa_finite_bandwidth(
-                xs[in_depth], schedule.delta1, profile, params)
+        kap[in_depth] = kappa_quadrature(xs[in_depth], profile, params)
     out = frozen * kap
     return out if np.ndim(t) else float(out)
 
@@ -512,8 +522,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
             # q-nodes on [0, y_top[b]]; M[b] = (w_q W[b]^T) @ F, one GEMM
             q, wq = _gl_interval(n_pq, 0.0, y_top[:, None])
             pp = q[:, :, None] + p
-            weight = (np.asarray(kern(pp.ravel())).reshape(pp.shape)
-                      * (wq / d0)[:, :, None])
+            weight = kern(pp) * (wq / d0)[:, :, None]
             if gamma_red:  # at gamma = 0 the factor is exactly 1
                 weight *= np.exp(-gamma_red * pp)
             m = weight.reshape(-1, n_pq) @ f

@@ -303,8 +303,10 @@ class TestInverseGroupVelocity:
 
 def lazy_path_values():
     """Every call that imports scipy.integrate or scipy.interpolate on first
-    use, as a list of floats.  Self-contained: its source is also run in a
-    fresh interpreter."""
+    use, as a list of floats: the adaptive quadratures import the first, the
+    tabulated hole of ``kappa_quadrature`` the second (the revival factor
+    itself integrates a Chebyshev series).  Self-contained: its source is
+    also run in a fresh interpreter."""
     import numpy as np
 
     from holeburn.medium import (HoleProfile, MediumParams,

@@ -161,17 +161,20 @@ class TestConfinementReport:
         params = MediumParams.reduced(100.0)
         rep = confinement_report(5.0, params)
         assert isinstance(rep, ConfinementReport)
-        assert rep.group_delay == pytest.approx(56.418958354775629, rel=1e-10)
-        assert rep.delay_over_duration == pytest.approx(11.283791670955126,
-                                                        rel=1e-10)
-        assert rep.opacity_ok
+        assert rep.spectral_margin == pytest.approx(0.5, rel=1e-15)
+        assert rep.temporal_margin == pytest.approx(20.0, rel=1e-15)
 
     def test_matched_schedule_numbers(self):
+        # d0 T = 0.6 (a0 L)^(3/4): both margins are (a0 L)^(1/4) up to 0.6
         params = MediumParams.reduced(100.0)
         rep = confinement_report(0.6 * 100.0 ** 0.75, params)
-        assert rep.delay_over_duration == pytest.approx(2.9735401935879519,
-                                                        rel=1e-10)
+        assert rep.spectral_margin == pytest.approx(0.6 * 100.0 ** 0.25,
+                                                    rel=1e-14)
+        assert rep.temporal_margin == pytest.approx(100.0 ** 0.25 / 0.6,
+                                                    rel=1e-14)
 
     def test_low_opacity_flag(self):
+        # at a0 L = d0 T = 1 neither confinement condition holds
         params = MediumParams.reduced(1.0)
-        assert not confinement_report(1.0, params).opacity_ok
+        rep = confinement_report(1.0, params)
+        assert rep.spectral_margin == rep.temporal_margin == 1.0

@@ -121,9 +121,25 @@ def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
     return params, 0.5 * params.delta0 * elapsed[keep]
 
 
-def tabulated_gaussian_hole():
-    x = np.linspace(-8, 8, 321)
+def tabulated_gaussian_hole(knots=321, reach=8.0):
+    x = np.linspace(-reach, reach, knots)
     return HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
+
+
+def step_edged_hole():
+    """A tabulated hole whose deficit 1 - g jumps at the sampled edge."""
+    x = np.linspace(-3.0, 3.0, 61)
+    return HoleProfile.tabulated(x, np.where(np.abs(x) < 1.5, 0.0, 1.0))
+
+
+def reference_deficit_kernel(profile, delta0, sigma):
+    """Direct trapezoid transform of 1 - g on 4097 detunings of the sampled
+    support (the defining sum, evaluated at every sigma)."""
+    lo, hi = profile.sample_range(delta0) if hasattr(profile, "sample_range") \
+        else (-8.0 * delta0, 8.0 * delta0)
+    u = np.linspace(lo, hi, 4097)
+    h = 1.0 - np.asarray(profile(u, delta0), dtype=float)
+    return np.trapezoid(np.cos(np.outer(sigma, u / delta0)) * h, u, axis=-1)
 
 
 class TestStorageSchedule:
@@ -172,6 +188,36 @@ class TestKappa:
         for x in (0.1, 0.5, 1.0, 2.0, 5.0):
             assert kappa_quadrature(x, prof, params) == pytest.approx(
                 kappa(x), abs=1e-6)
+        # an array in, one value per sample out; a scalar gives a float,
+        # and x = 0 (no delay) gives exactly 0
+        grid = np.array([[0.0, 0.1, 0.5], [1.0, 2.0, 5.0]])
+        arr = kappa_quadrature(grid, prof, params)
+        assert arr.shape == grid.shape and arr[0, 0] == 0.0
+        np.testing.assert_allclose(arr, kappa(grid), rtol=0, atol=1e-6)
+        for x, val in zip(grid.ravel(), arr.ravel()):
+            one = kappa_quadrature(x, prof, params)
+            assert isinstance(one, float)
+            assert abs(one - val) <= 1e-15
+        assert kappa_quadrature(0.0, prof, params) == 0.0
+
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf])
+    def test_quadrature_bad_argument_rejected(self, x):
+        with pytest.raises(DomainError):
+            kappa_quadrature(x, HoleProfile.gaussian(),
+                             MediumParams.reduced(10.0))
+
+    @pytest.mark.parametrize("delta0", [0.5, 2.0])
+    def test_quadrature_tabulated_hole_any_width(self, delta0):
+        # detuning samples are in units of the hole width, so the tabulated
+        # Gaussian is the analytic hole at every delta0 (K divided the delay
+        # by delta0 twice: kappa(5) read 3.9995 for 1.0 at delta0 = 2)
+        params = MediumParams(alpha0=10.0 / delta0, gamma_ab=0.0,
+                              delta0=delta0, length=delta0)
+        xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
+        tab = kappa_quadrature(xs, tabulated_gaussian_hole(), params)
+        ref = kappa_quadrature(xs, HoleProfile.gaussian(), params)
+        assert np.max(np.abs(tab - ref)) <= 1e-5 * np.max(np.abs(ref))
+        np.testing.assert_allclose(ref, kappa(xs), rtol=0, atol=1e-12)
 
 
 class TestBandwidthReduction:
@@ -352,6 +398,23 @@ class TestRevivalEnvelope:
         assert np.sum(np.diff(np.sign(ratio - np.mean(ratio))) != 0) >= 3
 
 
+    def test_bare_callable_hole(self):
+        # a hole given as a plain function g(delta, delta0) at infinite
+        # bandwidth takes kappa_quadrature, as the other routes accept it
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        result = retrieve(pulse, schedule, params, profile=lorentzian_hole,
+                          method="revival")
+        assert 0.0 < result.efficiency < 1.0
+        v = slow_light_velocity(params)
+        t = schedule.t_pi2 + np.array([1.0, 4.0])
+        frozen = transmitted_gaussian(params.length - v * (t - schedule.t_pi2),
+                                      schedule.t_pi1, pulse.duration, params)
+        kap = kappa_quadrature(0.5 * (t - schedule.t_pi2), lorentzian_hole,
+                               params)
+        got = revival_envelope(t, pulse, schedule, params,
+                               profile=lorentzian_hole)
+        np.testing.assert_allclose(got, frozen * kap, rtol=1e-14)
+
     def test_finite_bandwidth_one_kernel_call(self, monkeypatch):
         # every in-depth sample goes to kappa_finite_bandwidth in one call
         params, pulse, schedule = reduced_setup(25.0, 10.0)
@@ -431,6 +494,20 @@ class TestRestoredFieldFull:
                                 params)
         b = restored_field_full(t, pulse, schedule, tab, params)
         assert b == pytest.approx(a, rel=1e-3)
+
+    @pytest.mark.parametrize("delta0", [0.5, 2.0])
+    def test_tabulated_hole_any_width(self, delta0):
+        # the tabulated Gaussian hole against the analytic one away from
+        # delta0 = 1 (at delta0 = 2 they stood 2.9 of peak apart)
+        params = MediumParams(alpha0=25.0 / delta0, gamma_ab=0.0,
+                              delta0=delta0, length=delta0)
+        pulse, schedule = default_schedule(params)
+        t = retrieval_grid(pulse, schedule, params)[::8]
+        ref = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
+                                  params)
+        tab = restored_field_full(t, pulse, schedule,
+                                  tabulated_gaussian_hole(), params)
+        assert np.max(np.abs(tab - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("gamma, tabulated", [
         (0.0, False), (0.05, False), (0.0, True)],
@@ -544,13 +621,14 @@ class TestRestoredFieldFull:
 
 
 def test_tabulated_kernel_memory_bound():
-    # the sigma x 4097 cosine table is built in row blocks of 255 rows (in
-    # one piece, 3000 sigma values trace ~290 MB); each row is the number
-    # a one-row call gives, across the block edges too
-    kern = _deficit_kernel(tabulated_gaussian_hole(), 1.0)
+    # the cosine table is built at the Chebyshev points only (at most
+    # 129 x 4097 here), never at the sigma values asked for, so building
+    # the kernel and evaluating it at 3000 sigma values stays small; each
+    # value of an array call is the number a scalar call gives
     sigma = np.linspace(0.0, 28.0, 3000)
     tracemalloc.start()
     try:
+        kern = _deficit_kernel(tabulated_gaussian_hole(), 1.0)
         vals = kern(sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -558,6 +636,59 @@ def test_tabulated_kernel_memory_bound():
     assert peak < 64 * 2 ** 20
     picks = [0, 254, 255, 256, 1500, 2999]
     assert vals[picks].tolist() == [kern(sigma[i]) for i in picks]
+
+
+class TestDeficitKernelSeries:
+    HOLES = {"tabulated-121": lambda: tabulated_gaussian_hole(121, 6.0),
+             "step-edged": step_edged_hole,
+             "callable": lambda: lorentzian_hole}
+
+    @pytest.mark.parametrize("hole", sorted(HOLES))
+    def test_matches_direct_transform(self, hole):
+        # the series against the defining trapezoid sum over the whole
+        # reach [0, SIGMA_MAX]
+        prof = self.HOLES[hole]()
+        sigma = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
+        ref = reference_deficit_kernel(prof, 1.0, sigma)
+        got = _deficit_kernel(prof, 1.0)(sigma)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta0", [0.5, 2.0])
+    def test_reduced_delay_scaling(self, delta0):
+        # K(sigma) / delta0 does not depend on the hole width
+        prof = tabulated_gaussian_hole(121, 6.0)
+        sigma = np.linspace(0.0, 28.0, 57)
+        one = _deficit_kernel(prof, 1.0)(sigma)
+        got = _deficit_kernel(prof, delta0)(sigma) / delta0
+        assert np.max(np.abs(got - one)) <= 1e-13 * np.max(np.abs(one))
+        np.testing.assert_allclose(
+            got, reference_deficit_kernel(prof, delta0, sigma) / delta0,
+            rtol=0, atol=1e-12 * np.max(np.abs(one)))
+
+    def test_uniform_hole_has_zero_kernel(self):
+        kern = _deficit_kernel(HoleProfile.uniform(), 1.0)
+        assert np.all(kern(np.linspace(0.0, 28.0, 29)) == 0.0)
+        params = MediumParams.reduced(10.0)
+        assert np.all(kappa_quadrature([0.5, 3.0], HoleProfile.uniform(),
+                                       params) == 0.0)
+
+    def test_degree_cap(self, monkeypatch):
+        # the Lorentzian hole's kernel needs degree 256
+        monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 128)
+        with pytest.raises(NumericsError):
+            _deficit_kernel(lorentzian_hole, 1.0)
+        with pytest.raises(NumericsError):
+            kappa_quadrature(1.0, lorentzian_hole, MediumParams.reduced(10.0))
+        monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 256)
+        assert math.isfinite(kappa_quadrature(1.0, lorentzian_hole,
+                                              MediumParams.reduced(10.0)))
+
+    def test_nan_hole_is_numerical_failure(self):
+        def nan_hole(delta, delta0):
+            return np.where(np.abs(delta) < delta0, np.nan, 1.0)
+
+        with pytest.raises(NumericsError):
+            _deficit_kernel(nan_hole, 1.0)
 
 
 class TestAppendixSeries:
@@ -733,6 +864,29 @@ def test_gl_keeps_every_rule_size():
     after = holeburn.storage._gl.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + len(sizes)
+
+
+def test_tabulated_hole_leaves_integrate_unloaded(fresh_python):
+    # the revival factor and the full quadrature integrate the kernel's
+    # Chebyshev series: scipy.integrate is never imported for them
+    code = """
+import sys
+import numpy as np
+from holeburn.medium import HoleProfile, MediumParams
+from holeburn.storage import (default_schedule, kappa_quadrature,
+                              restored_field_full, retrieve)
+x = np.linspace(-6.0, 6.0, 121)
+hole = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
+params = MediumParams.reduced(25.0)
+pulse, schedule = default_schedule(params)
+kappa_quadrature([0.5, 1.0], hole, params)
+retrieve(pulse, schedule, params, profile=hole, method="revival")
+restored_field_full(schedule.t_pi2 + np.array([3.0, 20.0]), pulse, schedule,
+                    hole, params)
+sys.exit("scipy.integrate" in sys.modules)
+"""
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 def test_import_leaves_sympy_out(fresh_python):
