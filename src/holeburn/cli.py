@@ -3,7 +3,8 @@
 Scenarios are JSON files holding only dimensionless groups (``alpha0_L``,
 ``delta0_T`` or ``b``, ``gamma_over_delta0``, ``v_over_c``,
 ``delta1_over_delta0``, ``tpi1_rule``); everything downstream runs in
-reduced units (alpha0 = delta0 = 1).  Subcommands:
+reduced units (alpha0 = delta0 = 1, see ``medium``), so ``delta0_T`` is
+the pulse duration itself.  Subcommands:
 
 ``transmit``
     Propagate a gaussian pulse through the slab and emit, per duration,
@@ -285,25 +286,23 @@ class Scenario:
     def pulse_and_schedule(self, params):
         """Build (PulseSpec, StorageSchedule) for one panel.
 
-        T = delta0_T / delta0, or b (alpha0 L)^(3/4) / delta0 under the
-        matched schedule (``storage.default_schedule``); t_pi1 is the
-        ``tpi1_rule`` fraction of the transit time L/v (one half for
-        "half-transit"), and t_pi2 follows after ``hold_times_delta0``.
+        T = delta0_T, or b (alpha0 L)^(3/4) under the matched schedule
+        (``storage.default_schedule``); t_pi1 is the ``tpi1_rule`` fraction
+        of the transit time L/v (one half for "half-transit"), and t_pi2
+        follows after ``hold_times_delta0``.
         """
-        d0 = params.delta0
         if self.b is not None:
-            duration = self.b * params.opacity ** 0.75 / d0
+            duration = self.b * params.opacity ** 0.75
         else:
-            duration = self.delta0_T / d0
+            duration = self.delta0_T
         pulse = PulseSpec(duration=duration)
         fraction = (0.5 if self.tpi1_rule == "half-transit"
                     else float(self.tpi1_rule))
         t_pi1 = fraction * (params.length / slow_light_velocity(params))
         delta1 = (math.inf if self.delta1_over_delta0 is None
-                  else self.delta1_over_delta0 * d0)
+                  else self.delta1_over_delta0)
         return pulse, StorageSchedule(
-            t_pi1=t_pi1, t_pi2=t_pi1 + self.hold_times_delta0 / d0,
-            delta1=delta1)
+            t_pi1=t_pi1, t_pi2=t_pi1 + self.hold_times_delta0, delta1=delta1)
 
 
 PRESETS = {
@@ -488,13 +487,12 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
     written = []
     for dT in durations:
         tag = f"transmit_dT{_num(dT)}"
+        pulse = PulseSpec(duration=float(dT))
         if alpha0_L == 0.0:
-            pulse = PulseSpec(duration=float(dT))
             env = _free_space_grid(pulse)
             outputs = {"input": env, "exact": env, "second_order": env}
         else:
             params = scenario.params_for(alpha0_L)
-            pulse = PulseSpec(duration=float(dT) / params.delta0)
             env = auto_grid(pulse, params)
             outputs = {
                 "input": env,
@@ -554,14 +552,14 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
         "method": result.method, "eta": result.efficiency,
         "params": asdict(params), "validity": result.validity,
         "alpha0_L": alpha0_L,
-        "delta0_T": params.delta0 * pulse.duration,
+        "delta0_T": pulse.duration,
         "T": pulse.duration,
         "T_s": float(stretched_duration(params.length, pulse.duration,
                                         params)),
         "t_pi1": schedule.t_pi1,
         "t_pi2": schedule.t_pi2,
         "delta1_over_delta0": (None if schedule.infinite_bandwidth
-                               else schedule.delta1 / params.delta0),
+                               else schedule.delta1),
         "warnings": _regime_warnings(scenario.method, result.validity),
     }
 
@@ -616,7 +614,7 @@ def _sweep_point(args):
                     "efficiency not converged: doubling the quadrature "
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
-        return (alpha0_L, params.delta0 * pulse.duration, eta, None,
+        return (alpha0_L, pulse.duration, eta, None,
                 _regime_warnings(scenario.method, result.validity))
     except NumericsError as exc:
         failure = {"message": f"numerical failure: {exc}",
@@ -624,7 +622,7 @@ def _sweep_point(args):
                    else float(exc.residual)}
     except (ConfigurationError, PreconditionError, DomainError) as exc:
         failure = {"message": str(exc)}
-    return alpha0_L, params.delta0 * pulse.duration, math.nan, failure, []
+    return alpha0_L, pulse.duration, math.nan, failure, []
 
 
 def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):

@@ -1,8 +1,8 @@
 """Medium description and linear-susceptibility models.
 
-The absorber is an inhomogeneously broadened line with a spectral hole of
-width ``delta0`` around the carrier.  Three susceptibility models are
-provided, all returning the dimensionless value chi_hat such that
+The absorber is an inhomogeneously broadened line with a spectral hole
+around the carrier.  Three susceptibility models are provided, all
+returning the dimensionless value chi_hat such that
 chi = (alpha0 / k) * chi_hat:
 
 * ``chi_exact_gaussian``  -- closed form for the Gaussian hole
@@ -14,9 +14,12 @@ chi = (alpha0 / k) * chi_hat:
 
 plus the absorption-coefficient and inverse-group-velocity integrals.
 
-Internally everything is expressed in reduced units: frequencies in delta0,
-lengths in 1/alpha0, so scenarios are fully specified by the dimensionless
-groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
+Everything is in reduced units.  Detunings, frequencies and gamma_ab are
+in units of the hole width delta0 and times in units of 1/delta0, so the
+hole has unit width and delta0 appears nowhere.  Lengths are in units set
+by alpha0: ``MediumParams.reduced`` takes alpha0 = 1, so the slab length is
+alpha0 L.  A run is then fixed by the dimensionless groups (alpha0 L,
+delta0 T, gamma_ab/delta0, v/c).
 
 ``scipy.integrate`` and ``scipy.interpolate`` are imported on first use:
 the first by ``_quad``, the package's one adaptive-quadrature helper, the
@@ -40,8 +43,7 @@ class MediumParams:
     """Physical constants of the absorbing slab.
 
     alpha0   : background absorption outside the hole (inverse length)
-    gamma_ab : homogeneous half-width (angular frequency)
-    delta0   : hole width (angular frequency)
+    gamma_ab : homogeneous half-width, in hole widths
     length   : slab length
     inv_c    : 1/c; the default 0 selects the infinite-c limit used by the
                reference figures
@@ -49,20 +51,19 @@ class MediumParams:
 
     alpha0: float
     gamma_ab: float
-    delta0: float
     length: float
     inv_c: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha0 > 0 and self.delta0 > 0 and self.length > 0):
-            raise ValueError("alpha0, delta0 and length must be strictly positive")
+        if not (self.alpha0 > 0 and self.length > 0):
+            raise ValueError("alpha0 and length must be strictly positive")
         if self.gamma_ab < 0 or self.inv_c < 0:
             raise ValueError("gamma_ab and inv_c must be non-negative")
 
     @property
     def narrow_homogeneous(self) -> bool:
         """True when gamma_ab << delta0 (threshold 1%)."""
-        return self.gamma_ab < 0.01 * self.delta0
+        return self.gamma_ab < 0.01
 
     @property
     def opacity(self) -> float:
@@ -70,33 +71,32 @@ class MediumParams:
 
     @classmethod
     def reduced(cls, alpha0_L, gamma_over_delta0=0.0, v_over_c=0.0):
-        """Build params in reduced units (alpha0 = delta0 = 1).
+        """Build params at alpha0 = 1, so that the length is alpha0 L.
 
         ``v_over_c`` fixes 1/c from the Gaussian-hole slow-light velocity
-        1/v = 1/c + alpha0/(sqrt(pi) delta0).
+        1/v = 1/c + alpha0/sqrt(pi).
         """
         if not 0.0 <= v_over_c < 1.0:
             raise ValueError("v_over_c must lie in [0, 1)")
         inv_c = v_over_c / (1.0 - v_over_c) / SQRT_PI
-        return cls(alpha0=1.0, gamma_ab=gamma_over_delta0, delta0=1.0,
+        return cls(alpha0=1.0, gamma_ab=gamma_over_delta0,
                    length=float(alpha0_L), inv_c=inv_c)
 
 
 def slow_light_velocity(params: MediumParams) -> float:
     """Gaussian-hole group velocity in the narrow-line limit.
 
-    1/v = 1/c + alpha0 / (sqrt(pi) delta0); the general quadrature lives in
+    1/v = 1/c + alpha0 / sqrt(pi); the general quadrature lives in
     :func:`inverse_group_velocity`.
     """
-    return 1.0 / (params.inv_c + params.alpha0 / (SQRT_PI * params.delta0))
+    return 1.0 / (params.inv_c + params.alpha0 / SQRT_PI)
 
 
 @dataclass(frozen=True)
 class HoleProfile:
     """Normalized inhomogeneous distribution g(Delta) in [0, 1].
 
-    ``gaussian`` means g = 1 - exp(-Delta^2/delta0^2) exactly (unit hole
-    width; callers scale detunings by their delta0).  ``tabulated`` holds
+    ``gaussian`` means g = 1 - exp(-Delta^2) exactly.  ``tabulated`` holds
     samples interpolated by a cubic spline, with g == 1 assumed beyond the
     sampled range.  ``uniform`` is the no-hole background g == 1 used for
     flat-line limits.
@@ -139,9 +139,9 @@ class HoleProfile:
     def tabulated(cls, detunings, g_values):
         return cls(kind="tabulated", detuning_samples=detunings, g_values=g_values)
 
-    def __call__(self, delta, delta0=1.0):
-        """g at physical detuning ``delta`` for hole width ``delta0``."""
-        x = np.asarray(delta, dtype=float) / delta0
+    def __call__(self, delta):
+        """g at detuning ``delta``."""
+        x = np.asarray(delta, dtype=float)
         if self.kind == "gaussian":
             out = 1.0 - np.exp(-x * x)
         elif self.kind == "uniform":
@@ -152,27 +152,27 @@ class HoleProfile:
                            1.0, out)
         return out if out.ndim else float(out)
 
-    def deficit(self, delta, delta0=1.0):
+    def deficit(self, delta):
         """1 - g, the hole deficit; decays to zero away from the hole."""
-        return 1.0 - self(delta, delta0)
+        return 1.0 - self(delta)
 
-    def second_derivative(self, delta, delta0=1.0):
-        """d^2 g / d Delta^2 at physical detuning (spline for tabulated)."""
-        x = np.asarray(delta, dtype=float) / delta0
+    def second_derivative(self, delta):
+        """d^2 g / d Delta^2 (spline for tabulated)."""
+        x = np.asarray(delta, dtype=float)
         if self.kind == "gaussian":
-            out = (2.0 - 4.0 * x * x) * np.exp(-x * x) / delta0**2
+            out = (2.0 - 4.0 * x * x) * np.exp(-x * x)
         elif self.kind == "uniform":
             out = np.zeros_like(x)
         else:
-            out = self._spline(x, 2) / delta0**2
+            out = self._spline(x, 2)
             out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
                            0.0, out)
         return out if out.ndim else float(out)
 
-    def sample_range(self, delta0=1.0):
+    def sample_range(self):
         if self.kind == "tabulated":
-            return self.detuning_samples[0] * delta0, self.detuning_samples[-1] * delta0
-        return -8.0 * delta0, 8.0 * delta0
+            return self.detuning_samples[0], self.detuning_samples[-1]
+        return -8.0, 8.0
 
 
 def _profile_g(profile):
@@ -182,18 +182,19 @@ def _profile_g(profile):
     ``kind``, ``deficit`` and ``second_derivative`` and so need a
     :class:`HoleProfile`; the time-domain oracle and the storage routes
     (revival factors, full quadrature) also accept a bare callable
-    g(delta, delta0).
+    g(delta).  Detunings are in hole widths throughout, as in
+    :class:`HoleProfile`.
     """
     if profile is None:
         return HoleProfile.gaussian()
     return profile
 
 
-def _scalar_deficit(profile: HoleProfile, d0):
+def _scalar_deficit(profile: HoleProfile):
     """Plain-float 1 - g(u) for the quadrature integrands."""
     if profile.kind == "gaussian":
-        return lambda u: math.exp(-(u / d0) ** 2)
-    return lambda u: float(profile.deficit(u, d0))
+        return lambda u: math.exp(-u ** 2)
+    return lambda u: float(profile.deficit(u))
 
 
 def _quad(func, a, b, epsabs, epsrel, points=None):
@@ -215,14 +216,14 @@ def _quad(func, a, b, epsabs, epsrel, points=None):
 def chi_exact_gaussian(omega_offset, params: MediumParams):
     """Closed-form Gaussian-hole susceptibility (units alpha0/k).
 
-    chi_hat(Omega) = -i (1 - exp(-Omega^2/delta0^2)) + (2/sqrt(pi)) F(Omega/delta0)
+    chi_hat(Omega) = -i (1 - exp(-Omega^2)) + (2/sqrt(pi)) F(Omega)
     Requires the narrow-homogeneous regime gamma_ab << delta0.
     """
     if not params.narrow_homogeneous:
         raise PreconditionError(
             "chi_exact_gaussian assumes gamma_ab << delta0 "
-            f"(gamma_ab/delta0 = {params.gamma_ab / params.delta0:.3g})")
-    x = np.asarray(omega_offset, dtype=float) / params.delta0
+            f"(gamma_ab/delta0 = {params.gamma_ab:.3g})")
+    x = np.asarray(omega_offset, dtype=float)
     with np.errstate(over="ignore"):  # x^2 = inf far out: exp(-x^2) = 0
         out = (2.0 / SQRT_PI) * dawson(x) - 1j * (1.0 - np.exp(-x * x))
     return out if np.ndim(omega_offset) else complex(out)
@@ -230,7 +231,7 @@ def chi_exact_gaussian(omega_offset, params: MediumParams):
 
 def chi_second_order(omega_offset, params: MediumParams):
     """Second-order expansion of the hole-center susceptibility (units alpha0/k)."""
-    x = np.asarray(omega_offset, dtype=float) / params.delta0
+    x = np.asarray(omega_offset, dtype=float)
     out = (2.0 / SQRT_PI) * x - 1j * x * x
     return out if np.ndim(omega_offset) else complex(out)
 
@@ -252,23 +253,23 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
     """
     profile = _profile_g(profile)
     omega = float(omega_offset)
-    d0, gamma = params.delta0, params.gamma_ab
-    window = 50.0 * max(d0, gamma, abs(omega))
+    gamma = params.gamma_ab
+    window = 50.0 * max(1.0, gamma, abs(omega))
 
     if profile.kind == "uniform":
         return complex(0.0, -1.0)
 
-    deficit = _scalar_deficit(profile, d0)
+    deficit = _scalar_deficit(profile)
     h_at = deficit(omega)
     gamma2 = gamma * gamma
 
     def real_part(u):
         v = u - omega
-        return (deficit(u) - h_at * math.exp(-(v / d0) ** 2)) * v / (v * v + gamma2)
+        return (deficit(u) - h_at * math.exp(-v ** 2)) * v / (v * v + gamma2)
 
     def imag_part(u):
         v = u - omega
-        return -(deficit(u) - h_at * math.exp(-(v / d0) ** 2)) * gamma / (v * v + gamma2)
+        return -(deficit(u) - h_at * math.exp(-v ** 2)) * gamma / (v * v + gamma2)
 
     a, b = omega - window, omega + window
     re, err = _quad(real_part, a, b, tol, tol, points=[omega])
@@ -278,7 +279,7 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
         err = max(err, im_err)
     if err > 1e-6:
         raise NumericsError("susceptibility quadrature did not converge", residual=err)
-    return complex(-re / np.pi, (h_at * erfcx(gamma / d0) - 1.0) - im / np.pi)
+    return complex(-re / np.pi, (h_at * erfcx(gamma) - 1.0) - im / np.pi)
 
 
 def absorption_coefficient(omega_offset, profile, params: MediumParams):
@@ -290,26 +291,26 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
     """
     profile = _profile_g(profile)
     omega = float(omega_offset)
-    d0, gamma = params.delta0, params.gamma_ab
+    gamma = params.gamma_ab
 
     if gamma == 0.0:
-        g0 = float(profile(0.0, d0))
+        g0 = float(profile(0.0))
         if g0 > 1e-9:
             raise NumericsError(
                 "gamma_ab = 0 with a profile not vanishing at the hole center "
                 "makes the Lorentzian integral singular")
         term1 = 0.0
-        term2 = float(profile.second_derivative(0.0, d0))
+        term2 = float(profile.second_derivative(0.0))
     else:
         # substitution Delta = gamma tan(psi) turns the Lorentzian weight into
         # a flat measure: integral f L dDelta = (1/pi) integral f(gamma tan psi) dpsi
         half = np.pi / 2.0
         deficit, e1 = _quad(
-            lambda psi: profile.deficit(gamma * np.tan(psi), d0) / np.pi,
+            lambda psi: profile.deficit(gamma * np.tan(psi)) / np.pi,
             -half, half, 1e-12, 1e-10)
         term1 = 1.0 - deficit
         term2, e2 = _quad(
-            lambda psi: profile.second_derivative(gamma * np.tan(psi), d0) / np.pi,
+            lambda psi: profile.second_derivative(gamma * np.tan(psi)) / np.pi,
             -half, half, 1e-12, 1e-10)
         if max(e1, e2) > 1e-7:
             raise NumericsError("absorption quadrature did not converge",
@@ -320,14 +321,13 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
 def inverse_group_velocity(profile, params: MediumParams):
     """1/v = 1/c + (alpha0 / 2 pi) * integral g(Delta) Delta^2/(Delta^2+gamma^2)^2 dDelta."""
     profile = _profile_g(profile)
-    d0, gamma = params.delta0, params.gamma_ab
-    window = 50.0 * max(d0, gamma)
+    gamma = params.gamma_ab
+    window = 50.0 * max(1.0, gamma)
 
+    # QUADPACK never evaluates the break point t = 0, where the integrand
+    # reads 0/0 at gamma = 0
     def integrand(t):
-        if t == 0.0 and gamma == 0.0:
-            lim = profile.second_derivative(0.0, d0) / 2.0
-            return float(lim)
-        return profile(t, d0) * t * t / (t * t + gamma * gamma) ** 2
+        return profile(t) * t * t / (t * t + gamma * gamma) ** 2
 
     val, err = _quad(integrand, -window, window, 1e-13, 1e-11, points=[0.0])
     if err > 1e-7:
@@ -337,7 +337,7 @@ def inverse_group_velocity(profile, params: MediumParams):
         tail = 2.0 / window
     else:
         tail = (np.pi / 2.0 - np.arctan(window / gamma)) / gamma + window / (window**2 + gamma**2)
-    g_edge = 0.5 * (float(profile(window, d0)) + float(profile(-window, d0)))
+    g_edge = 0.5 * (float(profile(window)) + float(profile(-window)))
     val += g_edge * tail
     return params.inv_c + params.alpha0 * val / (2.0 * np.pi)
 

@@ -8,10 +8,14 @@ coherence is the causal convolution
     sigma(Delta; z, t) = -(i/2) * integral_0^inf A(z, t - tau)
                           e^{(i Delta - gamma_ab) tau} dtau
 
-(normalized units, dipole moment folded into the field), and the envelope
-obeys
+(reduced units: detunings in hole widths, times in 1/delta0, dipole
+moment folded into the field), and the envelope obeys
 
     dA/dz = -(1/c) dA/dt - i (alpha0 / pi) * integral dDelta g(Delta) sigma.
+
+The medium is time-invariant, so in the retarded time t - z/c the 1/c term
+drops out exactly: the march runs at c = infinity and the exit field is
+delayed by L/c in one step.
 
 Small instances only; the production path is propagation.propagate.
 """
@@ -70,22 +74,22 @@ def adiabatic_uv(delta, amplitude, time_derivative):
     return -amplitude / delta, -time_derivative / delta ** 2
 
 
-def detuning_grid(n_atoms, params: MediumParams):
+def detuning_grid(n_atoms):
     """Detuning nodes and weights, clustered where the hole edge dominates.
 
-    Nodes Delta = delta0 tan(theta) with theta uniform put about half of
-    them inside |Delta| < delta0 while the weights delta0 sec^2(theta)
-    dtheta keep the flat far wings integrable out to 4000 delta0.  The
-    far wings contribute to the dispersion slope as 1/span, so the span
-    must stay large even though the hole structure ends at a few delta0.
+    Nodes Delta = tan(theta) with theta uniform put about half of them
+    inside the hole, |Delta| < 1, while the weights sec^2(theta) dtheta
+    keep the flat far wings integrable out to 4000 hole widths.  The far
+    wings contribute to the dispersion slope as 1/span, so the span must
+    stay large even though the hole structure ends at a few hole widths.
     """
     if n_atoms < 8:
         raise ConfigurationError("need at least 8 detuning classes")
     theta_max = np.arctan(4000.0)
     dtheta = 2.0 * theta_max / n_atoms
     theta = -theta_max + dtheta * (np.arange(n_atoms) + 0.5)
-    nodes = params.delta0 * np.tan(theta)
-    weights = params.delta0 * dtheta / np.cos(theta) ** 2
+    nodes = np.tan(theta)
+    weights = dtheta / np.cos(theta) ** 2
     return nodes, weights
 
 
@@ -133,8 +137,8 @@ class TransitDiagnostics:
     """Energy bookkeeping of one co-integration run.
 
     ``tank_energy`` is the coherence sum (2 alpha0 / pi) integral dz
-    integral dDelta g |sigma|^2 evaluated at the final grid time; for a
-    lossless transit it matches the field-energy deficit.
+    integral dDelta g |sigma|^2 evaluated at the final retarded grid time
+    (t - z/c); for a lossless transit it matches the field-energy deficit.
     """
 
     energy_in: float
@@ -146,17 +150,19 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
                           n_atoms=256, n_steps=None, energy_probe=False):
     """March the envelope through depth z with explicit atomic coherences.
 
-    First-order (Euler) in z; the per-step coherence is the exact discrete
-    convolution of the current envelope with each class's free-evolution
-    kernel, evaluated with one FFT per step by summing the kernels over
-    the detuning grid first.  Raises a configuration error when the z step
-    violates dz * alpha0 <= MAX_STEP_OPACITY.
+    First-order (Euler) in z, in retarded time t - z/c; the per-step
+    coherence is the exact discrete convolution of the current envelope
+    with each class's free-evolution kernel, evaluated with one FFT per
+    step by summing the kernels over the detuning grid first.  The exit
+    field is then delayed by z/c on the grid's spectrum.  Raises a
+    configuration error when the z step violates
+    dz * alpha0 <= MAX_STEP_OPACITY.
 
     With ``energy_probe`` the time-reversed field entering every step is
     kept (in blocks of at most ``n_atoms`` steps, so the extra memory never
     exceeds the kernel matrix) and contracted with all class kernels in one
     matrix product per block; the per-step coherence energies at the final
-    grid time are summed into ``tank_energy`` in step order.
+    retarded grid time are summed into ``tank_energy`` in step order.
     """
     if n_atoms > 512:
         raise ConfigurationError("oracle instances are capped at 512 detunings")
@@ -170,19 +176,13 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
             f"z step too coarse: dz * alpha0 = {dz * params.alpha0:.3f} "
             f"> {MAX_STEP_OPACITY}")
 
-    nodes, weights = detuning_grid(n_atoms, params)
-    gvals = np.asarray(g(nodes, params.delta0), dtype=float)
+    nodes, weights = detuning_grid(n_atoms)
+    gvals = np.asarray(g(nodes), dtype=float)
 
     n = env.n
-    tau = env.dt * np.arange(n)
     kernels = _filon_kernels(nodes, params.gamma_ab, env.dt, n)
     combined = np.einsum("k,k,kj->j", weights, gvals, kernels)
     combined_f = np.fft.fft(combined, 2 * n)
-
-    shift = None
-    if params.inv_c > 0:
-        omega = 2.0 * np.pi * np.fft.fftfreq(n, d=env.dt)
-        shift = np.exp(-1j * omega * dz * params.inv_c)
 
     a = env.samples.astype(complex)
     energy_in = env.energy()
@@ -205,8 +205,9 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
         source = np.fft.ifft(np.fft.fft(a, 2 * n) * combined_f)[:n]
         sigma_sum = -0.5j * source
         a = a + dz * (-1j * params.alpha0 / np.pi) * sigma_sum
-        if shift is not None:
-            a = np.fft.ifft(np.fft.fft(a) * shift)
+    if params.inv_c > 0:
+        delay = np.exp(-1j * env.omega * z * params.inv_c)
+        a = np.fft.ifft(np.fft.fft(a) * delay)
     out = env.with_samples(a)
     if energy_probe:
         return out, TransitDiagnostics(energy_in=energy_in,

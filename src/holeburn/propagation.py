@@ -79,35 +79,35 @@ class SampledEnvelope:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian input pulse A(0, t) = peak * exp(-(t - center)^2 / (2 T^2))."""
+    """Gaussian input pulse of unit peak.
+
+    A(0, t) = exp(-(t - center)^2 / (2 T^2)).  The model is linear, so a
+    peak would only scale every field; efficiencies do not depend on it.
+    """
 
     duration: float
-    peak: float = 1.0
     center_time: float = 0.0
-    shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.shape != "gaussian":
-            raise ConfigurationError(f"unsupported pulse shape {self.shape!r}")
         if not self.duration > 0:
             raise ConfigurationError("pulse duration must be positive")
 
     def amplitude(self, t):
         arg = (np.asarray(t, dtype=float) - self.center_time) / self.duration
-        return self.peak * np.exp(-0.5 * arg * arg)
+        return np.exp(-0.5 * arg * arg)
 
 
 def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
     """Sample a pulse on a grid sized so delayed replicas never wrap.
 
     Window = max(8 T, 4 L/v + 8 T) for the slab length L; dt resolves the
-    hole width at ten samples per 1/delta0 (and T at eight), and the grid
+    hole at ten samples per unit time 1/delta0 (and T at eight), and the grid
     holds at least 1024 samples.  Raises a configuration error, before
     allocating, when the grid would exceed MAX_GRID_SAMPLES.
     """
     delay = params.length / slow_light_velocity(params)
     window = max(8.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
-    dt = min(0.1 / params.delta0, pulse.duration / 8.0)
+    dt = min(0.1, pulse.duration / 8.0)
     # a subnormal duration overflows window / dt to inf: over the budget
     with np.errstate(over="ignore"):
         samples = max(window / dt, 1024)
@@ -155,19 +155,18 @@ def propagate(env: SampledEnvelope, z, chi_model, params: MediumParams,
 def transmitted_gaussian(z, t, T, params: MediumParams, center_time=0.0):
     """Closed-form slowed Gaussian after distance z (second-order regime).
 
-    A(z, t) = [d0 T / sqrt(d0^2 T^2 + alpha0 z)]
-              * exp[- d0^2 (t - z/v)^2 / (2 (d0^2 T^2 + alpha0 z))]
+    A(z, t) = [T / sqrt(T^2 + alpha0 z)]
+              * exp[- (t - z/v)^2 / (2 (T^2 + alpha0 z))]
     """
-    d0 = params.delta0
     v = slow_light_velocity(params)
-    width2 = d0 * d0 * T * T + params.alpha0 * z
-    arg = d0 * (np.asarray(t, dtype=float) - center_time - z / v)
-    return d0 * T / np.sqrt(width2) * np.exp(-0.5 * arg * arg / width2)
+    width2 = T * T + params.alpha0 * z
+    arg = np.asarray(t, dtype=float) - center_time - z / v
+    return T / np.sqrt(width2) * np.exp(-0.5 * arg * arg / width2)
 
 
 def stretched_duration(z, T, params: MediumParams) -> float:
-    """Elongated pulse width T_s = T sqrt(1 + alpha0 z / (d0 T)^2)."""
-    return T * np.sqrt(1.0 + params.alpha0 * z / (params.delta0 * T) ** 2)
+    """Elongated pulse width T_s = T sqrt(1 + alpha0 z / T^2)."""
+    return T * np.sqrt(1.0 + params.alpha0 * z / T ** 2)
 
 
 def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
@@ -189,16 +188,15 @@ def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
 class ConfinementReport:
     """Diagnostics of pulse confinement inside the slab."""
 
-    spectral_margin: float   # d0 T / sqrt(alpha0 L): pulse spectrum inside hole
-    temporal_margin: float   # alpha0 L / (d0 T): pulse inside slab
+    spectral_margin: float   # T / sqrt(alpha0 L): pulse spectrum inside hole
+    temporal_margin: float   # alpha0 L / T: pulse inside slab
 
 
 def confinement_report(T, params: MediumParams) -> ConfinementReport:
-    """Evaluate the double confinement condition sqrt(a0 L) << d0 T << a0 L.
+    """Evaluate the double confinement condition sqrt(a0 L) << T << a0 L.
 
     The one definition of the two margins, which ``storage.retrieve``
     reports as validity indicators.
     """
-    d0T = params.delta0 * T
-    return ConfinementReport(spectral_margin=d0T / math.sqrt(params.opacity),
-                             temporal_margin=params.opacity / d0T)
+    return ConfinementReport(spectral_margin=T / math.sqrt(params.opacity),
+                             temporal_margin=params.opacity / T)

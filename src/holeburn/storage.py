@@ -12,10 +12,10 @@ implemented, ordered by generality:
 * ``restored_field_full``   -- double time quadrature against the analytic
   detuning kernel; the reference the other three are checked against
 
-Throughout, reduced variables are
+Times are in units of 1/delta0 and detunings in hole widths (see
+``medium``), so the reduced variables are
 
-    x = delta0 * (t_w - t_center),  y = delta0 * (t - t_r),
-    rho = delta0 * L / v,           a = alpha0 * v / delta0,
+    x = t_w - t_center,  y = t - t_r,  rho = L / v,  a = alpha0 * v,
 
 with t_w, t_r the write/read instants.  For the Gaussian hole
 a = sqrt(pi) (1 - v/c).
@@ -87,8 +87,9 @@ class StorageSchedule:
 
     t_pi1  : write instant (pulse confined in the slab)
     t_pi2  : read instant
-    delta1 : conversion half-bandwidth; atoms beyond |Delta| > delta1 are
-             never stored.  math.inf selects infinite-bandwidth operation.
+    delta1 : conversion half-bandwidth, wider than the hole (delta1 > 1);
+             atoms beyond |Delta| > delta1 are never stored.  math.inf
+             selects infinite-bandwidth operation.
     """
 
     t_pi1: float
@@ -98,33 +99,29 @@ class StorageSchedule:
     def __post_init__(self):
         if not self.t_pi2 > self.t_pi1:
             raise ConfigurationError("read instant t_pi2 must follow write instant t_pi1")
-        if not self.delta1 > 0:
-            raise ConfigurationError("conversion bandwidth delta1 must be positive")
+        if not self.delta1 > 1.0:
+            raise ConfigurationError(
+                "conversion bandwidth delta1 must exceed the hole width")
 
     @property
     def infinite_bandwidth(self) -> bool:
         return math.isinf(self.delta1)
 
-    def validate(self, params: MediumParams):
-        if not self.infinite_bandwidth and self.delta1 <= params.delta0:
-            raise ConfigurationError(
-                "finite conversion bandwidth must exceed the hole width")
-
 
 def default_schedule(params: MediumParams, b=0.6, hold=None):
     """Protocol defaults matched to the opacity.
 
-    Pulse duration T = b (alpha0 L)^(3/4) / delta0, write instant at half
+    Pulse duration T = b (alpha0 L)^(3/4), write instant at half
     transit t_pi1 = L/(2v) with the input peak crossing the entrance at
     t = 0.  ``hold`` is the storage interval t_pi2 - t_pi1 (its value is
     irrelevant to the restored field since Raman decoherence is not
     modeled); returns (PulseSpec, StorageSchedule).
     """
     v = slow_light_velocity(params)
-    T = b * params.opacity ** 0.75 / params.delta0
+    T = b * params.opacity ** 0.75
     t_pi1 = params.length / (2.0 * v)
     if hold is None:
-        hold = 10.0 / params.delta0
+        hold = 10.0
     return (PulseSpec(duration=T),
             StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + hold))
 
@@ -150,8 +147,8 @@ class RetrievalResult:
 def _reduced(params: MediumParams):
     """(v, a, rho, v/c) for the Gaussian-hole group velocity."""
     v = slow_light_velocity(params)
-    a = params.alpha0 * v / params.delta0
-    rho = params.delta0 * params.length / v
+    a = params.alpha0 * v
+    rho = params.length / v
     return v, a, rho, params.inv_c * v
 
 
@@ -175,7 +172,7 @@ def _gl_interval(n, lo, hi):
 def kappa(x, v_over_c=0.0):
     """Closed-form revival factor (1 - v/c)(1 - e^{-x^2} + x sqrt(pi) erfc(x)).
 
-    x = delta0 (t - t_pi2) / 2; monotone from 0 to (1 - v/c).
+    x = (t - t_pi2) / 2; monotone from 0 to (1 - v/c).
     """
     x = np.asarray(x, dtype=float)
     val = (1.0 - v_over_c) * (1.0 - np.exp(-x * x) + x * SQRT_PI * erfc(x))
@@ -201,50 +198,57 @@ def _chebyshev(func):
                         f"series of degree {_MAX_SERIES_DEGREE}")
 
 
-def _deficit_kernel(profile, delta0):
+def _deficit_kernel(profile):
     """K(s) = integral dDelta (1 - g) e^{i Delta s}, the stored-dipole sum.
 
-    Returns a callable of the reduced delay sigma = delta0 s on [0, SIGMA_MAX].
-    Gaussian hole: K = sqrt(pi) delta0 exp(-sigma^2/4).  Any other hole: the
-    Chebyshev series of the trapezoid sum over 4097 detunings u of the sampled
-    support, sum_u w_u (1 - g) cos(sigma u / delta0) (real part only; the tiny
-    odd-part imaginary component of an asymmetric hole is dropped).
+    Returns a callable of the delay s on [0, SIGMA_MAX].  Gaussian hole:
+    K = sqrt(pi) exp(-s^2/4).  Any other hole: the Chebyshev series of the
+    trapezoid sum over 4097 detunings u of the sampled support,
+    sum_u w_u (1 - g) cos(s u) (real part only; the tiny odd-part imaginary
+    component of an asymmetric hole is dropped).  A bare callable is
+    sampled on [-8, 8]; a NumericsError is raised when its deficit at
+    either end of that cut exceeds 1e-12, since the cut would drop it.
     """
     profile = _profile_g(profile)
     if getattr(profile, "kind", None) == "gaussian":
-        return lambda sigma: SQRT_PI * delta0 * np.exp(-0.25 * np.asarray(sigma) ** 2)
-    lo, hi = profile.sample_range(delta0) if hasattr(profile, "sample_range") \
-        else (-8.0 * delta0, 8.0 * delta0)
+        return lambda s: SQRT_PI * np.exp(-0.25 * np.asarray(s) ** 2)
+    bare = not hasattr(profile, "sample_range")
+    lo, hi = (-8.0, 8.0) if bare else profile.sample_range()
     u, du = np.linspace(lo, hi, 4097, retstep=True)
-    hw = np.asarray(1.0 - profile(u, delta0), dtype=float) * du
+    h = np.asarray(1.0 - profile(u), dtype=float)
+    edge = np.max(np.abs(h[[0, -1]]))
+    if bare and edge > 1e-12:
+        raise NumericsError(
+            f"hole deficit 1 - g reads {edge:.3g} at the cut |Delta| = 8; "
+            "pass a HoleProfile.tabulated to set the support")
+    hw = h * du
     hw[[0, -1]] *= 0.5
-    return _chebyshev(lambda sigma: np.cos(np.outer(sigma, u / delta0)) @ hw)
+    return _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
 
 
 def kappa_quadrature(x, profile, params: MediumParams):
     """Revival factor from the double time integral (independent of Eq.-28 form).
 
     kappa = (alpha0 v / 2 pi) * integral_0^inf min(s, b) K(s) e^{-gamma s} ds
-    with b = 2 x / delta0; the min(s, b) weight is the area of the
-    tau + tau' = s strip inside [0, inf) x [0, b].  In sigma = delta0 s,
-    cut at SIGMA_MAX, with beta = 2 x and m = min(beta, SIGMA_MAX):
+    with b = 2 x; the min(s, b) weight is the area of the tau + tau' = s
+    strip inside [0, inf) x [0, b].  Cut at SIGMA_MAX, with
+    m = min(b, SIGMA_MAX):
 
-        kappa = (alpha0 v / 2 pi delta0^2) [S1(m) + beta (S0(SIGMA_MAX) - S0(m))],
+        kappa = (alpha0 v / 2 pi) [S1(m) + b (S0(SIGMA_MAX) - S0(m))],
 
     S0 and S1 the integrals from 0 of the Chebyshev series W of
-    K e^{-gamma sigma/delta0} and of sigma W.  ``x`` may be an array.
+    K e^{-gamma s} and of s W.  ``x`` may be an array.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise DomainError("revival argument x must be finite and non-negative")
-    d0 = params.delta0
-    kern = _deficit_kernel(profile, d0)
-    w = _chebyshev(lambda sigma: kern(sigma) * np.exp(-params.gamma_ab / d0 * sigma))
+    kern = _deficit_kernel(profile)
+    w = _chebyshev(lambda s: kern(s) * np.exp(-params.gamma_ab * s))
     s0, s1 = w.integ(), (w * Chebyshev.identity(w.domain)).integ()
-    beta = 2.0 * x
-    m = np.minimum(beta, SIGMA_MAX)
-    val = s1(m) - s1(0.0) + beta * (s0(SIGMA_MAX) - s0(m))
-    out = params.alpha0 * slow_light_velocity(params) / (2.0 * np.pi * d0 * d0) * val
+    b = 2.0 * x
+    m = np.minimum(b, SIGMA_MAX)
+    val = s1(m) - s1(0.0) + b * (s0(SIGMA_MAX) - s0(m))
+    out = params.alpha0 * slow_light_velocity(params) / (2.0 * np.pi) * val
     return out if out.ndim else float(out)
 
 
@@ -261,7 +265,7 @@ def bandwidth_reduction_factor(y):
     return val if val.ndim else float(val)
 
 
-def _band_panels(delta1, gamma, g, d0):
+def _band_panels(delta1, gamma, g):
     """Panel ends of the finite-bandwidth rule on [-delta1, delta1].
 
     The integrand is analytic on each panel.  The band is split at 0, at
@@ -276,7 +280,7 @@ def _band_panels(delta1, gamma, g, d0):
         step *= 4.0
     ends = np.concatenate([np.negative(ends), ends])
     if getattr(g, "kind", None) == "tabulated":
-        ends = np.append(ends, g.detuning_samples * d0)
+        ends = np.append(ends, g.detuning_samples)
     return np.unique(np.clip(ends, -delta1, delta1))
 
 
@@ -285,7 +289,7 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 
     kappa_eff = -(alpha0 v / 2 pi) * integral_{|Delta|<=delta1} g(Delta)
                 Re[(1 - e^{-D b}) / D^2] dDelta,  D = gamma_ab - i Delta,
-    b = 2 x / delta0.  The sharp cutoff produces the characteristic
+    b = 2 x.  The sharp cutoff produces the characteristic
     ringing superposed on the plateau.
 
     ``x`` may be an array (a float is returned for a scalar).  Every
@@ -306,11 +310,11 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise DomainError("revival argument x must be finite and non-negative")
     g = _profile_g(profile)
-    d0, gamma = params.delta0, params.gamma_ab
+    gamma = params.gamma_ab
     v = slow_light_velocity(params)
-    b = 2.0 * x.ravel() / d0
+    b = 2.0 * x.ravel()
     b_max = b.max(initial=0.0)
-    ends = _band_panels(delta1, gamma, g, d0)
+    ends = _band_panels(delta1, gamma, g)
     counts = [40 + math.ceil(0.7 * (hi - lo) * b_max)
               for lo, hi in zip(ends[:-1], ends[1:])]
     if max(counts) > MAX_RULE_NODES:
@@ -321,14 +325,14 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     val = np.zeros(b.shape)
     for lo, hi, n in zip(ends[:-1], ends[1:], counts):
         nodes, w = _gl_interval(n, lo, hi)
-        gw = np.asarray(g(nodes, d0), dtype=float) * w
+        gw = np.asarray(g(nodes), dtype=float) * w
         dc = gamma - 1j * nodes
         rows = _RULE_BLOCK // n
         for start in range(0, b.size, rows):
             bracket = -np.expm1(-b[start:start + rows, None] * dc) / (dc * dc)
             val[start:start + rows] -= bracket.real @ gw
     if gamma == 0.0:
-        val -= np.pi * b * float(g(0.0, d0))
+        val -= np.pi * b * float(g(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
     out = params.alpha0 * v / (2.0 * np.pi) * val.reshape(x.shape)
@@ -343,7 +347,7 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
                      params: MediumParams, profile=None):
     """Early-time restored field: frozen slowed pulse times the revival factor.
 
-    A(L, t) = A_in(L - v (t - t_pi2), t_pi1) * kappa[delta0 (t - t_pi2) / 2];
+    A(L, t) = A_in(L - v (t - t_pi2), t_pi1) * kappa[(t - t_pi2) / 2];
     zero before the read instant and once the readout depth v (t - t_pi2)
     exceeds the slab.
 
@@ -352,11 +356,9 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     holes at infinite bandwidth take ``kappa_quadrature``, each in one call
     for all in-depth samples.
     """
-    schedule.validate(params)
     v, a, rho, vc = _reduced(params)
-    d0 = params.delta0
     t = np.asarray(t, dtype=float)
-    y = d0 * (t - schedule.t_pi2)
+    y = t - schedule.t_pi2
     depth = params.length - v * (t - schedule.t_pi2)
     in_depth = (y > 0) & (depth >= 0.0)
 
@@ -368,7 +370,7 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
             in_depth,
             transmitted_gaussian(np.where(in_depth, depth, 0.0),
                                  schedule.t_pi1, pulse.duration, params,
-                                 center_time=pulse.center_time) * pulse.peak,
+                                 center_time=pulse.center_time),
             0.0)
     xs = 0.5 * y
     kap = np.zeros(np.shape(xs))
@@ -385,15 +387,14 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
 
 def revival_validity(t, pulse: PulseSpec, schedule: StorageSchedule,
                      params: MediumParams):
-    """Smallness parameter delta0 min(t - t_pi2, L/v) / (delta0 T)^2.
+    """Smallness parameter min(t - t_pi2, L/v) / T^2.
 
     The product form holds where this fraction is << 1.
     """
     v = slow_light_velocity(params)
-    d0 = params.delta0
     elapsed = np.minimum(np.asarray(t, dtype=float) - schedule.t_pi2,
                          params.length / v)
-    return d0 * np.maximum(elapsed, 0.0) / (d0 * pulse.duration) ** 2
+    return np.maximum(elapsed, 0.0) / pulse.duration ** 2
 
 
 def _u_nodes(rho, dT, a, n_nodes):
@@ -437,16 +438,14 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
     half-kernel shift a/2 = sqrt(pi)(1 - v/c)/2 is the mean revival delay
     of the stored dipoles; with it the kernel agrees with the full double
     quadrature to about 1e-3 of the peak over the late window
-    delta0 (t - t_pi2) > 5.
+    t - t_pi2 > 5.
     """
-    schedule.validate(params)
     v, a, rho, vc = _reduced(params)
-    d0 = params.delta0
-    dT = d0 * pulse.duration
-    x = d0 * (schedule.t_pi1 - pulse.center_time)
-    y = d0 * (np.asarray(t, dtype=float) - schedule.t_pi2)
+    dT = pulse.duration
+    x = schedule.t_pi1 - pulse.center_time
+    y = np.asarray(t, dtype=float) - schedule.t_pi2
     beta = 0.5 * a
-    val = (1.0 - vc) * pulse.peak * _established_kernel(
+    val = (1.0 - vc) * _established_kernel(
         x - beta, y - beta, rho, dT, a, n_nodes)
     out = np.where(y > 0, val, 0.0)
     return out if np.ndim(t) else float(out)
@@ -458,10 +457,10 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     """Reference restored field: double time quadrature over the dipole memory.
 
     A(L, t) = (a / 2 pi) * integral_0^inf dp integral_0^y dq
-              ktil(p + q) e^{-gamma (p+q)/delta0} R(x - p, y - q)
+              K(p + q) e^{-gamma (p+q)} R(x - p, y - q)
 
-    where ktil is the dimensionless detuning kernel of the hole deficit
-    (sqrt(pi) e^{-(p+q)^2/4} for the Gaussian hole) and R the established
+    where K is the deficit kernel of the hole (``_deficit_kernel``;
+    sqrt(pi) e^{-(p+q)^2/4} for the Gaussian hole) and R the established
     kernel.  Both time integrals are truncated at KERNEL_RANGE.  Finite
     conversion bandwidth is not supported on this route; use
     revival_envelope for the cutoff dynamics.
@@ -473,7 +472,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     for one set of q-nodes the p-sum is contracted into
 
         M[q, u] = w_q sum_p W[p, q] F[p, u],
-        W[p, q] = ktil(p + q) e^{-gamma (p+q)/delta0},
+        W[p, q] = K(p + q) e^{-gamma (p+q)},
 
     so that A ~ sum_{q,u} G[q, u] M[q, u] with G[q, u] = g_u(y - q).
 
@@ -495,19 +494,17 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     is below e^{-U_NODE_REACH}, about 2e-22, under the 1e-21 at which
     KERNEL_RANGE already truncates the kernel.
     """
-    schedule.validate(params)
     if not schedule.infinite_bandwidth:
         raise PreconditionError(
             "full-quadrature restored field assumes infinite conversion "
             "bandwidth; model the cutoff with revival_envelope")
     v, a, rho, vc = _reduced(params)
-    d0 = params.delta0
-    dT = d0 * pulse.duration
-    x = d0 * (schedule.t_pi1 - pulse.center_time)
-    gamma_red = params.gamma_ab / d0
-    kern = _deficit_kernel(profile, d0)
+    dT = pulse.duration
+    x = schedule.t_pi1 - pulse.center_time
+    gamma = params.gamma_ab
+    kern = _deficit_kernel(profile)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    y = d0 * (t_arr.ravel() - schedule.t_pi2)
+    y = t_arr.ravel() - schedule.t_pi2
     sums = np.zeros(y.shape, dtype=float)
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
@@ -522,9 +519,9 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
             # q-nodes on [0, y_top[b]]; M[b] = (w_q W[b]^T) @ F, one GEMM
             q, wq = _gl_interval(n_pq, 0.0, y_top[:, None])
             pp = q[:, :, None] + p
-            weight = kern(pp) * (wq / d0)[:, :, None]
-            if gamma_red:  # at gamma = 0 the factor is exactly 1
-                weight *= np.exp(-gamma_red * pp)
+            weight = kern(pp) * wq[:, :, None]
+            if gamma:  # at gamma = 0 the factor is exactly 1
+                weight *= np.exp(-gamma * pp)
             m = weight.reshape(-1, n_pq) @ f
             return q, m.reshape(y_top.size, n_pq, n_u)
 
@@ -563,7 +560,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
             acc[np.isnan(y_late)] = np.nan
             sums[late] = acc
 
-    out = (a / (2.0 * np.pi) * pulse.peak * sums).reshape(t_arr.shape)
+    out = (a / (2.0 * np.pi) * sums).reshape(t_arr.shape)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -619,12 +616,10 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     """
     if order < 0 or order > 6:
         raise DomainError("series order must lie in 0..6")
-    schedule.validate(params)
     v, a, rho, vc = _reduced(params)
-    d0 = params.delta0
-    dT = d0 * pulse.duration
-    x = d0 * (schedule.t_pi1 - pulse.center_time)
-    gamma_red = params.gamma_ab / d0
+    dT = pulse.duration
+    x = schedule.t_pi1 - pulse.center_time
+    gamma = params.gamma_ab
     beta = 0.5 * a
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
@@ -632,20 +627,20 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t_arr.shape, dtype=float)
     for i, ti in enumerate(t_arr.ravel()):
-        y = d0 * (ti - schedule.t_pi2)
+        y = ti - schedule.t_pi2
         qlo = max(0.0, y - rho)
         qhi = min(y, qlo + KERNEL_RANGE)
         if y <= 0 or qhi <= qlo:
             continue
         q, wq = _gl_interval(n_pq, qlo, qhi)
         pp = p[:, None] + q[None, :]
-        weight = np.exp(-0.25 * pp * pp - gamma_red * pp)
+        weight = np.exp(-0.25 * pp * pp - gamma * pp)
         zeta0 = rho - (y - q)[None, :]
         xh = (x - p)[:, None]
         derivs = _series_derivatives(order, zeta0, xh, dT, a, rho)
         total = sum(beta ** n / math.factorial(n) * deriv
                     for n, deriv in enumerate(derivs))
-        out.ravel()[i] = (0.5 * (1.0 - vc) * pulse.peak
+        out.ravel()[i] = (0.5 * (1.0 - vc)
                           * float(np.einsum("i,j,ij->", wp, wq, weight * total)))
     return out if np.ndim(t) else float(out[0])
 
@@ -672,9 +667,9 @@ def retrieval_grid(pulse: PulseSpec, schedule: StorageSchedule,
     if n_time & (n_time - 1):
         raise ConfigurationError("n_time must be a power of two")
     v, a, rho, _ = _reduced(params)
-    dT = params.delta0 * pulse.duration
+    dT = pulse.duration
     ymax = rho + 5.0 * math.sqrt(2.0 * a * rho) + 2.0 * dT + 10.0
-    return schedule.t_pi2 + np.arange(n_time) * (ymax / n_time) / params.delta0
+    return schedule.t_pi2 + np.arange(n_time) * (ymax / n_time)
 
 
 def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
@@ -719,7 +714,7 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
             "retrieval grid truncates the restored waveform "
             f"(tail fraction {tail / total:.2e})")
 
-    eta = total / (pulse.peak ** 2 * SQRT_PI * pulse.duration)
+    eta = total / (SQRT_PI * pulse.duration)
     if eta > 1.0:
         raise NumericsError(
             f"restored energy exceeds the input energy (eta = {eta:.6g}); "
@@ -729,8 +724,7 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     validity = {
         "revival_condition_fraction": float(
             revival_validity(peak_t, pulse, schedule, params)),
-        "established_window_ok": bool(
-            params.delta0 * (peak_t - schedule.t_pi2) > 5.0),
+        "established_window_ok": bool(peak_t - schedule.t_pi2 > 5.0),
         "spectral_margin": float(confinement.spectral_margin),
         "temporal_margin": float(confinement.temporal_margin),
     }

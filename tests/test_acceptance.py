@@ -49,7 +49,7 @@ def test_criterion_1_revival_constant():
 
     params, pulse, schedule = half_transit_setup(100.0, 19.0)
     v = slow_light_velocity(params)
-    t = schedule.t_pi2 + 2.0  # x = delta0 (t - t_pi2) / 2 = 1
+    t = schedule.t_pi2 + 2.0  # x = (t - t_pi2) / 2 = 1
     full = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
                                params)
     frozen = transmitted_gaussian(params.length - 2.0 * v, schedule.t_pi1,
@@ -107,7 +107,7 @@ def test_criterion_4_group_velocity_consistency():
     params = MediumParams.reduced(10.0, gamma_over_delta0=1e-3)
     quad = inverse_group_velocity(HoleProfile.gaussian(), params)
     h = 1e-6
-    slope = 0.5 * chi_second_order(h, params).real / h  # = alpha0/(sqrt(pi) d0)
+    slope = 0.5 * chi_second_order(h, params).real / h  # = alpha0/sqrt(pi)
     rel = abs(quad - slope) / slope
     slope_ok = rel < 1e-3
 
@@ -194,10 +194,10 @@ def test_criterion_7_method_cross_agreement():
     # simple depth-slice field
     params, pulse, schedule = half_transit_setup(4.0, 20.0)
     v = slow_light_velocity(params)
-    a = params.alpha0 * v / params.delta0
-    rho = params.delta0 * params.length / v
-    dT = params.delta0 * pulse.duration
-    x = params.delta0 * schedule.t_pi1
+    a = params.alpha0 * v
+    rho = params.length / v
+    dT = pulse.duration
+    x = schedule.t_pi1
     y0 = 1.0
 
     def frozen(zeta, xh):

@@ -73,13 +73,13 @@ class TestPulseAndSchedule:
             params = scenario.params_for(alpha0_L)
             pulse, schedule = scenario.pulse_and_schedule(params)
 
-            hold = 12.5 / params.delta0
+            hold = 12.5
             transit = params.length / slow_light_velocity(params)
             if "b" in duration:
                 want, matched = default_schedule(params, b=0.6, hold=hold)
                 t_pi1 = matched.t_pi1
             else:
-                want = PulseSpec(duration=7.3 / params.delta0)
+                want = PulseSpec(duration=7.3)
                 t_pi1 = params.length / (2.0 * slow_light_velocity(params))
             if rule != "half-transit":
                 t_pi1 = rule * transit
@@ -87,7 +87,7 @@ class TestPulseAndSchedule:
             assert schedule.t_pi1 == t_pi1
             assert schedule.t_pi2 == t_pi1 + hold
             assert schedule.delta1 == (math.inf if delta1 is None
-                                       else delta1 * params.delta0)
+                                       else delta1)
 
 
 class TestPresetCommand:

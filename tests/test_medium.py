@@ -14,11 +14,12 @@ import pytest
 from scipy import integrate
 from scipy.special import wofz
 
+import holeburn.medium
 from holeburn.errors import NumericsError, PreconditionError
 from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
                              chi_exact_gaussian, chi_quadrature,
                              chi_second_order, inverse_group_velocity,
-                             slow_light_velocity)
+                             quadrature_model, slow_light_velocity)
 from holeburn.special import erfcx
 
 SQRT_PI = math.sqrt(math.pi)
@@ -26,18 +27,18 @@ SQRT_PI = math.sqrt(math.pi)
 
 def reference_chi_quadrature(omega_offset, profile, params, tol=1e-11):
     """Complex-integrand form of chi_quadrature: the regularized integrand
-    (deficit - h exp(-(v/delta0)^2)) / (v + i gamma) evaluated through the
+    (deficit - h exp(-v^2)) / (v + i gamma) evaluated through the
     profile's numpy methods, once per part."""
     omega = float(omega_offset)
-    d0, gamma = params.delta0, params.gamma_ab
-    window = 50.0 * max(d0, gamma, abs(omega))
+    gamma = params.gamma_ab
+    window = 50.0 * max(1.0, gamma, abs(omega))
     if profile.kind == "uniform":
         return complex(0.0, -1.0)
-    h_at = float(profile.deficit(omega, d0))
+    h_at = float(profile.deficit(omega))
 
     def regularized(u):
-        sub = h_at * np.exp(-((u - omega) / d0) ** 2)
-        return (profile.deficit(u, d0) - sub) / ((u - omega) + 1j * gamma)
+        sub = h_at * np.exp(-(u - omega) ** 2)
+        return (profile.deficit(u) - sub) / ((u - omega) + 1j * gamma)
 
     parts = []
     with warnings.catch_warnings():
@@ -47,7 +48,7 @@ def reference_chi_quadrature(omega_offset, profile, params, tol=1e-11):
             parts.append(integrate.quad(
                 part, omega - window, omega + window, points=[omega],
                 limit=300, epsabs=tol, epsrel=tol)[0])
-    val = complex(*parts) - 1j * np.pi * h_at * erfcx(gamma / d0)
+    val = complex(*parts) - 1j * np.pi * h_at * erfcx(gamma)
     return -1j - val / np.pi
 
 
@@ -61,16 +62,15 @@ def asymmetric_tabulated_hole():
 class TestMediumParams:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            MediumParams(alpha0=0.0, gamma_ab=0.0, delta0=1.0, length=1.0)
+            MediumParams(alpha0=0.0, gamma_ab=0.0, length=1.0)
         with pytest.raises(ValueError):
-            MediumParams(alpha0=1.0, gamma_ab=-1.0, delta0=1.0, length=1.0)
+            MediumParams(alpha0=1.0, gamma_ab=-1.0, length=1.0)
         with pytest.raises(ValueError):
-            MediumParams(alpha0=1.0, gamma_ab=0.0, delta0=1.0, length=1.0,
-                         inv_c=-0.1)
+            MediumParams(alpha0=1.0, gamma_ab=0.0, length=1.0, inv_c=-0.1)
 
     def test_reduced_units(self):
         params = MediumParams.reduced(100.0)
-        assert params.alpha0 == 1.0 and params.delta0 == 1.0
+        assert params.alpha0 == 1.0
         assert params.opacity == 100.0
         assert params.narrow_homogeneous
 
@@ -78,7 +78,7 @@ class TestMediumParams:
         assert not MediumParams.reduced(10.0, gamma_over_delta0=0.1).narrow_homogeneous
 
     def test_group_delay(self):
-        # delta0 * L / v = alpha0 L / sqrt(pi) in the infinite-c limit
+        # L / v = alpha0 L / sqrt(pi) in the infinite-c limit
         params = MediumParams.reduced(100.0)
         delay = params.length / slow_light_velocity(params)
         assert delay == pytest.approx(56.418958354775629, rel=1e-12)
@@ -253,9 +253,56 @@ class TestChiQuadrature:
             assert val.imag + (1.0 - float(tab.deficit(omega))) == 0.0
 
 
+class TestQuadratureModel:
+    # a small FFT grid: 16 frequencies in fft order, the Nyquist one negative
+    OMEGA = 2.0 * np.pi * np.fft.fftfreq(16, d=0.5)
+
+    def test_matches_chi_quadrature(self):
+        params = MediumParams.reduced(10.0, gamma_over_delta0=0.05)
+        prof = HoleProfile.gaussian()
+        got = quadrature_model(prof, params)(self.OMEGA)
+        for w, val in zip(self.OMEGA, got):
+            ref = chi_quadrature(abs(w), prof, params, tol=1e-10)
+            ref = complex(ref.real, max(ref.imag, -1.0))
+            assert val == (ref if w >= 0 else -np.conj(ref)), w
+
+    def test_one_call_per_distinct_frequency(self, monkeypatch):
+        # an asymmetric tabulated hole has no symmetry to use: each distinct
+        # frequency, negative ones included, is integrated once
+        calls = []
+
+        def fake(omega, profile, params, tol):
+            calls.append(omega)
+            return complex(omega, -0.5)
+
+        monkeypatch.setattr(holeburn.medium, "chi_quadrature", fake)
+        omega = np.append(self.OMEGA, self.OMEGA[:5])
+        model = quadrature_model(asymmetric_tabulated_hole(),
+                                 MediumParams.reduced(10.0))
+        got = model(omega)
+        assert sorted(calls) == sorted(set(self.OMEGA.tolist()))
+        np.testing.assert_array_equal(got, omega - 0.5j)
+
+    def test_absorption_clamped(self, monkeypatch):
+        # quadrature noise below Im chi = -1 is clamped to the flat
+        # background
+        monkeypatch.setattr(holeburn.medium, "chi_quadrature",
+                            lambda omega, *args, **kw: complex(0.25, -1.5))
+        got = quadrature_model(None, MediumParams.reduced(10.0))(self.OMEGA)
+        pos = self.OMEGA >= 0
+        np.testing.assert_array_equal(got[pos], 0.25 - 1.0j)
+        np.testing.assert_array_equal(got[~pos], -0.25 - 1.0j)
+
+    def test_scalar_in_complex_out(self):
+        model = quadrature_model(None, MediumParams.reduced(10.0, 0.05))
+        val = model(0.7)
+        assert type(val) is complex
+        assert val == model(np.array([0.7]))[0]
+
+
 class TestAbsorptionCoefficient:
     def test_residual_hole_center_absorption(self):
-        # alpha(omega0) ~ alpha0 * 2 gamma / (sqrt(pi) delta0)
+        # alpha(omega0) ~ alpha0 * 2 gamma / sqrt(pi)
         params = MediumParams.reduced(10.0, gamma_over_delta0=1e-3)
         val = absorption_coefficient(0.0, HoleProfile.gaussian(), params)
         assert val == pytest.approx(2e-3 / SQRT_PI, rel=2e-3)
@@ -267,7 +314,7 @@ class TestAbsorptionCoefficient:
             assert val == pytest.approx(params.alpha0, rel=1e-9)
 
     def test_quadratic_transmission_factor(self):
-        # exp(-alpha(Omega) L / 2) = exp(-alpha0 L Omega^2 / (2 delta0^2))
+        # exp(-alpha(Omega) L / 2) = exp(-alpha0 L Omega^2 / 2)
         params = MediumParams.reduced(100.0)
         for omega in (0.1, 0.2):
             val = absorption_coefficient(omega, HoleProfile.gaussian(), params)
@@ -292,10 +339,12 @@ class TestInverseGroupVelocity:
         assert val == pytest.approx(1.0 / (4.0 * params.gamma_ab), rel=1e-6)
 
     def test_monotone_in_hole_width(self):
-        # wider hole -> faster light -> smaller 1/v
+        # 1/v - 1/c scales as alpha0 / delta0: a hole w times wider is
+        # alpha0 / w at unit width, so a wider hole gives faster light and
+        # a smaller 1/v
         vals = []
-        for d0 in (0.5, 1.0, 2.0, 4.0):
-            params = MediumParams(alpha0=1.0, gamma_ab=0.0, delta0=d0,
+        for width in (0.5, 1.0, 2.0, 4.0):
+            params = MediumParams(alpha0=1.0 / width, gamma_ab=0.0,
                                   length=10.0)
             vals.append(inverse_group_velocity(HoleProfile.gaussian(), params))
         assert all(a > b for a, b in zip(vals, vals[1:]))

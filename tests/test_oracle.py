@@ -20,8 +20,8 @@ def reference_probe_march(env, z, profile, params, n_atoms, n_steps):
     """The lossless co-integration with the energy probe taken step by step:
     one kernel-matrix dot with the time-reversed field before each z step."""
     dz = z / n_steps
-    nodes, weights = detuning_grid(n_atoms, params)
-    gvals = np.asarray(profile(nodes, params.delta0), dtype=float)
+    nodes, weights = detuning_grid(n_atoms)
+    gvals = np.asarray(profile(nodes), dtype=float)
     n = env.n
     kernels = _filon_kernels(nodes, params.gamma_ab, env.dt, n)
     combined_f = np.fft.fft(np.einsum("k,k,kj->j", weights, gvals, kernels),
@@ -141,24 +141,22 @@ class TestAdiabaticUV:
 
 class TestDetuningGrid:
     def test_symmetry_and_weights(self):
-        params = MediumParams.reduced(10.0)
-        nodes, weights = detuning_grid(128, params)
+        nodes, weights = detuning_grid(128)
         np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-9)
         assert np.all(weights > 0.0)
         # about half the nodes resolve the hole region
-        assert 0.3 < np.mean(np.abs(nodes) < params.delta0) < 0.7
+        assert 0.3 < np.mean(np.abs(nodes) < 1.0) < 0.7
 
     def test_minimum_size(self):
-        params = MediumParams.reduced(10.0)
         with pytest.raises(ConfigurationError):
-            detuning_grid(4, params)
+            detuning_grid(4)
 
 
 class TestTimeDomainPropagate:
     def test_no_atoms_identity(self):
         params = MediumParams.reduced(10.0)
         env = auto_grid(PulseSpec(duration=10.0), params)
-        empty = lambda delta, delta0=1.0: np.zeros_like(
+        empty = lambda delta: np.zeros_like(
             np.asarray(delta, dtype=float))
         out = time_domain_propagate(env, params.length, empty, params,
                                     n_atoms=64)
@@ -187,27 +185,35 @@ class TestTimeDomainPropagate:
         delay = out.peak_time() - env.peak_time()
         assert delay == pytest.approx(10.0 / SQRT_PI, rel=0.05)
 
+    # v/c > 0: a march that shifted the field by dz/c at every step was
+    # unstable below 512 classes (L2 error 2.4 at v/c = 0.3, 1e11 at 0.6)
+    V_OVER_C = (0.0, 0.3, 0.6)
+
     def test_energy_tank_identity(self):
-        # field-energy deficit matches the summed coherence growth to 5%
-        params = MediumParams.reduced(10.0)
-        env = auto_grid(PulseSpec(duration=10.0), params)
-        out, diag = time_domain_propagate(env, params.length,
-                                          HoleProfile.gaussian(), params,
-                                          n_atoms=256, energy_probe=True)
-        deficit = diag.energy_in - diag.energy_out
-        assert diag.tank_energy == pytest.approx(deficit, rel=0.05)
+        # field-energy deficit matches the summed coherence growth to 5%,
+        # the probe taken in retarded time
+        for v_over_c in self.V_OVER_C:
+            params = MediumParams.reduced(10.0, v_over_c=v_over_c)
+            env = auto_grid(PulseSpec(duration=10.0), params)
+            out, diag = time_domain_propagate(env, params.length,
+                                              HoleProfile.gaussian(), params,
+                                              n_atoms=256, energy_probe=True)
+            deficit = diag.energy_in - diag.energy_out
+            assert diag.tank_energy == pytest.approx(deficit, rel=0.05), \
+                v_over_c
 
     def test_matches_spectral_propagator(self):
-        params = MediumParams.reduced(10.0)
-        env = auto_grid(PulseSpec(duration=10.0), params)
-        ref = propagate(env, params.length, exact_gaussian_model(params),
-                        params)
-        out = time_domain_propagate(env, params.length,
-                                    HoleProfile.gaussian(), params,
-                                    n_atoms=256, n_steps=200)
-        err = math.sqrt(float(np.sum(np.abs(out.samples - ref.samples) ** 2)
-                              * env.dt) / ref.energy())
-        assert err < 0.01
+        for v_over_c in self.V_OVER_C:
+            params = MediumParams.reduced(10.0, v_over_c=v_over_c)
+            env = auto_grid(PulseSpec(duration=10.0), params)
+            ref = propagate(env, params.length, exact_gaussian_model(params),
+                            params)
+            out = time_domain_propagate(env, params.length,
+                                        HoleProfile.gaussian(), params,
+                                        n_atoms=256, n_steps=200)
+            err = math.sqrt(float(np.sum(np.abs(out.samples - ref.samples)
+                                         ** 2) * env.dt) / ref.energy())
+            assert err < 0.01, (v_over_c, err)
 
     @pytest.mark.parametrize("n_steps", [10, 16, 40])
     def test_energy_probe_matches_per_step_reference(self, n_steps):

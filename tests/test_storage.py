@@ -48,27 +48,25 @@ def reference_restored_field_full(t, pulse, schedule, profile, params,
     """Unfactorized restored field: the established kernel evaluated on the
     full (p, q) grid at every time sample, then the weighted double sum."""
     v, a, rho, vc = _reduced(params)
-    d0 = params.delta0
-    dT = d0 * pulse.duration
-    x = d0 * (schedule.t_pi1 - pulse.center_time)
-    gamma_red = params.gamma_ab / d0
-    kern = _deficit_kernel(profile, d0)
+    dT = pulse.duration
+    x = schedule.t_pi1 - pulse.center_time
+    kern = _deficit_kernel(profile)
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t_arr.shape, dtype=float)
     for i, ti in enumerate(t_arr.ravel()):
-        y = d0 * (ti - schedule.t_pi2)
+        y = ti - schedule.t_pi2
         if y <= 0:
             continue
         q, wq = _gl_interval(n_pq, 0.0, min(y, KERNEL_RANGE))
         pp = p[:, None] + q[None, :]
-        ktil = np.asarray(kern(pp.ravel())).reshape(pp.shape) / d0
-        weight = ktil * np.exp(-gamma_red * pp)
+        weight = (np.asarray(kern(pp.ravel())).reshape(pp.shape)
+                  * np.exp(-params.gamma_ab * pp))
         r = _established_kernel(x - np.broadcast_to(p[:, None], pp.shape),
                                 y - np.broadcast_to(q[None, :], pp.shape),
                                 rho, dT, a, n_u)
-        out.ravel()[i] = (a / (2.0 * np.pi) * pulse.peak
+        out.ravel()[i] = (a / (2.0 * np.pi)
                           * float(np.einsum("i,j,ij->", wp, wq, weight * r)))
     return out if np.ndim(t) else float(out[0])
 
@@ -85,15 +83,15 @@ def reference_kappa_finite_bandwidth(x, delta1, profile, params, knots=()):
     if x == 0.0:
         return 0.0
     g = HoleProfile.gaussian() if profile is None else profile
-    d0, gamma = params.delta0, params.gamma_ab
+    gamma = params.gamma_ab
     v = slow_light_velocity(params)
-    b = 2.0 * x / d0
+    b = 2.0 * x
 
     def integrand(delta):
         if delta == 0.0 and gamma == 0.0:
-            return float(g(0.0, d0)) * 0.5 * b * b
+            return float(g(0.0)) * 0.5 * b * b
         dc = complex(gamma, -delta)
-        return -float(g(delta, d0)) * ((1.0 - np.exp(-dc * b)) / dc ** 2).real
+        return -float(g(delta)) * ((1.0 - np.exp(-dc * b)) / dc ** 2).real
 
     points = [0.0] + [k for k in knots if 0.0 < abs(k) < delta1]
     val, err = integrate.quad(integrand, -delta1, delta1, points=points,
@@ -103,10 +101,18 @@ def reference_kappa_finite_bandwidth(x, delta1, profile, params, knots=()):
     return params.alpha0 * v / (2.0 * np.pi) * val
 
 
-def lorentzian_hole(delta, delta0):
-    """A bare callable g (no HoleProfile): a Lorentzian-shaped hole."""
-    u = np.asarray(delta, dtype=float) / delta0
+def lorentzian_hole(delta):
+    """A bare callable g (no HoleProfile): a Lorentzian-shaped hole.  Its
+    deficit 1/(1 + u^2) is 1/65 at the cut |u| = 8 of a bare callable."""
+    u = np.asarray(delta, dtype=float)
     return u * u / (1.0 + u * u)
+
+
+def wide_gaussian_hole(delta):
+    """A bare callable g = 1 - exp(-u^2/2): its deficit kernel is
+    sqrt(2 pi) exp(-s^2/2), and its deficit at the cut is e^-32."""
+    u = np.asarray(delta, dtype=float)
+    return 1.0 - np.exp(-0.5 * u * u)
 
 
 def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
@@ -118,7 +124,7 @@ def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
                - schedule.t_pi2)
     v = slow_light_velocity(params)
     keep = (elapsed > 0) & (params.length - v * elapsed >= 0.0)
-    return params, 0.5 * params.delta0 * elapsed[keep]
+    return params, 0.5 * elapsed[keep]
 
 
 def tabulated_gaussian_hole(knots=321, reach=8.0):
@@ -132,14 +138,14 @@ def step_edged_hole():
     return HoleProfile.tabulated(x, np.where(np.abs(x) < 1.5, 0.0, 1.0))
 
 
-def reference_deficit_kernel(profile, delta0, sigma):
+def reference_deficit_kernel(profile, s):
     """Direct trapezoid transform of 1 - g on 4097 detunings of the sampled
-    support (the defining sum, evaluated at every sigma)."""
-    lo, hi = profile.sample_range(delta0) if hasattr(profile, "sample_range") \
-        else (-8.0 * delta0, 8.0 * delta0)
+    support (the defining sum, evaluated at every delay s)."""
+    lo, hi = profile.sample_range() if hasattr(profile, "sample_range") \
+        else (-8.0, 8.0)
     u = np.linspace(lo, hi, 4097)
-    h = 1.0 - np.asarray(profile(u, delta0), dtype=float)
-    return np.trapezoid(np.cos(np.outer(sigma, u / delta0)) * h, u, axis=-1)
+    h = 1.0 - np.asarray(profile(u), dtype=float)
+    return np.trapezoid(np.cos(np.outer(s, u)) * h, u, axis=-1)
 
 
 class TestStorageSchedule:
@@ -148,11 +154,11 @@ class TestStorageSchedule:
             StorageSchedule(t_pi1=5.0, t_pi2=5.0)
 
     def test_bandwidth_invariant(self):
-        with pytest.raises(ConfigurationError):
-            StorageSchedule(t_pi1=0.0, t_pi2=1.0, delta1=-2.0)
-        params = MediumParams.reduced(10.0)
-        with pytest.raises(ConfigurationError):
-            StorageSchedule(t_pi1=0.0, t_pi2=1.0, delta1=0.5).validate(params)
+        # a finite band must be wider than the hole
+        for delta1 in (-2.0, 0.5, 1.0, math.nan):
+            with pytest.raises(ConfigurationError):
+                StorageSchedule(t_pi1=0.0, t_pi2=1.0, delta1=delta1)
+        assert StorageSchedule(t_pi1=0.0, t_pi2=1.0, delta1=1.5).delta1 == 1.5
 
     def test_infinite_bandwidth_default(self):
         assert StorageSchedule(t_pi1=0.0, t_pi2=1.0).infinite_bandwidth
@@ -206,13 +212,9 @@ class TestKappa:
             kappa_quadrature(x, HoleProfile.gaussian(),
                              MediumParams.reduced(10.0))
 
-    @pytest.mark.parametrize("delta0", [0.5, 2.0])
-    def test_quadrature_tabulated_hole_any_width(self, delta0):
-        # detuning samples are in units of the hole width, so the tabulated
-        # Gaussian is the analytic hole at every delta0 (K divided the delay
-        # by delta0 twice: kappa(5) read 3.9995 for 1.0 at delta0 = 2)
-        params = MediumParams(alpha0=10.0 / delta0, gamma_ab=0.0,
-                              delta0=delta0, length=delta0)
+    def test_quadrature_tabulated_hole(self):
+        # the tabulated Gaussian hole against the analytic one
+        params = MediumParams.reduced(10.0)
         xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
         tab = kappa_quadrature(xs, tabulated_gaussian_hole(), params)
         ref = kappa_quadrature(xs, HoleProfile.gaussian(), params)
@@ -254,6 +256,8 @@ class TestKappaFiniteBandwidth:
                 "gaussian-lossy": (0.05, HoleProfile.gaussian),
                 "gaussian-narrow-line": (1e-3, HoleProfile.gaussian),
                 "tabulated": (0.0, tabulated_gaussian_hole),
+                # the band rule integrates g on [-delta1, delta1] only, so
+                # the Lorentzian's slow tail is no cut here
                 "callable": (0.0, lambda: lorentzian_hole)}
 
     @pytest.mark.parametrize("delta1", [1.5, 5.0, 6.0])
@@ -306,7 +310,7 @@ class TestKappaFiniteBandwidth:
         # blocks of 4 rows, the last one partial, reproduce the single block
         params, x = in_depth_x(25.0, 10.0)
         whole = kappa_finite_bandwidth(x, 5.0, None, params)
-        n = 40 + math.ceil(0.7 * 5.0 * 2.0 * x[-1] / params.delta0)
+        n = 40 + math.ceil(0.7 * 5.0 * 2.0 * x[-1])
         assert len(x) % 4
         monkeypatch.setattr(holeburn.storage, "_RULE_BLOCK", 4 * n + 1)
         blocked = kappa_finite_bandwidth(x, 5.0, None, params)
@@ -325,13 +329,13 @@ class TestKappaFiniteBandwidth:
 
         params = MediumParams.reduced(10.0)
         cap = holeburn.storage.MAX_RULE_NODES
-        x_cap = 0.5 * (cap - 40) / (0.7 * 5.0) * params.delta0
+        x_cap = 0.5 * (cap - 40) / (0.7 * 5.0)
         gl = holeburn.storage._gl_interval
         monkeypatch.setattr(holeburn.storage, "_gl_interval", unreachable)
         with pytest.raises(ConfigurationError):
             kappa_finite_bandwidth([1.0, 1.001 * x_cap], 5.0, None, params)
         monkeypatch.setattr(holeburn.storage, "MAX_RULE_NODES", 100)
-        x_100 = 0.5 * 59.5 / (0.7 * 5.0) * params.delta0
+        x_100 = 0.5 * 59.5 / (0.7 * 5.0)
         with pytest.raises(ConfigurationError):
             kappa_finite_bandwidth(x_100 * 1.01, 5.0, None, params)
         monkeypatch.setattr(holeburn.storage, "_gl_interval", gl)
@@ -342,13 +346,13 @@ class TestKappaFiniteBandwidth:
         with pytest.raises(NumericsError):
             kappa_finite_bandwidth(
                 [1.0, 2.0], 5.0,
-                lambda d, d0: np.where(np.abs(d) < 1.0, np.nan, 1.0), params)
+                lambda d: np.where(np.abs(d) < 1.0, np.nan, 1.0), params)
 
     def test_zero_linewidth_hole_floor(self):
         # at gamma = 0 the bracket's pi b delta(Delta) part weighs g(0);
         # at gamma / delta0 = 1e-9 the node rule integrates it itself
-        def floored_hole(delta, delta0):
-            u = np.asarray(delta, dtype=float) / delta0
+        def floored_hole(delta):
+            u = np.asarray(delta, dtype=float)
             return 0.1 + 0.9 * (1.0 - np.exp(-u * u))
 
         x = [1.0, 2.0, 4.0]
@@ -369,7 +373,7 @@ class TestRevivalEnvelope:
         assert revival_envelope(schedule.t_pi2, pulse, schedule, params) == 0.0
 
     def test_ninety_percent_point(self):
-        # value at t_pi2 + 2/delta0 is kappa(1) times the frozen amplitude
+        # value at t_pi2 + 2 is kappa(1) times the frozen amplitude
         params, pulse, schedule = reduced_setup(100.0, 19.0)
         v = slow_light_velocity(params)
         t = schedule.t_pi2 + 2.0
@@ -399,20 +403,20 @@ class TestRevivalEnvelope:
 
 
     def test_bare_callable_hole(self):
-        # a hole given as a plain function g(delta, delta0) at infinite
-        # bandwidth takes kappa_quadrature, as the other routes accept it
+        # a hole given as a plain function g(delta) at infinite bandwidth
+        # takes kappa_quadrature, as the other routes accept it
         params, pulse, schedule = reduced_setup(25.0, 10.0)
-        result = retrieve(pulse, schedule, params, profile=lorentzian_hole,
+        result = retrieve(pulse, schedule, params, profile=wide_gaussian_hole,
                           method="revival")
         assert 0.0 < result.efficiency < 1.0
         v = slow_light_velocity(params)
         t = schedule.t_pi2 + np.array([1.0, 4.0])
         frozen = transmitted_gaussian(params.length - v * (t - schedule.t_pi2),
                                       schedule.t_pi1, pulse.duration, params)
-        kap = kappa_quadrature(0.5 * (t - schedule.t_pi2), lorentzian_hole,
+        kap = kappa_quadrature(0.5 * (t - schedule.t_pi2), wide_gaussian_hole,
                                params)
         got = revival_envelope(t, pulse, schedule, params,
-                               profile=lorentzian_hole)
+                               profile=wide_gaussian_hole)
         np.testing.assert_allclose(got, frozen * kap, rtol=1e-14)
 
     def test_finite_bandwidth_one_kernel_call(self, monkeypatch):
@@ -495,12 +499,10 @@ class TestRestoredFieldFull:
         b = restored_field_full(t, pulse, schedule, tab, params)
         assert b == pytest.approx(a, rel=1e-3)
 
-    @pytest.mark.parametrize("delta0", [0.5, 2.0])
-    def test_tabulated_hole_any_width(self, delta0):
-        # the tabulated Gaussian hole against the analytic one away from
-        # delta0 = 1 (at delta0 = 2 they stood 2.9 of peak apart)
-        params = MediumParams(alpha0=25.0 / delta0, gamma_ab=0.0,
-                              delta0=delta0, length=delta0)
+    def test_tabulated_hole_on_retrieval_grid(self):
+        # the tabulated Gaussian hole against the analytic one on every
+        # 8th sample of a retrieval grid
+        params = MediumParams.reduced(25.0)
         pulse, schedule = default_schedule(params)
         t = retrieval_grid(pulse, schedule, params)[::8]
         ref = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
@@ -577,7 +579,7 @@ class TestRestoredFieldFull:
         pulse, schedule = default_schedule(params)
         prof = HoleProfile.gaussian()
         t = retrieval_grid(pulse, schedule, params)
-        t = t[params.delta0 * (t - schedule.t_pi2) < KERNEL_RANGE]
+        t = t[t - schedule.t_pi2 < KERNEL_RANGE]
         assert t.size == 169
         ref = reference_restored_field_full(t, pulse, schedule, prof, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
@@ -628,7 +630,7 @@ def test_tabulated_kernel_memory_bound():
     sigma = np.linspace(0.0, 28.0, 3000)
     tracemalloc.start()
     try:
-        kern = _deficit_kernel(tabulated_gaussian_hole(), 1.0)
+        kern = _deficit_kernel(tabulated_gaussian_hole())
         vals = kern(sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -641,7 +643,7 @@ def test_tabulated_kernel_memory_bound():
 class TestDeficitKernelSeries:
     HOLES = {"tabulated-121": lambda: tabulated_gaussian_hole(121, 6.0),
              "step-edged": step_edged_hole,
-             "callable": lambda: lorentzian_hole}
+             "callable": lambda: wide_gaussian_hole}
 
     @pytest.mark.parametrize("hole", sorted(HOLES))
     def test_matches_direct_transform(self, hole):
@@ -649,46 +651,66 @@ class TestDeficitKernelSeries:
         # reach [0, SIGMA_MAX]
         prof = self.HOLES[hole]()
         sigma = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
-        ref = reference_deficit_kernel(prof, 1.0, sigma)
-        got = _deficit_kernel(prof, 1.0)(sigma)
+        ref = reference_deficit_kernel(prof, sigma)
+        got = _deficit_kernel(prof)(sigma)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("delta0", [0.5, 2.0])
-    def test_reduced_delay_scaling(self, delta0):
-        # K(sigma) / delta0 does not depend on the hole width
-        prof = tabulated_gaussian_hole(121, 6.0)
-        sigma = np.linspace(0.0, 28.0, 57)
-        one = _deficit_kernel(prof, 1.0)(sigma)
-        got = _deficit_kernel(prof, delta0)(sigma) / delta0
+    def test_bare_callable_matches_closed_form(self):
+        s = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
+        ref = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * s * s)
+        got = _deficit_kernel(wide_gaussian_hole)(s)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_bare_callable_cut_checked(self):
+        # a bare callable is sampled on [-8, 8]; the Lorentzian hole's
+        # deficit there is 1/65, and cutting it read K(0) = 2.893 for pi
+        with pytest.raises(NumericsError, match="at the cut"):
+            _deficit_kernel(lorentzian_hole)
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        with pytest.raises(NumericsError, match="at the cut"):
+            retrieve(pulse, schedule, params, profile=lorentzian_hole,
+                     method="revival")
+
+    @pytest.mark.parametrize("width", [0.5, 2.0])
+    def test_reduced_delay_scaling(self, width):
+        # a hole w times wider, tabulated at w times the detunings, has the
+        # kernel w K(w s)
+        x = np.linspace(-6.0, 6.0, 121)
+        prof = HoleProfile.tabulated(width * x, 1.0 - np.exp(-x * x))
+        s = np.linspace(0.0, 14.0, 57)
+        one = width * _deficit_kernel(tabulated_gaussian_hole(121, 6.0))(
+            width * s)
+        got = _deficit_kernel(prof)(s)
         assert np.max(np.abs(got - one)) <= 1e-13 * np.max(np.abs(one))
         np.testing.assert_allclose(
-            got, reference_deficit_kernel(prof, delta0, sigma) / delta0,
+            got, reference_deficit_kernel(prof, s),
             rtol=0, atol=1e-12 * np.max(np.abs(one)))
 
     def test_uniform_hole_has_zero_kernel(self):
-        kern = _deficit_kernel(HoleProfile.uniform(), 1.0)
+        kern = _deficit_kernel(HoleProfile.uniform())
         assert np.all(kern(np.linspace(0.0, 28.0, 29)) == 0.0)
         params = MediumParams.reduced(10.0)
         assert np.all(kappa_quadrature([0.5, 3.0], HoleProfile.uniform(),
                                        params) == 0.0)
 
     def test_degree_cap(self, monkeypatch):
-        # the Lorentzian hole's kernel needs degree 256
+        # the wide Gaussian hole's kernel needs degree 128
+        monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 64)
+        with pytest.raises(NumericsError):
+            _deficit_kernel(wide_gaussian_hole)
+        with pytest.raises(NumericsError):
+            kappa_quadrature(1.0, wide_gaussian_hole,
+                             MediumParams.reduced(10.0))
         monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 128)
-        with pytest.raises(NumericsError):
-            _deficit_kernel(lorentzian_hole, 1.0)
-        with pytest.raises(NumericsError):
-            kappa_quadrature(1.0, lorentzian_hole, MediumParams.reduced(10.0))
-        monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 256)
-        assert math.isfinite(kappa_quadrature(1.0, lorentzian_hole,
+        assert math.isfinite(kappa_quadrature(1.0, wide_gaussian_hole,
                                               MediumParams.reduced(10.0)))
 
     def test_nan_hole_is_numerical_failure(self):
-        def nan_hole(delta, delta0):
-            return np.where(np.abs(delta) < delta0, np.nan, 1.0)
+        def nan_hole(delta):
+            return np.where(np.abs(delta) < 1.0, np.nan, 1.0)
 
         with pytest.raises(NumericsError):
-            _deficit_kernel(nan_hole, 1.0)
+            _deficit_kernel(nan_hole)
 
 
 class TestAppendixSeries:
@@ -709,10 +731,10 @@ class TestAppendixSeries:
         # with adaptive quadrature of the same integrand
         params, pulse, schedule = reduced_setup(4.0, 20.0)
         v = slow_light_velocity(params)
-        a = params.alpha0 * v / params.delta0
-        rho = params.delta0 * params.length / v
-        dT = params.delta0 * pulse.duration
-        x = params.delta0 * schedule.t_pi1
+        a = params.alpha0 * v
+        rho = params.length / v
+        dT = pulse.duration
+        x = schedule.t_pi1
         y = 1.0
 
         def frozen(zeta, xh):
@@ -752,14 +774,14 @@ class TestAppendixSeries:
         assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
 
     def test_successive_order_ratio(self):
-        # with condition delta0 min(t - t_pi2, L/v) << (delta0 T)^2 the
+        # with condition min(t - t_pi2, L/v) << T^2 the
         # N = 2 correction is bounded by that small parameter
         params, pulse, schedule = reduced_setup(4.0, 20.0)
         t = schedule.t_pi2 + 1.0
         n0 = appendix_series_field(t, pulse, schedule, params, order=0)
         n2 = appendix_series_field(t, pulse, schedule, params, order=2)
         v = slow_light_velocity(params)
-        bound = min(1.0, params.length / v) / (params.delta0 * pulse.duration) ** 2
+        bound = min(1.0, params.length / v) / pulse.duration ** 2
         assert abs(n2 - n0) / abs(n0) < bound
 
 
@@ -782,10 +804,9 @@ class TestRetrieve:
     @pytest.mark.parametrize("method", ["revival", "established",
                                         "full_quadrature", "series"])
     def test_margins_from_confinement_report(self, method):
-        # hole width and pulse duration away from 1, so that the order of
+        # alpha0 and the pulse duration away from 1, so that the order of
         # the operations shows in the last bit
-        params = MediumParams(alpha0=1.3, gamma_ab=0.0, delta0=0.7,
-                              length=25.0 / 1.3)
+        params = MediumParams(alpha0=1.3, gamma_ab=0.0, length=25.0 / 1.3)
         pulse = PulseSpec(duration=11.1 / 0.7)
         t_pi1 = params.length / (2.0 * slow_light_velocity(params))
         schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 3.0)
@@ -824,7 +845,7 @@ class TestRetrieve:
                              ids=["duration", "opacity"])
     def test_degenerate_point_is_numerical_failure(self, alpha0_L, b, method):
         # the restored waveform underflows to zero, and the revival
-        # fraction divides by (delta0 T)^2 = 0: never a clean eta = 0
+        # fraction divides by T^2 = 0: never a clean eta = 0
         params = MediumParams.reduced(alpha0_L)
         pulse, schedule = default_schedule(params, b=b)
         with np.errstate(all="ignore"), \
