@@ -515,9 +515,10 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # store
 # ---------------------------------------------------------------------------
 
-def _regime_warnings(method, validity):
+def _regime_warnings(method, validity, v_over_c):
     """Readable warnings for the validity indicators a retrieval left out
-    of regime; empty when the result is clean."""
+    of regime, and for a route used where it is known to be inaccurate;
+    empty when the result is clean."""
     warnings = []
     if method == "revival" and validity["revival_condition_fraction"] > 0.5:
         warnings.append("revival product form used outside its validity "
@@ -526,6 +527,10 @@ def _regime_warnings(method, validity):
     if method == "established" and not validity["established_window_ok"]:
         warnings.append("established-signal kernel used before the restored "
                         "peak leaves the early window")
+    if method == "established" and v_over_c > 0.0:
+        warnings.append("established-signal kernel used at v/c > 0, where it "
+                        "departs from full quadrature (1.5e-2 of the peak at "
+                        "v/c = 0.3, 3.0e-2 at 0.6)")
     if validity["spectral_margin"] < 1.0:
         warnings.append("pulse spectrum not confined inside the hole "
                         "(delta0 T below sqrt(alpha0 L))")
@@ -560,7 +565,8 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
         "t_pi2": schedule.t_pi2,
         "delta1_over_delta0": (None if schedule.infinite_bandwidth
                                else schedule.delta1),
-        "warnings": _regime_warnings(scenario.method, result.validity),
+        "warnings": _regime_warnings(scenario.method, result.validity,
+                                     scenario.v_over_c),
     }
 
     stem = os.path.join(out_dir, f"store_aL{_num(alpha0_L)}")
@@ -615,7 +621,8 @@ def _sweep_point(args):
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
         return (alpha0_L, pulse.duration, eta, None,
-                _regime_warnings(scenario.method, result.validity))
+                _regime_warnings(scenario.method, result.validity,
+                                 scenario.v_over_c))
     except NumericsError as exc:
         failure = {"message": f"numerical failure: {exc}",
                    "residual": None if exc.residual is None

@@ -6,7 +6,7 @@ returning the dimensionless value chi_hat such that
 chi = (alpha0 / k) * chi_hat:
 
 * ``chi_exact_gaussian``  -- closed form for the Gaussian hole
-  (Dawson-integral dispersion, valid for gamma_ab << delta0)
+  (the Faddeeva function; refused from gamma_ab = 0.01 delta0 up)
 * ``chi_quadrature``      -- adaptive quadrature for any hole profile and
   any homogeneous width: one frequency per call, with plain-float real and
   imaginary integrands (the imaginary one skipped at gamma_ab = 0)
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, PreconditionError
-from .special import SQRT_PI, dawson, erfcx
+from .special import SQRT_PI, dawson, erfcx, faddeeva
 
 _QUAD_LIMIT = 300
 
@@ -216,7 +216,11 @@ def _quad(func, a, b, epsabs, epsrel, points=None):
 def chi_exact_gaussian(omega_offset, params: MediumParams):
     """Closed-form Gaussian-hole susceptibility (units alpha0/k).
 
-    chi_hat(Omega) = -i (1 - exp(-Omega^2)) + (2/sqrt(pi)) F(Omega)
+    chi_hat(Omega) = -i + i conj(w(Omega + i gamma_ab)), w the Faddeeva
+    function.  At gamma_ab = 0 this is evaluated as
+    -i (1 - exp(-Omega^2)) + (2/sqrt(pi)) F(Omega), F the Dawson integral:
+    the two forms differ in the last bit of about a fifth of the real
+    parts, and the lossless runs keep the Dawson values.
     Requires the narrow-homogeneous regime gamma_ab << delta0.
     """
     if not params.narrow_homogeneous:
@@ -224,8 +228,11 @@ def chi_exact_gaussian(omega_offset, params: MediumParams):
             "chi_exact_gaussian assumes gamma_ab << delta0 "
             f"(gamma_ab/delta0 = {params.gamma_ab:.3g})")
     x = np.asarray(omega_offset, dtype=float)
-    with np.errstate(over="ignore"):  # x^2 = inf far out: exp(-x^2) = 0
-        out = (2.0 / SQRT_PI) * dawson(x) - 1j * (1.0 - np.exp(-x * x))
+    if params.gamma_ab > 0.0:
+        out = -1j + 1j * np.conj(faddeeva(x + 1j * params.gamma_ab))
+    else:
+        with np.errstate(over="ignore"):  # x^2 = inf far out: exp(-x^2) = 0
+            out = (2.0 / SQRT_PI) * dawson(x) - 1j * (1.0 - np.exp(-x * x))
     return out if np.ndim(omega_offset) else complex(out)
 
 

@@ -31,6 +31,11 @@ from .propagation import SampledEnvelope
 # Euler step limit: absorption change per z step must stay small.
 MAX_STEP_OPACITY = 0.05
 
+# Steps of field history the energy probe keeps before contracting them
+# with the class kernels: one (32 x n) complex block, 2 MB on a 4096-sample
+# grid whatever the number of steps or detuning classes.
+PROBE_BLOCK_STEPS = 32
+
 
 def coherence_convolution(delta, env: SampledEnvelope, t, params: MediumParams):
     """Coherence of the ``delta`` class at time ``t`` from the field history.
@@ -159,10 +164,10 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     dz * alpha0 <= MAX_STEP_OPACITY.
 
     With ``energy_probe`` the time-reversed field entering every step is
-    kept (in blocks of at most ``n_atoms`` steps, so the extra memory never
-    exceeds the kernel matrix) and contracted with all class kernels in one
-    matrix product per block; the per-step coherence energies at the final
-    retarded grid time are summed into ``tank_energy`` in step order.
+    kept (in blocks of at most ``PROBE_BLOCK_STEPS`` steps) and contracted
+    with all class kernels in one matrix product per block; the per-step
+    coherence energies at the final retarded grid time are summed into
+    ``tank_energy`` in step order.
     """
     if n_atoms > 512:
         raise ConfigurationError("oracle instances are capped at 512 detunings")
@@ -188,10 +193,12 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     energy_in = env.energy()
     tank = 0.0
     if energy_probe:
-        # time-reversed field entering each step, kept for at most n_atoms
-        # steps; its dot product with a class's kernel is that class's
-        # coherence at the final grid time t*, one matrix product per block
-        history = np.empty((min(n_steps, n_atoms), n), dtype=complex)
+        # time-reversed field entering each step, kept for at most
+        # PROBE_BLOCK_STEPS steps; its dot product with a class's kernel is
+        # that class's coherence at the final grid time t*, one matrix
+        # product per block
+        history = np.empty((min(n_steps, PROBE_BLOCK_STEPS), n),
+                           dtype=complex)
         class_weights = weights * gvals
         tank_scale = (2.0 * params.alpha0 / np.pi) * dz
     for step in range(n_steps):

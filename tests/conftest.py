@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -27,3 +28,18 @@ def fresh_python():
                               capture_output=True, text=True, timeout=120)
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    """Fail a test after which a thread runs that did not run before it.
+
+    ``restored_field_full`` runs half its work on a helper thread; a
+    ``--workers`` process pool forks the test process, and a fork must
+    never inherit a running helper.
+    """
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")

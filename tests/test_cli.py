@@ -115,6 +115,19 @@ class TestTransmit:
         peak = float(np.max(np.hypot(out[:, 1], out[:, 2])))
         assert peak == pytest.approx(10.0 / math.sqrt(200.0), rel=1e-3)
 
+    def test_exact_peak_keeps_homogeneous_width(self, tmp_path):
+        # at gamma/delta0 = 0.009 the exact peak is 0.4300 (Faddeeva form,
+        # matched by quadrature_model to 1e-15); 0.7081 is the lossless value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 100.0,
+                                    "delta0_T": 10.0,
+                                    "gamma_over_delta0": 0.009}))
+        assert main(["transmit", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        out = np.loadtxt(tmp_path / "transmit_dT10_exact.csv", delimiter=",")
+        peak = float(np.max(np.hypot(out[:, 1], out[:, 2])))
+        assert peak == pytest.approx(0.430015, abs=1e-6)
+
     @pytest.mark.parametrize("command, kind", [
         (command, kind) for command in _KINDS for kind in _KINDS
         if command != kind])
@@ -313,6 +326,23 @@ class TestRegimeWarnings:
             assert margins == []
         else:
             assert len(margins) == 1 and expected in margins[0]
+
+    @pytest.mark.parametrize("v_over_c, warned", [(0.3, True), (0.0, False)])
+    def test_established_route_at_finite_c(self, tmp_path, v_over_c, warned):
+        # the established kernel is 1.5e-2 of the peak off full quadrature
+        # at v/c = 0.3, far beyond its 1e-3 at v/c = 0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": 100.0,
+                                    "delta0_T": 19.0, "v_over_c": v_over_c,
+                                    "method": "established"}))
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        side = json.loads(
+            (tmp_path / "store_aL100_restored.csv.json").read_text())
+        route = [w for w in side["warnings"] if "v/c > 0" in w]
+        assert len(route) == warned
+        if not warned:
+            assert side["warnings"] == []
 
 
 class TestSweep:

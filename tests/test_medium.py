@@ -150,6 +150,20 @@ class TestChiExactGaussian:
         with pytest.raises(PreconditionError):
             chi_exact_gaussian(1.0, params)
 
+    @pytest.mark.parametrize("gamma", [0.001, 0.005, 0.009])
+    def test_keeps_gamma_below_regime_bound(self, gamma):
+        # gamma/delta0 < 0.01 is accepted and must be kept, not dropped:
+        # the line-centre absorption is of order gamma.  The quadrature
+        # misses the hole from |Omega| ~ 12 on (ROADMAP item 1), so the
+        # comparison stays inside |Omega| <= 6.
+        params = MediumParams.reduced(100.0, gamma_over_delta0=gamma)
+        omega = np.array([0.0, 0.3, 1.0, -2.5, 6.0])
+        ref = [chi_quadrature(float(w), HoleProfile.gaussian(), params)
+               for w in omega]
+        np.testing.assert_allclose(chi_exact_gaussian(omega, params), ref,
+                                   rtol=0.0, atol=1e-13)
+        assert chi_exact_gaussian(0.0, params).imag < -gamma
+
 
 class TestChiSecondOrder:
     def test_trivial(self):
@@ -202,7 +216,6 @@ class TestChiQuadrature:
             assert minus.imag == pytest.approx(plus.imag, abs=1e-8)
 
     def test_cross_model_agreement_over_hole(self):
-        # the gap closes linearly in gamma (the closed form takes gamma = 0);
         # at gamma/delta0 = 1e-4 the two models agree well inside 1e-3
         params = MediumParams.reduced(10.0, gamma_over_delta0=1e-4)
         prof = HoleProfile.gaussian()

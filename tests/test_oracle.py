@@ -8,7 +8,7 @@ import pytest
 from holeburn.errors import ConfigurationError, DomainError
 from holeburn.medium import (HoleProfile, MediumParams, exact_gaussian_model,
                              slow_light_velocity)
-from holeburn.oracle import (_filon_kernels, adiabatic_uv,
+from holeburn.oracle import (PROBE_BLOCK_STEPS, _filon_kernels, adiabatic_uv,
                              coherence_convolution, detuning_grid,
                              time_domain_propagate)
 from holeburn.propagation import PulseSpec, SampledEnvelope, auto_grid, propagate
@@ -215,10 +215,11 @@ class TestTimeDomainPropagate:
                                          ** 2) * env.dt) / ref.energy())
             assert err < 0.01, (v_over_c, err)
 
-    @pytest.mark.parametrize("n_steps", [10, 16, 40])
+    @pytest.mark.parametrize("n_steps", [10, PROBE_BLOCK_STEPS,
+                                         2 * PROBE_BLOCK_STEPS + 16])
     def test_energy_probe_matches_per_step_reference(self, n_steps):
-        # 16 detuning classes: 10 steps fit one history block, 16 fill it
-        # exactly, 40 take two full blocks and a partial one
+        # history blocks of PROBE_BLOCK_STEPS = 32 steps: 10 steps fit one
+        # block, 32 fill it exactly, 80 take two full blocks and a partial one
         params = MediumParams.reduced(2.0, gamma_over_delta0=0.05)
         env = auto_grid(PulseSpec(duration=5.0), params)
         prof = HoleProfile.gaussian()

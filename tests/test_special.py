@@ -15,7 +15,7 @@ import scipy.special
 from scipy import integrate
 
 from holeburn.errors import DomainError
-from holeburn.special import dawson, erf, erfc, erfcx
+from holeburn.special import dawson, erf, erfc, erfcx, faddeeva
 
 
 class TestDawson:
@@ -105,6 +105,24 @@ class TestErfFamily:
             erf(np.inf)
         with pytest.raises(DomainError):
             erfc(np.nan)
+
+
+class TestFaddeeva:
+    def test_axes_identities(self):
+        # w(x) = e^{-x^2} + (2i/sqrt(pi)) F(x) on the real axis and
+        # w(iy) = erfcx(y) on the imaginary one
+        x = np.array([-4.0, -0.3, 0.0, 0.8, 2.5, 12.0])
+        want = np.exp(-x * x) + 2j / math.sqrt(math.pi) * dawson(x)
+        np.testing.assert_allclose(faddeeva(x), want, rtol=1e-14, atol=1e-16)
+        y = np.array([0.001, 0.3, 5.0])
+        np.testing.assert_allclose(faddeeva(1j * y), erfcx(y), rtol=1e-14)
+
+    def test_scalar_in_complex_out(self):
+        assert type(faddeeva(0.5 + 0.01j)) is complex
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            faddeeva(complex(1.0, np.inf))
 
 
 @pytest.mark.parametrize("func", [dawson, erf, erfc, erfcx])

@@ -8,7 +8,11 @@ quadrature (scipy) of the defining integrals.
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -620,6 +624,110 @@ class TestRestoredFieldFull:
         ref = reference_restored_field_full(t, pulse, schedule, prof, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestRestoredFieldFullHalves:
+    """The early blocks run on one helper thread while the calling thread
+    runs the late u-node loop; a call with only one half starts none."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        threads = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(holeburn.storage, "threading",
+                            SimpleNamespace(Thread=CountingThread))
+        return threads
+
+    @pytest.mark.parametrize("alpha0_L", [9.0, 100.0])
+    def test_split_is_bit_identical(self, alpha0_L, started):
+        params = MediumParams.reduced(alpha0_L)
+        pulse, schedule = default_schedule(params)
+        prof = HoleProfile.gaussian()
+        t = retrieval_grid(pulse, schedule, params)
+        y = t - schedule.t_pi2
+        early = (y > 0) & (y < KERNEL_RANGE)
+        assert early.any() and (y >= KERNEL_RANGE).any()
+        before = threading.active_count()
+        whole = restored_field_full(t, pulse, schedule, prof, params)
+        assert len(started) == 1
+        assert threading.active_count() == before
+        alone = restored_field_full(t[early], pulse, schedule, prof, params)
+        rest = restored_field_full(t[~early], pulse, schedule, prof, params)
+        assert len(started) == 1
+        assert np.array_equal(whole[early], alone)
+        assert np.array_equal(whole[~early], rest)
+
+    def test_concurrent_callers(self):
+        # four callers, each with its own helper (eight threads), at a
+        # short switch interval: every result equals the lone call's
+        params = MediumParams.reduced(25.0)
+        pulse, schedule = default_schedule(params)
+        prof = HoleProfile.gaussian()
+        t = retrieval_grid(pulse, schedule, params)[::4]
+        want = restored_field_full(t, pulse, schedule, prof, params)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = restored_field_full(t, pulse, schedule, prof, params)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(out, want) for out in got)
+
+    def test_helper_thread_silences_degenerate_arithmetic(self, started):
+        # at a degenerate opacity the early half overflows, which retrieve
+        # reports as a restored-energy failure; numpy's errstate does not
+        # carry into a new thread, so the helper must set its own
+        params = MediumParams.reduced(1e-300)
+        pulse, schedule = default_schedule(params)
+        t = schedule.t_pi2 + np.array([13.0, 20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
+                                params)
+        assert len(started) == 1
+
+    def test_early_half_exception_reaches_caller(self, monkeypatch, started):
+        # the error is raised in the caller, not only printed through
+        # threading.excepthook
+        class EarlyHalfError(RuntimeError):
+            pass
+
+        caller = threading.current_thread()
+        gaussian = _deficit_kernel(HoleProfile.gaussian())
+
+        def kernel(s):
+            if threading.current_thread() is not caller:
+                raise EarlyHalfError("raised on the helper thread")
+            return gaussian(s)
+
+        hooked = []
+        monkeypatch.setattr(holeburn.storage, "_deficit_kernel",
+                            lambda profile: kernel)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        t = schedule.t_pi2 + np.array([3.0, 20.0, 7.5, 40.0])
+        before = threading.active_count()
+        with pytest.raises(EarlyHalfError):
+            restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
+                                params)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+        assert hooked == []
 
 
 def test_tabulated_kernel_memory_bound():
