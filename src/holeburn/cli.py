@@ -3,8 +3,8 @@
 Scenarios are JSON files holding only dimensionless groups (``alpha0_L``,
 ``delta0_T`` or ``b``, ``gamma_over_delta0``, ``v_over_c``,
 ``delta1_over_delta0``, ``tpi1_rule``); everything downstream runs in
-reduced units (alpha0 = delta0 = 1, see ``medium``), so ``delta0_T`` is
-the pulse duration itself.  Subcommands:
+reduced units (alpha0 = delta0 = 1, see ``medium``), so ``alpha0_L`` is
+the slab length and ``delta0_T`` the pulse duration itself.  Subcommands:
 
 ``transmit``
     Propagate a gaussian pulse through the slab and emit, per duration,
@@ -292,7 +292,7 @@ class Scenario:
         follows after ``hold_times_delta0``.
         """
         if self.b is not None:
-            duration = self.b * params.opacity ** 0.75
+            duration = self.b * params.length ** 0.75
         else:
             duration = self.delta0_T
         pulse = PulseSpec(duration=duration)
@@ -468,7 +468,7 @@ def _free_space_grid(pulse):
     """Sampling grid for the no-medium case (alpha0_L = 0)."""
     dt = pulse.duration / 16.0
     n = 1 << int(math.ceil(math.log2(max(8.0 * pulse.duration / dt, 1024))))
-    t_start = pulse.center_time - 0.25 * n * dt
+    t_start = -0.25 * n * dt
     t = t_start + dt * np.arange(n)
     return SampledEnvelope(t_start=t_start, dt=dt,
                            samples=pulse.amplitude(t))
@@ -515,10 +515,9 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # store
 # ---------------------------------------------------------------------------
 
-def _regime_warnings(method, validity, v_over_c):
+def _regime_warnings(method, validity):
     """Readable warnings for the validity indicators a retrieval left out
-    of regime, and for a route used where it is known to be inaccurate;
-    empty when the result is clean."""
+    of regime; empty when the result is clean."""
     warnings = []
     if method == "revival" and validity["revival_condition_fraction"] > 0.5:
         warnings.append("revival product form used outside its validity "
@@ -527,10 +526,6 @@ def _regime_warnings(method, validity, v_over_c):
     if method == "established" and not validity["established_window_ok"]:
         warnings.append("established-signal kernel used before the restored "
                         "peak leaves the early window")
-    if method == "established" and v_over_c > 0.0:
-        warnings.append("established-signal kernel used at v/c > 0, where it "
-                        "departs from full quadrature (1.5e-2 of the peak at "
-                        "v/c = 0.3, 3.0e-2 at 0.6)")
     if validity["spectral_margin"] < 1.0:
         warnings.append("pulse spectrum not confined inside the hole "
                         "(delta0 T below sqrt(alpha0 L))")
@@ -565,8 +560,7 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
         "t_pi2": schedule.t_pi2,
         "delta1_over_delta0": (None if schedule.infinite_bandwidth
                                else schedule.delta1),
-        "warnings": _regime_warnings(scenario.method, result.validity,
-                                     scenario.v_over_c),
+        "warnings": _regime_warnings(scenario.method, result.validity),
     }
 
     stem = os.path.join(out_dir, f"store_aL{_num(alpha0_L)}")
@@ -621,8 +615,7 @@ def _sweep_point(args):
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
         return (alpha0_L, pulse.duration, eta, None,
-                _regime_warnings(scenario.method, result.validity,
-                                 scenario.v_over_c))
+                _regime_warnings(scenario.method, result.validity))
     except NumericsError as exc:
         failure = {"message": f"numerical failure: {exc}",
                    "residual": None if exc.residual is None

@@ -16,10 +16,10 @@ plus the absorption-coefficient and inverse-group-velocity integrals.
 
 Everything is in reduced units.  Detunings, frequencies and gamma_ab are
 in units of the hole width delta0 and times in units of 1/delta0, so the
-hole has unit width and delta0 appears nowhere.  Lengths are in units set
-by alpha0: ``MediumParams.reduced`` takes alpha0 = 1, so the slab length is
-alpha0 L.  A run is then fixed by the dimensionless groups (alpha0 L,
-delta0 T, gamma_ab/delta0, v/c).
+hole has unit width and delta0 appears nowhere.  Lengths are in units of
+1/alpha0, so a length is an optical depth (the slab length is alpha0 L)
+and alpha0 appears nowhere either.  A run is then fixed by the
+dimensionless groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
 
 ``scipy.integrate`` and ``scipy.interpolate`` are imported on first use:
 the first by ``_quad``, the package's one adaptive-quadrature helper, the
@@ -40,23 +40,24 @@ _QUAD_LIMIT = 300
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Physical constants of the absorbing slab.
+    """Physical constants of the absorbing slab, in reduced units.
 
-    alpha0   : background absorption outside the hole (inverse length)
     gamma_ab : homogeneous half-width, in hole widths
-    length   : slab length
+    length   : slab length in units of 1/alpha0, i.e. the opacity alpha0 L
     inv_c    : 1/c; the default 0 selects the infinite-c limit used by the
                reference figures
+    alpha0   : the unit of inverse length, 1: a class constant, not a field,
+               that the library never reads
     """
 
-    alpha0: float
+    alpha0 = 1.0  # unannotated: a class attribute, not a field
     gamma_ab: float
     length: float
     inv_c: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha0 > 0 and self.length > 0):
-            raise ValueError("alpha0 and length must be strictly positive")
+        if not self.length > 0:
+            raise ValueError("length must be strictly positive")
         if self.gamma_ab < 0 or self.inv_c < 0:
             raise ValueError("gamma_ab and inv_c must be non-negative")
 
@@ -65,31 +66,27 @@ class MediumParams:
         """True when gamma_ab << delta0 (threshold 1%)."""
         return self.gamma_ab < 0.01
 
-    @property
-    def opacity(self) -> float:
-        return self.alpha0 * self.length
-
     @classmethod
     def reduced(cls, alpha0_L, gamma_over_delta0=0.0, v_over_c=0.0):
-        """Build params at alpha0 = 1, so that the length is alpha0 L.
+        """Build params of opacity ``alpha0_L``.
 
         ``v_over_c`` fixes 1/c from the Gaussian-hole slow-light velocity
-        1/v = 1/c + alpha0/sqrt(pi).
+        1/v = 1/c + 1/sqrt(pi).
         """
         if not 0.0 <= v_over_c < 1.0:
             raise ValueError("v_over_c must lie in [0, 1)")
         inv_c = v_over_c / (1.0 - v_over_c) / SQRT_PI
-        return cls(alpha0=1.0, gamma_ab=gamma_over_delta0,
-                   length=float(alpha0_L), inv_c=inv_c)
+        return cls(gamma_ab=gamma_over_delta0, length=float(alpha0_L),
+                   inv_c=inv_c)
 
 
 def slow_light_velocity(params: MediumParams) -> float:
     """Gaussian-hole group velocity in the narrow-line limit.
 
-    1/v = 1/c + alpha0 / sqrt(pi); the general quadrature lives in
+    1/v = 1/c + 1/sqrt(pi); the general quadrature lives in
     :func:`inverse_group_velocity`.
     """
-    return 1.0 / (params.inv_c + params.alpha0 / SQRT_PI)
+    return 1.0 / (params.inv_c + 1.0 / SQRT_PI)
 
 
 @dataclass(frozen=True)
@@ -290,9 +287,9 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
 
 
 def absorption_coefficient(omega_offset, profile, params: MediumParams):
-    """Two-term absorption alpha(omega0 + Omega) (inverse length).
+    """Two-term absorption alpha(omega0 + Omega) in units of alpha0.
 
-    alpha = alpha0 [ integral g L dDelta + (Omega^2/2) integral g'' L dDelta ]
+    alpha = integral g L dDelta + (Omega^2/2) integral g'' L dDelta
     with L the Lorentzian of half-width gamma_ab.  For gamma_ab = 0 the
     Lorentzian collapses to a delta function at the hole center.
     """
@@ -322,11 +319,11 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
         if max(e1, e2) > 1e-7:
             raise NumericsError("absorption quadrature did not converge",
                                 residual=max(e1, e2))
-    return params.alpha0 * (term1 + 0.5 * omega * omega * term2)
+    return term1 + 0.5 * omega * omega * term2
 
 
 def inverse_group_velocity(profile, params: MediumParams):
-    """1/v = 1/c + (alpha0 / 2 pi) * integral g(Delta) Delta^2/(Delta^2+gamma^2)^2 dDelta."""
+    """1/v = 1/c + (1 / 2 pi) * integral g(Delta) Delta^2/(Delta^2+gamma^2)^2 dDelta."""
     profile = _profile_g(profile)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma)
@@ -346,7 +343,7 @@ def inverse_group_velocity(profile, params: MediumParams):
         tail = (np.pi / 2.0 - np.arctan(window / gamma)) / gamma + window / (window**2 + gamma**2)
     g_edge = 0.5 * (float(profile(window)) + float(profile(-window)))
     val += g_edge * tail
-    return params.inv_c + params.alpha0 * val / (2.0 * np.pi)
+    return params.inv_c + val / (2.0 * np.pi)
 
 
 def exact_gaussian_model(params: MediumParams):
@@ -379,7 +376,7 @@ def quadrature_model(profile, params: MediumParams):
             if key not in cache:
                 val = chi_quadrature(key, profile, params, tol=1e-10)
                 # quadrature noise must not beat the flat-background
-                # attenuation exp(-alpha0 z / 2) of the far wings
+                # attenuation exp(-z / 2) of the far wings
                 cache[key] = complex(val.real, max(val.imag, -1.0))
             val = cache[key]
             if symmetric and w < 0:

@@ -8,10 +8,10 @@ coherence is the causal convolution
     sigma(Delta; z, t) = -(i/2) * integral_0^inf A(z, t - tau)
                           e^{(i Delta - gamma_ab) tau} dtau
 
-(reduced units: detunings in hole widths, times in 1/delta0, dipole
-moment folded into the field), and the envelope obeys
+(reduced units: detunings in hole widths, times in 1/delta0, depths in
+1/alpha0, dipole moment folded into the field), and the envelope obeys
 
-    dA/dz = -(1/c) dA/dt - i (alpha0 / pi) * integral dDelta g(Delta) sigma.
+    dA/dz = -(1/c) dA/dt - (i / pi) * integral dDelta g(Delta) sigma.
 
 The medium is time-invariant, so in the retarded time t - z/c the 1/c term
 drops out exactly: the march runs at c = infinity and the exit field is
@@ -141,7 +141,7 @@ def _filon_kernels(nodes, gamma, dt, n):
 class TransitDiagnostics:
     """Energy bookkeeping of one co-integration run.
 
-    ``tank_energy`` is the coherence sum (2 alpha0 / pi) integral dz
+    ``tank_energy`` is the coherence sum (2 / pi) integral dz
     integral dDelta g |sigma|^2 evaluated at the final retarded grid time
     (t - z/c); for a lossless transit it matches the field-energy deficit.
     """
@@ -160,8 +160,10 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     with each class's free-evolution kernel, evaluated with one FFT per
     step by summing the kernels over the detuning grid first.  The exit
     field is then delayed by z/c on the grid's spectrum.  Raises a
-    configuration error when the z step violates
-    dz * alpha0 <= MAX_STEP_OPACITY.
+    configuration error when the opacity per step, dz, exceeds
+    MAX_STEP_OPACITY, or when the grid window n dt exceeds the classes'
+    recurrence time 2 pi / min(diff(nodes)) ~ 2 n_atoms, past which the
+    class sum rephases and the field is wrong.
 
     With ``energy_probe`` the time-reversed field entering every step is
     kept (in blocks of at most ``PROBE_BLOCK_STEPS`` steps) and contracted
@@ -174,14 +176,19 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     g = _profile_g(profile)
     z = float(z)
     if n_steps is None:
-        n_steps = max(1, int(np.ceil(z * params.alpha0 / MAX_STEP_OPACITY)))
+        n_steps = max(1, int(np.ceil(z / MAX_STEP_OPACITY)))
     dz = z / n_steps
-    if dz * params.alpha0 > MAX_STEP_OPACITY + 1e-12:
+    if dz > MAX_STEP_OPACITY + 1e-12:
         raise ConfigurationError(
-            f"z step too coarse: dz * alpha0 = {dz * params.alpha0:.3f} "
+            f"z step too coarse: opacity per step dz = {dz:.3f} "
             f"> {MAX_STEP_OPACITY}")
 
     nodes, weights = detuning_grid(n_atoms)
+    recurrence = 2.0 * np.pi / np.min(np.diff(nodes))
+    if env.n * env.dt > recurrence:
+        raise ConfigurationError(
+            f"grid window {env.n * env.dt:.4g} exceeds the recurrence time "
+            f"{recurrence:.4g} of {n_atoms} detuning classes")
     gvals = np.asarray(g(nodes), dtype=float)
 
     n = env.n
@@ -200,7 +207,7 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
         history = np.empty((min(n_steps, PROBE_BLOCK_STEPS), n),
                            dtype=complex)
         class_weights = weights * gvals
-        tank_scale = (2.0 * params.alpha0 / np.pi) * dz
+        tank_scale = (2.0 / np.pi) * dz
     for step in range(n_steps):
         if energy_probe:
             row = step % len(history)
@@ -211,7 +218,7 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
                         np.sum(class_weights * np.abs(sigma_star) ** 2))
         source = np.fft.ifft(np.fft.fft(a, 2 * n) * combined_f)[:n]
         sigma_sum = -0.5j * source
-        a = a + dz * (-1j * params.alpha0 / np.pi) * sigma_sum
+        a = a + dz * (-1j / np.pi) * sigma_sum
     if params.inv_c > 0:
         delay = np.exp(-1j * env.omega * z * params.inv_c)
         a = np.fft.ifft(np.fft.fft(a) * delay)

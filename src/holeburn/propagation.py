@@ -2,16 +2,16 @@
 
 The envelope is advanced through the slab in the frequency domain:
 
-    A(z, Omega) = A(0, Omega) * exp[-i Omega z / c - (i/2) alpha0 z chi_hat(Omega)]
+    A(z, Omega) = A(0, Omega) * exp[-i Omega z / c - (i/2) z chi_hat(Omega)]
 
-with chi_hat supplied by any of the three medium models.  Sign conventions
+with chi_hat from any of the three medium models, the depth z an optical
+depth (see ``medium``) and t = 0 the input peak.  Sign conventions
 follow the forward transform integral A(t) exp(-i Omega t) dt, so the
 positive real slope of the second-order susceptibility produces a positive
 group delay.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,34 +79,35 @@ class SampledEnvelope:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian input pulse of unit peak.
+    """Gaussian input pulse of unit peak, A(0, t) = exp(-t^2 / (2 T^2)).
 
-    A(0, t) = exp(-(t - center)^2 / (2 T^2)).  The model is linear, so a
-    peak would only scale every field; efficiencies do not depend on it.
+    The model is linear and time-invariant, so a peak would only scale
+    every field and a centre only shift it; efficiencies depend on neither.
     """
 
     duration: float
-    center_time: float = 0.0
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ConfigurationError("pulse duration must be positive")
 
     def amplitude(self, t):
-        arg = (np.asarray(t, dtype=float) - self.center_time) / self.duration
+        arg = np.asarray(t, dtype=float) / self.duration
         return np.exp(-0.5 * arg * arg)
 
 
 def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
     """Sample a pulse on a grid sized so delayed replicas never wrap.
 
-    Window = max(8 T, 4 L/v + 8 T) for the slab length L; dt resolves the
-    hole at ten samples per unit time 1/delta0 (and T at eight), and the grid
-    holds at least 1024 samples.  Raises a configuration error, before
-    allocating, when the grid would exceed MAX_GRID_SAMPLES.
+    Window = max(12 T, 4 L/v + 8 T) for the slab length L, the input peak
+    a quarter of the way in, so the grid starts 3 T or more ahead of it.
+    dt resolves the hole at ten samples per unit time 1/delta0 (and T at
+    eight), and the grid holds at least 1024 samples.  Raises a
+    configuration error, before allocating, when the grid would exceed
+    MAX_GRID_SAMPLES.
     """
     delay = params.length / slow_light_velocity(params)
-    window = max(8.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
+    window = max(12.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
     dt = min(0.1, pulse.duration / 8.0)
     # a subnormal duration overflows window / dt to inf: over the budget
     with np.errstate(over="ignore"):
@@ -116,18 +117,20 @@ def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
             f"grid of {samples:.3g} samples exceeds the budget of "
             f"{MAX_GRID_SAMPLES} (window {window:.3g}, dt {dt:.3g})")
     n = 1 << int(np.ceil(np.log2(samples)))
-    t_start = pulse.center_time - 0.25 * n * dt
+    t_start = -0.25 * n * dt
     t = t_start + dt * np.arange(n)
     return SampledEnvelope(t_start=t_start, dt=dt, samples=pulse.amplitude(t))
 
 
 def propagate(env: SampledEnvelope, z, chi_model, params: MediumParams,
               leakage_tol=1e-6) -> SampledEnvelope:
-    """Advance an envelope a distance z through the medium.
+    """Advance an envelope an optical depth z through the medium.
 
     ``chi_model`` maps an angular-frequency array to chi_hat (units
     alpha0/k).  Raises ConfigurationError when spectral energy beyond half
-    the Nyquist frequency exceeds ``leakage_tol`` of the total.
+    the Nyquist frequency exceeds ``leakage_tol`` of the total, and when
+    the output's last n/128 samples hold more than 1e-8 of its energy (the
+    field has wrapped around the grid).
     """
     spec = np.fft.fft(env.samples)
     omega = env.omega
@@ -141,32 +144,31 @@ def propagate(env: SampledEnvelope, z, chi_model, params: MediumParams,
     chi = np.asarray(chi_model(omega), dtype=complex)
     # A passive medium can only absorb; discard any positive-imaginary noise.
     chi = chi.real + 1j * np.minimum(chi.imag, 0.0)
-    transfer = np.exp(-1j * omega * z * params.inv_c
-                      - 0.5j * params.alpha0 * z * chi)
+    transfer = np.exp(-1j * omega * z * params.inv_c - 0.5j * z * chi)
     out = env.with_samples(np.fft.ifft(spec * transfer))
 
     tail = float(np.sum(np.abs(out.samples[-max(2, out.n // 128):]) ** 2) * out.dt)
     if out.energy() > 0 and tail / out.energy() > 1e-8:
-        warnings.warn("output envelope reaches the trailing grid edge; "
-                      "possible wraparound", RuntimeWarning)
+        raise ConfigurationError(
+            "output envelope reaches the trailing grid edge (tail fraction "
+            f"{tail / out.energy():.2e}): the grid does not hold the pulse")
     return out
 
 
-def transmitted_gaussian(z, t, T, params: MediumParams, center_time=0.0):
-    """Closed-form slowed Gaussian after distance z (second-order regime).
+def transmitted_gaussian(z, t, T, params: MediumParams):
+    """Closed-form slowed Gaussian after depth z (second-order regime).
 
-    A(z, t) = [T / sqrt(T^2 + alpha0 z)]
-              * exp[- (t - z/v)^2 / (2 (T^2 + alpha0 z))]
+    A(z, t) = [T / sqrt(T^2 + z)] * exp[- (t - z/v)^2 / (2 (T^2 + z))]
     """
     v = slow_light_velocity(params)
-    width2 = T * T + params.alpha0 * z
-    arg = np.asarray(t, dtype=float) - center_time - z / v
+    width2 = T * T + z
+    arg = np.asarray(t, dtype=float) - z / v
     return T / np.sqrt(width2) * np.exp(-0.5 * arg * arg / width2)
 
 
 def stretched_duration(z, T, params: MediumParams) -> float:
-    """Elongated pulse width T_s = T sqrt(1 + alpha0 z / T^2)."""
-    return T * np.sqrt(1.0 + params.alpha0 * z / T ** 2)
+    """Elongated pulse width T_s = T sqrt(1 + z / T^2)."""
+    return T * np.sqrt(1.0 + z / T ** 2)
 
 
 def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
@@ -188,15 +190,15 @@ def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
 class ConfinementReport:
     """Diagnostics of pulse confinement inside the slab."""
 
-    spectral_margin: float   # T / sqrt(alpha0 L): pulse spectrum inside hole
-    temporal_margin: float   # alpha0 L / T: pulse inside slab
+    spectral_margin: float   # T / sqrt(L): pulse spectrum inside hole
+    temporal_margin: float   # L / T: pulse inside slab
 
 
 def confinement_report(T, params: MediumParams) -> ConfinementReport:
-    """Evaluate the double confinement condition sqrt(a0 L) << T << a0 L.
+    """Evaluate the double confinement condition sqrt(L) << T << L.
 
     The one definition of the two margins, which ``storage.retrieve``
     reports as validity indicators.
     """
-    return ConfinementReport(spectral_margin=T / math.sqrt(params.opacity),
-                             temporal_margin=params.opacity / T)
+    return ConfinementReport(spectral_margin=T / math.sqrt(params.length),
+                             temporal_margin=params.length / T)

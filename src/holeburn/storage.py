@@ -12,10 +12,10 @@ implemented, ordered by generality:
 * ``restored_field_full``   -- double time quadrature against the analytic
   detuning kernel; the reference the other three are checked against
 
-Times are in units of 1/delta0 and detunings in hole widths (see
-``medium``), so the reduced variables are
+Units are those of ``medium`` and times run from the input peak, so the
+reduced variables are
 
-    x = t_w - t_center,  y = t - t_r,  rho = L / v,  a = alpha0 * v,
+    x = t_w,  y = t - t_r,  rho = L / v,  a = v,
 
 with t_w, t_r the write/read instants.  For the Gaussian hole
 a = sqrt(pi) (1 - v/c).
@@ -34,7 +34,7 @@ from .errors import ConfigurationError, DomainError, NumericsError, Precondition
 from .medium import MediumParams, _profile_g, slow_light_velocity
 from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
                           transmitted_gaussian)
-from .special import SQRT_PI, erf, erfc
+from .special import SQRT_PI, erf, erfc, erfcx
 
 # Reduced-time reach of the detuning kernel exp(-(p+q)^2/4); beyond this the
 # weight is < 1e-21 and the (p, q) quadrature can be truncated.
@@ -109,22 +109,18 @@ class StorageSchedule:
         return math.isinf(self.delta1)
 
 
-def default_schedule(params: MediumParams, b=0.6, hold=None):
-    """Protocol defaults matched to the opacity.
+def default_schedule(params: MediumParams, b=0.6):
+    """(PulseSpec, StorageSchedule) matched to the opacity.
 
-    Pulse duration T = b (alpha0 L)^(3/4), write instant at half
-    transit t_pi1 = L/(2v) with the input peak crossing the entrance at
-    t = 0.  ``hold`` is the storage interval t_pi2 - t_pi1 (its value is
-    irrelevant to the restored field since Raman decoherence is not
-    modeled); returns (PulseSpec, StorageSchedule).
+    Pulse duration T = b (alpha0 L)^(3/4), write instant at half transit
+    t_pi1 = L/(2v) and read instant 10 later (without Raman decoherence
+    the hold does not change the restored field).
     """
     v = slow_light_velocity(params)
-    T = b * params.opacity ** 0.75
+    T = b * params.length ** 0.75
     t_pi1 = params.length / (2.0 * v)
-    if hold is None:
-        hold = 10.0
     return (PulseSpec(duration=T),
-            StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + hold))
+            StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 10.0))
 
 
 @dataclass(frozen=True)
@@ -148,9 +144,7 @@ class RetrievalResult:
 def _reduced(params: MediumParams):
     """(v, a, rho, v/c) for the Gaussian-hole group velocity."""
     v = slow_light_velocity(params)
-    a = params.alpha0 * v
-    rho = params.length / v
-    return v, a, rho, params.inv_c * v
+    return v, v, params.length / v, params.inv_c * v
 
 
 # Unbounded, so that each rule size is built once per process: one pass of
@@ -230,12 +224,12 @@ def _deficit_kernel(profile):
 def kappa_quadrature(x, profile, params: MediumParams):
     """Revival factor from the double time integral (independent of Eq.-28 form).
 
-    kappa = (alpha0 v / 2 pi) * integral_0^inf min(s, b) K(s) e^{-gamma s} ds
+    kappa = (v / 2 pi) * integral_0^inf min(s, b) K(s) e^{-gamma s} ds
     with b = 2 x; the min(s, b) weight is the area of the tau + tau' = s
     strip inside [0, inf) x [0, b].  Cut at SIGMA_MAX, with
     m = min(b, SIGMA_MAX):
 
-        kappa = (alpha0 v / 2 pi) [S1(m) + b (S0(SIGMA_MAX) - S0(m))],
+        kappa = (v / 2 pi) [S1(m) + b (S0(SIGMA_MAX) - S0(m))],
 
     S0 and S1 the integrals from 0 of the Chebyshev series W of
     K e^{-gamma s} and of s W.  ``x`` may be an array.
@@ -249,7 +243,7 @@ def kappa_quadrature(x, profile, params: MediumParams):
     b = 2.0 * x
     m = np.minimum(b, SIGMA_MAX)
     val = s1(m) - s1(0.0) + b * (s0(SIGMA_MAX) - s0(m))
-    out = params.alpha0 * slow_light_velocity(params) / (2.0 * np.pi) * val
+    out = slow_light_velocity(params) / (2.0 * np.pi) * val
     return out if out.ndim else float(out)
 
 
@@ -288,7 +282,7 @@ def _band_panels(delta1, gamma, g):
 def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     """Revival factor when only |Delta| <= delta1 dipoles are converted.
 
-    kappa_eff = -(alpha0 v / 2 pi) * integral_{|Delta|<=delta1} g(Delta)
+    kappa_eff = -(v / 2 pi) * integral_{|Delta|<=delta1} g(Delta)
                 Re[(1 - e^{-D b}) / D^2] dDelta,  D = gamma_ab - i Delta,
     b = 2 x.  The sharp cutoff produces the characteristic
     ringing superposed on the plateau.
@@ -336,7 +330,7 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
         val -= np.pi * b * float(g(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
-    out = params.alpha0 * v / (2.0 * np.pi) * val.reshape(x.shape)
+    out = v / (2.0 * np.pi) * val.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -352,10 +346,10 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     zero before the read instant and once the readout depth v (t - t_pi2)
     exceeds the slab.
 
-    kappa is the closed form for the Gaussian hole at infinite bandwidth.
-    A finite conversion band takes ``kappa_finite_bandwidth``, and other
-    holes at infinite bandwidth take ``kappa_quadrature``, each in one call
-    for all in-depth samples.
+    kappa is the closed form for the Gaussian hole at infinite bandwidth
+    and gamma_ab = 0.  A finite conversion band takes
+    ``kappa_finite_bandwidth``, and any other case ``kappa_quadrature``,
+    each in one call for all in-depth samples.
     """
     v, a, rho, vc = _reduced(params)
     t = np.asarray(t, dtype=float)
@@ -370,15 +364,15 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
         frozen = np.where(
             in_depth,
             transmitted_gaussian(np.where(in_depth, depth, 0.0),
-                                 schedule.t_pi1, pulse.duration, params,
-                                 center_time=pulse.center_time),
+                                 schedule.t_pi1, pulse.duration, params),
             0.0)
     xs = 0.5 * y
     kap = np.zeros(np.shape(xs))
     if not schedule.infinite_bandwidth:
         kap[in_depth] = kappa_finite_bandwidth(
             xs[in_depth], schedule.delta1, profile, params)
-    elif getattr(_profile_g(profile), "kind", None) == "gaussian":
+    elif (params.gamma_ab == 0.0
+          and getattr(_profile_g(profile), "kind", None) == "gaussian"):
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
         kap[in_depth] = kappa_quadrature(xs[in_depth], profile, params)
@@ -435,23 +429,28 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
                        params: MediumParams, n_nodes=240):
     """Late-time restored field from the single-quadrature kernel.
 
-    A(L, t) = (1 - v/c) R(x - a/2, y - a/2) in reduced variables.  The
-    half-kernel shift a/2 = sqrt(pi)(1 - v/c)/2 is the mean revival delay
-    of the stored dipoles; with it the kernel agrees with the full double
-    quadrature to about 1e-3 of the peak over the late window
-    t - t_pi2 > 5 at v/c = 0.  At v/c > 0 it does not: at alpha0 L = 100,
-    delta0 T = 19 the late window (t - t_pi2 from 6 to 90) is off full
-    quadrature by 9.5e-4 of the peak at v/c = 0, 1.5e-2 at v/c = 0.3 and
-    3.0e-2 at 0.6, with both routes converged.  The cause is not known;
-    the CLI warns when this route runs at v/c > 0.
+    A(L, t) = m0 R(x - beta, y - beta): the memory kernel (a / 2 pi)
+    K(p + q) e^{-gamma (p+q)} of ``restored_field_full`` as its mass m0 at
+    beta, half the mean of s = p + q under the weight s K(s) e^{-gamma s}.
+    For the Gaussian hole, with I0 = sqrt(pi) erfcx(gamma) and
+    I1 = 2 - 2 gamma I0, m0 = (1 - v/c)(1 - gamma I0) and
+    beta = (I0 - gamma I1) / I1: at gamma = 0, 1 - v/c and sqrt(pi)/2
+    (taken as a / (2 (1 - v/c))).  The late window t - t_pi2 > 5 then holds
+    to about 1e-3 of the full-quadrature peak at any v/c and gamma
+    (alpha0 L = 100, delta0 T = 19).
     """
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
-    x = schedule.t_pi1 - pulse.center_time
+    x = schedule.t_pi1
     y = np.asarray(t, dtype=float) - schedule.t_pi2
-    beta = 0.5 * a
-    val = (1.0 - vc) * _established_kernel(
-        x - beta, y - beta, rho, dT, a, n_nodes)
+    gamma = params.gamma_ab
+    if gamma:
+        i0 = SQRT_PI * erfcx(gamma)
+        i1 = 2.0 - 2.0 * gamma * i0
+        mass, beta = (1.0 - vc) * (1.0 - gamma * i0), (i0 - gamma * i1) / i1
+    else:
+        mass, beta = 1.0 - vc, 0.5 * a / (1.0 - vc)
+    val = mass * _established_kernel(x - beta, y - beta, rho, dT, a, n_nodes)
     out = np.where(y > 0, val, 0.0)
     return out if np.ndim(t) else float(out)
 
@@ -512,7 +511,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
             "bandwidth; model the cutoff with revival_envelope")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
-    x = schedule.t_pi1 - pulse.center_time
+    x = schedule.t_pi1
     gamma = params.gamma_ab
     kern = _deficit_kernel(profile)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -658,7 +657,7 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
         raise DomainError("series order must lie in 0..6")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
-    x = schedule.t_pi1 - pulse.center_time
+    x = schedule.t_pi1
     gamma = params.gamma_ab
     beta = 0.5 * a
 

@@ -194,7 +194,7 @@ def test_criterion_7_method_cross_agreement():
     # simple depth-slice field
     params, pulse, schedule = half_transit_setup(4.0, 20.0)
     v = slow_light_velocity(params)
-    a = params.alpha0 * v
+    a = v
     rho = params.length / v
     dT = pulse.duration
     x = schedule.t_pi1

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -62,17 +63,20 @@ def asymmetric_tabulated_hole():
 class TestMediumParams:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            MediumParams(alpha0=0.0, gamma_ab=0.0, length=1.0)
+            MediumParams(gamma_ab=0.0, length=0.0)
         with pytest.raises(ValueError):
-            MediumParams(alpha0=1.0, gamma_ab=-1.0, length=1.0)
+            MediumParams(gamma_ab=-1.0, length=1.0)
         with pytest.raises(ValueError):
-            MediumParams(alpha0=1.0, gamma_ab=0.0, length=1.0, inv_c=-0.1)
+            MediumParams(gamma_ab=0.0, length=1.0, inv_c=-0.1)
 
     def test_reduced_units(self):
+        # lengths are optical depths: alpha0 is the unit, not a parameter
         params = MediumParams.reduced(100.0)
-        assert params.alpha0 == 1.0
-        assert params.opacity == 100.0
+        assert params.length == 100.0
         assert params.narrow_homogeneous
+        assert "alpha0" not in asdict(params)
+        with pytest.raises(TypeError):
+            MediumParams(alpha0=1.0, gamma_ab=0.0, length=1.0)
 
     def test_narrow_homogeneous_flag(self):
         assert not MediumParams.reduced(10.0, gamma_over_delta0=0.1).narrow_homogeneous
@@ -324,7 +328,7 @@ class TestAbsorptionCoefficient:
         params = MediumParams.reduced(10.0, gamma_over_delta0=0.2)
         for omega in (0.0, 1.0, 2.5):
             val = absorption_coefficient(omega, HoleProfile.uniform(), params)
-            assert val == pytest.approx(params.alpha0, rel=1e-9)
+            assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_quadratic_transmission_factor(self):
         # exp(-alpha(Omega) L / 2) = exp(-alpha0 L Omega^2 / 2)
@@ -352,14 +356,14 @@ class TestInverseGroupVelocity:
         assert val == pytest.approx(1.0 / (4.0 * params.gamma_ab), rel=1e-6)
 
     def test_monotone_in_hole_width(self):
-        # 1/v - 1/c scales as alpha0 / delta0: a hole w times wider is
-        # alpha0 / w at unit width, so a wider hole gives faster light and
-        # a smaller 1/v
+        # 1/v - 1/c scales as 1 / width: a Gaussian hole tabulated w times
+        # wider gives faster light and a smaller 1/v
+        params = MediumParams.reduced(10.0)
         vals = []
         for width in (0.5, 1.0, 2.0, 4.0):
-            params = MediumParams(alpha0=1.0 / width, gamma_ab=0.0,
-                                  length=10.0)
-            vals.append(inverse_group_velocity(HoleProfile.gaussian(), params))
+            x = np.linspace(-8.0 * width, 8.0 * width, 321)
+            hole = HoleProfile.tabulated(x, 1.0 - np.exp(-(x / width) ** 2))
+            vals.append(inverse_group_velocity(hole, params))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

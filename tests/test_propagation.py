@@ -27,10 +27,10 @@ class TestSampledEnvelope:
         assert env.energy() == pytest.approx(4.0)
 
     def test_peak_time_refinement(self):
-        pulse = PulseSpec(duration=2.0, center_time=0.37)
+        pulse = PulseSpec(duration=2.0)
         t = -20.0 + 0.25 * np.arange(256)
         env = SampledEnvelope(t_start=-20.0, dt=0.25,
-                              samples=pulse.amplitude(t))
+                              samples=pulse.amplitude(t - 0.37))
         assert env.peak_time() == pytest.approx(0.37, abs=1e-3)
 
 
@@ -40,7 +40,27 @@ class TestPulseSpec:
             PulseSpec(duration=0.0)
 
 
+class TestAutoGrid:
+    def test_grid_holds_the_input_front(self):
+        # a pulse long against the slab delay: the grid starts 3 T or more
+        # ahead of the peak, where one starting 2.7 T ahead let a v/c > 0
+        # shift wrap the cut front onto the trailing edge
+        params = MediumParams.reduced(1.0, v_over_c=0.125)
+        env = auto_grid(PulseSpec(duration=9.5), params)
+        assert env.t_start <= -3.0 * 9.5
+        propagate(env, params.length, exact_gaussian_model(params), params)
+
+
 class TestPropagate:
+    def test_wraparound_refused(self):
+        # a field that reaches the trailing grid edge is a configuration
+        # error, not a result with a warning: here the input front, 3.2 T
+        # ahead of the peak, spreads across the grid's periodic boundary
+        params = MediumParams.reduced(0.3)
+        env = auto_grid(PulseSpec(duration=8.0), params)
+        with pytest.raises(ConfigurationError, match="trailing grid edge"):
+            propagate(env, params.length, second_order_model(params), params)
+
     def test_zero_chi_identity(self):
         params = MediumParams.reduced(100.0)
         env = auto_grid(PulseSpec(duration=10.0), params)
@@ -144,7 +164,7 @@ class TestUndistortedSolution:
 
         def constant_chi(omega):
             # pure delay slope plus flat absorption, in units alpha0/k
-            return (2.0 / SQRT_PI) * omega - 1j * alpha_center / params.alpha0
+            return (2.0 / SQRT_PI) * omega - 1j * alpha_center
 
         via_propagate = propagate(env, params.length, constant_chi, params)
         direct = undistorted_solution(env, params.length, params,
