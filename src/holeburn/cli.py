@@ -9,7 +9,8 @@ the slab length and ``delta0_T`` the pulse duration itself.  Subcommands:
 ``transmit``
     Propagate a gaussian pulse through the slab and emit, per duration,
     the input profile together with the exact-susceptibility and the
-    second-order-susceptibility outputs.
+    second-order-susceptibility outputs.  The second-order model has no
+    gamma term, so a slab run needs gamma_over_delta0 below 0.01.
 ``store``
     Run the full write/hold/read protocol and emit the delayed original
     (no storage, time column t - t_pi1) and the restored waveform (time
@@ -85,6 +86,12 @@ _SLOT = np.dtype([("text", "S20"), ("sep", "u4")])
 _REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
 _OPTIONAL_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "delta1_over_delta0")
 _INT_FIELDS = ("series_order", "n_time", "refine")
+# A transmit run through the slab needs gamma_over_delta0 below this: its
+# second-order profile is the expansion of chi at gamma = 0
+# (``chi_second_order`` has no gamma term), so at a wider homogeneous line
+# it would stand beside the exact profile as if both described that line.
+# A free-space run (alpha0_L = 0) evaluates no chi and is not limited.
+_TRANSMIT_MAX_GAMMA = 0.01
 
 
 def _is_real(val):
@@ -221,6 +228,11 @@ class Scenario:
             bad.append(f"b must be positive, got {self.b}")
         if self.gamma_over_delta0 < 0:
             bad.append("gamma_over_delta0 must be non-negative")
+        if (self.kind == "transmit" and any(self._alpha0_L_list())
+                and self.gamma_over_delta0 >= _TRANSMIT_MAX_GAMMA):
+            bad.append("transmit needs gamma_over_delta0 below "
+                       f"{_TRANSMIT_MAX_GAMMA:g} (its second-order profile "
+                       f"has no gamma term), got {self.gamma_over_delta0:g}")
         if not 0.0 <= self.v_over_c < 1.0:
             bad.append("v_over_c must lie in [0, 1)")
         d1 = self.delta1_over_delta0

@@ -5,8 +5,9 @@ around the carrier.  Three susceptibility models are provided, all
 returning the dimensionless value chi_hat such that
 chi = (alpha0 / k) * chi_hat:
 
-* ``chi_exact_gaussian``  -- closed form for the Gaussian hole
-  (the Faddeeva function; refused from gamma_ab = 0.01 delta0 up)
+* ``chi_exact_gaussian``  -- closed form for the Gaussian hole at any
+  homogeneous width (the Faddeeva function; the Dawson integral at
+  gamma_ab = 0)
 * ``chi_quadrature``      -- adaptive quadrature for any hole profile and
   any homogeneous width: one frequency per call, with plain-float real and
   imaginary integrands (the imaginary one skipped at gamma_ab = 0)
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, PreconditionError
+from .errors import NumericsError
 from .special import SQRT_PI, dawson, erfcx, faddeeva
 
 _QUAD_LIMIT = 300
@@ -60,11 +61,6 @@ class MediumParams:
             raise ValueError("length must be strictly positive")
         if self.gamma_ab < 0 or self.inv_c < 0:
             raise ValueError("gamma_ab and inv_c must be non-negative")
-
-    @property
-    def narrow_homogeneous(self) -> bool:
-        """True when gamma_ab << delta0 (threshold 1%)."""
-        return self.gamma_ab < 0.01
 
     @classmethod
     def reduced(cls, alpha0_L, gamma_over_delta0=0.0, v_over_c=0.0):
@@ -217,13 +213,10 @@ def chi_exact_gaussian(omega_offset, params: MediumParams):
     function.  At gamma_ab = 0 this is evaluated as
     -i (1 - exp(-Omega^2)) + (2/sqrt(pi)) F(Omega), F the Dawson integral:
     the two forms differ in the last bit of about a fifth of the real
-    parts, and the lossless runs keep the Dawson values.
-    Requires the narrow-homogeneous regime gamma_ab << delta0.
+    parts, and the lossless runs keep the Dawson values.  The Faddeeva
+    form is exact at every gamma_ab (Abramowitz & Stegun 7.1.3-7.1.4), so
+    no homogeneous width is refused.
     """
-    if not params.narrow_homogeneous:
-        raise PreconditionError(
-            "chi_exact_gaussian assumes gamma_ab << delta0 "
-            f"(gamma_ab/delta0 = {params.gamma_ab:.3g})")
     x = np.asarray(omega_offset, dtype=float)
     if params.gamma_ab > 0.0:
         out = -1j + 1j * np.conj(faddeeva(x + 1j * params.gamma_ab))

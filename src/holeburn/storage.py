@@ -338,6 +338,14 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 # restored-field routes
 # ---------------------------------------------------------------------------
 
+def _require_infinite_bandwidth(schedule: StorageSchedule, route):
+    """Refuse a finite conversion band on a route that has no band term."""
+    if not schedule.infinite_bandwidth:
+        raise PreconditionError(
+            f"{route} assumes infinite conversion bandwidth; model the "
+            "cutoff with revival_envelope")
+
+
 def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
                      params: MediumParams, profile=None):
     """Early-time restored field: frozen slowed pulse times the revival factor.
@@ -437,8 +445,9 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
     beta = (I0 - gamma I1) / I1: at gamma = 0, 1 - v/c and sqrt(pi)/2
     (taken as a / (2 (1 - v/c))).  The late window t - t_pi2 > 5 then holds
     to about 1e-3 of the full-quadrature peak at any v/c and gamma
-    (alpha0 L = 100, delta0 T = 19).
+    (alpha0 L = 100, delta0 T = 19).  Infinite conversion bandwidth only.
     """
+    _require_infinite_bandwidth(schedule, "established signal")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -505,10 +514,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
-    if not schedule.infinite_bandwidth:
-        raise PreconditionError(
-            "full-quadrature restored field assumes infinite conversion "
-            "bandwidth; model the cutoff with revival_envelope")
+    _require_infinite_bandwidth(schedule, "full-quadrature restored field")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -651,10 +657,11 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     The derivatives come from ``_series_derivatives`` (Taylor jets, O(order^2)
     array operations per time sample).  Orders above 6 are rejected, the
     same range a scenario's ``series_order`` accepts; the jets themselves
-    would allow more.
+    would allow more.  Infinite conversion bandwidth only.
     """
     if order < 0 or order > 6:
         raise DomainError("series order must lie in 0..6")
+    _require_infinite_bandwidth(schedule, "derivative-series restored field")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -722,9 +729,16 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     and temporal margins are those of ``propagation.confinement_report``.
     A restored energy that is not finite and positive, or a validity
     indicator that is not finite, raises NumericsError: a degenerate pulse
-    duration or opacity is never reported as eta = 0.
+    duration or opacity is never reported as eta = 0.  The established and
+    series routes take no hole: any ``profile`` but the Gaussian one
+    (``None`` or kind "gaussian") raises PreconditionError for them.
     """
     label = _method_field(method, series_order)
+    if (method in ("established", "series")
+            and getattr(_profile_g(profile), "kind", None) != "gaussian"):
+        raise PreconditionError(
+            f"the {method} route is built for the Gaussian hole only; use "
+            "full_quadrature or revival for another hole")
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
     refine = int(refine)
     if method == "full_quadrature":

@@ -128,6 +128,25 @@ class TestTransmit:
         peak = float(np.max(np.hypot(out[:, 1], out[:, 2])))
         assert peak == pytest.approx(0.430015, abs=1e-6)
 
+    def test_gamma_refused_by_validate_and_transmit(self, tmp_path, capsys):
+        # the second-order profile has no gamma term: validate reports what
+        # transmit refuses, in the same one stderr line, and nothing is
+        # written; a free-space run evaluates no chi and stays valid
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 25.0,
+                                    "delta0_T": 10.0,
+                                    "gamma_over_delta0": 0.05}))
+        errs = []
+        for command in ("validate", "transmit"):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(tmp_path)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].count("\n") == 1 and "gamma_over_delta0" in errs[0]
+        assert not list(tmp_path.glob("*.csv"))
+        assert Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0,
+                        gamma_over_delta0=0.05).violations() == []
+
     @pytest.mark.parametrize("command, kind", [
         (command, kind) for command in _KINDS for kind in _KINDS
         if command != kind])
@@ -216,6 +235,45 @@ class TestStore:
         assert main(["store", "--scenario", str(path),
                      "--out", str(out)]) == code
         assert capsys.readouterr().err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_lossy_panel_matches_sweep(self, tmp_path, capsys, method):
+        # every route runs at gamma/delta0 = 0.05 (the exact chi is the
+        # Faddeeva form at any gamma), and a store reports the eta that a
+        # sweep of the same point tabulates; full quadrature reads 0.4294
+        doc = {"b": 0.6, "gamma_over_delta0": 0.05, "method": method}
+        for kind, opacity in (("store", {"alpha0_L": 25.0}),
+                              ("sweep-efficiency",
+                               {"alpha0_L_values": [25.0]})):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"kind": kind, **doc, **opacity}))
+            assert main([kind, "--scenario", str(path),
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        side = json.loads(
+            (tmp_path / "store_aL25_restored.csv.json").read_text())
+        table = np.loadtxt(tmp_path / "efficiency.csv", delimiter=",")
+        assert side["eta"] == pytest.approx(table[3], rel=1e-12)
+        if method == "full_quadrature":
+            assert side["eta"] == pytest.approx(0.4294, abs=1e-4)
+
+    @pytest.mark.parametrize("method, route", [
+        ("established", "established signal"),
+        ("series", "derivative-series restored field"),
+        ("full_quadrature", "full-quadrature restored field")])
+    def test_finite_band_refused(self, tmp_path, capsys, method, route):
+        # only the revival route has a conversion-band term; the others
+        # once returned their infinite-band eta for a finite band
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "store", "alpha0_L": 25.0,
+                                    "b": 0.6, "delta1_over_delta0": 3.0,
+                                    "method": method}))
+        out = tmp_path / "out"
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and route in err
         assert list(out.iterdir()) == []
 
 
@@ -394,17 +452,22 @@ class TestSweep:
         assert code == 3
 
     def test_per_point_failure_recorded(self, tmp_path):
-        # full quadrature rejects finite conversion bandwidth; the failing
-        # point is recorded and the sweep continues with the valid one
-        scenario = Scenario(kind="sweep-efficiency",
-                            alpha0_L_values=(4.0, 9.0), b=0.6,
-                            method="full_quadrature", delta1_over_delta0=5.0)
-        files = run_sweep(scenario, str(tmp_path))
-        table = np.loadtxt(files[0], delimiter=",")
-        assert table.shape[0] == 2
-        assert np.all(np.isnan(table[:, 3]))
-        side = json.loads(Path(files[1]).read_text())
-        assert set(side["failures"]) == {"4", "9"}
+        # every route but revival rejects finite conversion bandwidth; each
+        # failing point is recorded and the sweep still writes both files
+        for method in ("full_quadrature", "established", "series"):
+            scenario = Scenario(kind="sweep-efficiency",
+                                alpha0_L_values=(4.0, 9.0), b=0.6,
+                                method=method, delta1_over_delta0=5.0)
+            out = tmp_path / method
+            out.mkdir()
+            files = run_sweep(scenario, str(out))
+            table = np.loadtxt(files[0], delimiter=",")
+            assert table.shape[0] == 2
+            assert np.all(np.isnan(table[:, 3]))
+            side = json.loads(Path(files[1]).read_text())
+            assert set(side["failures"]) == {"4", "9"}
+            assert all("infinite conversion bandwidth" in message
+                       for message in side["failures"].values())
 
     @pytest.mark.parametrize("fields, point, method", [
         pytest.param(fields, point, method,
@@ -930,13 +993,21 @@ def _run_scenario(kind):
 def test_run_commands_keep_the_exit_contract(tmp_path_factory, kind, data):
     """Any in-budget scenario, from its dict through the command, ends in
     exit 0, or in 2 or 3 with one stderr line, and never in a traceback (a
-    numpy RuntimeWarning from the library fails the test too)."""
+    numpy RuntimeWarning from the library fails the test too).  A scenario
+    that ``validate`` refuses is refused by the command in the same line."""
     doc = data.draw(_run_scenario(kind))
     path = tmp_path_factory.getbasetemp() / "run.json"
     Scenario.from_dict(doc).save(path)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([kind, "--scenario", str(path), "--out",
-                     str(path.parent / "run"), "--workers", "1"])
-    lines = err.getvalue().count("\n")
-    assert (code, lines) in [(0, 0), (2, 1), (3, 1)], (doc, err.getvalue())
+    runs = {}
+    for command in ("validate", kind):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(path), "--out",
+                         str(path.parent / "run"), "--workers", "1"])
+        runs[command] = code, err.getvalue()
+    code, err = runs[kind]
+    assert (code, err.count("\n")) in [(0, 0), (2, 1), (3, 1)], (doc, err)
+    if runs["validate"][0] == 2:
+        assert runs[kind] == runs["validate"], doc
+    else:
+        assert runs["validate"][0] == 0, (doc, runs["validate"])

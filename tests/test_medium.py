@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.special import wofz
 
 import holeburn.medium
-from holeburn.errors import NumericsError, PreconditionError
+from holeburn.errors import NumericsError
 from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
                              chi_exact_gaussian, chi_quadrature,
                              chi_second_order, inverse_group_velocity,
@@ -73,13 +73,9 @@ class TestMediumParams:
         # lengths are optical depths: alpha0 is the unit, not a parameter
         params = MediumParams.reduced(100.0)
         assert params.length == 100.0
-        assert params.narrow_homogeneous
         assert "alpha0" not in asdict(params)
         with pytest.raises(TypeError):
             MediumParams(alpha0=1.0, gamma_ab=0.0, length=1.0)
-
-    def test_narrow_homogeneous_flag(self):
-        assert not MediumParams.reduced(10.0, gamma_over_delta0=0.1).narrow_homogeneous
 
     def test_group_delay(self):
         # L / v = alpha0 L / sqrt(pi) in the infinite-c limit
@@ -149,24 +145,23 @@ class TestChiExactGaussian:
         omega = np.linspace(-30, 30, 601)
         assert np.all(chi_exact_gaussian(omega, params).imag <= 0.0)
 
-    def test_regime_precondition(self):
-        params = MediumParams.reduced(100.0, gamma_over_delta0=0.1)
-        with pytest.raises(PreconditionError):
-            chi_exact_gaussian(1.0, params)
-
-    @pytest.mark.parametrize("gamma", [0.001, 0.005, 0.009])
+    @pytest.mark.parametrize("gamma", [0.001, 0.005, 0.009, 0.01, 0.05,
+                                       0.3])
     def test_keeps_gamma_below_regime_bound(self, gamma):
-        # gamma/delta0 < 0.01 is accepted and must be kept, not dropped:
-        # the line-centre absorption is of order gamma.  The quadrature
-        # misses the hole from |Omega| ~ 12 on (ROADMAP item 1), so the
-        # comparison stays inside |Omega| <= 6.
+        # the Faddeeva form is exact at every gamma, inside and beyond the
+        # narrow-line regime, and gamma must be kept, not dropped.  The
+        # quadrature misses the hole from |Omega| ~ 12 on (ROADMAP items 2
+        # and 5), so the comparison stays inside |Omega| <= 6.
         params = MediumParams.reduced(100.0, gamma_over_delta0=gamma)
         omega = np.array([0.0, 0.3, 1.0, -2.5, 6.0])
         ref = [chi_quadrature(float(w), HoleProfile.gaussian(), params)
                for w in omega]
         np.testing.assert_allclose(chi_exact_gaussian(omega, params), ref,
                                    rtol=0.0, atol=1e-13)
-        assert chi_exact_gaussian(0.0, params).imag < -gamma
+        # line-centre absorption 1 - erfcx(gamma), about (2/sqrt(pi)) gamma
+        # while gamma is small
+        assert chi_exact_gaussian(0.0, params).imag == pytest.approx(
+            erfcx(gamma) - 1.0, rel=1e-12)
 
 
 class TestChiSecondOrder:

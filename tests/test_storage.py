@@ -521,12 +521,24 @@ class TestRestoredFieldFull:
                                    HoleProfile.gaussian(), params) == 0.0
 
     def test_finite_bandwidth_rejected(self):
+        # no route but revival has a conversion-band term: the other three
+        # refuse a finite band, each naming itself, rather than return
+        # their infinite-band field
         params, pulse, schedule = reduced_setup(100.0, 19.0)
         clipped = StorageSchedule(t_pi1=schedule.t_pi1, t_pi2=schedule.t_pi2,
                                   delta1=5.0)
-        with pytest.raises(PreconditionError):
-            restored_field_full(schedule.t_pi2 + 1.0, pulse, clipped,
-                                HoleProfile.gaussian(), params)
+        t = schedule.t_pi2 + 1.0
+        routes = {
+            "full-quadrature": lambda: restored_field_full(
+                t, pulse, clipped, HoleProfile.gaussian(), params),
+            "established": lambda: established_signal(t, pulse, clipped,
+                                                      params),
+            "derivative-series": lambda: appendix_series_field(
+                t, pulse, clipped, params),
+        }
+        for name, route in routes.items():
+            with pytest.raises(PreconditionError, match=name):
+                route()
 
     def test_time_translation_covariance(self):
         # no decoherence during the hold: moving the read instant alone
@@ -972,6 +984,27 @@ class TestRetrieve:
         report = confinement_report(pulse.duration, params)
         assert validity["spectral_margin"] == report.spectral_margin
         assert validity["temporal_margin"] == report.temporal_margin
+
+    def test_gaussian_only_routes_refuse_other_holes(self):
+        # established and series take no hole, and once returned their
+        # Gaussian-hole eta (0.5414 and 0.5302) for this flat-bottom hole;
+        # full quadrature and revival take it, and read 0.2748 and 0.3568
+        x = np.linspace(-6.0, 6.0, 121)
+        flat = HoleProfile.tabulated(x, 1.0 - np.exp(-x ** 4))
+        params = MediumParams.reduced(25.0)
+        pulse, schedule = default_schedule(params)
+
+        def eta(method, hole):
+            return retrieve(pulse, schedule, params, profile=hole,
+                            method=method).efficiency
+
+        for method in ("established", "series"):
+            for hole in (flat, lambda d: 1.0 - np.exp(-np.asarray(d) ** 4)):
+                with pytest.raises(PreconditionError, match="Gaussian hole"):
+                    eta(method, hole)
+            assert eta(method, None) == eta(method, HoleProfile.gaussian())
+        assert eta("full_quadrature", flat) == pytest.approx(0.2748, abs=1e-4)
+        assert eta("revival", flat) == pytest.approx(0.3568, abs=1e-4)
 
     def test_unknown_method(self):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
