@@ -477,9 +477,15 @@ def _num(x):
 # ---------------------------------------------------------------------------
 
 def _free_space_grid(pulse):
-    """Sampling grid for the no-medium case (alpha0_L = 0)."""
+    """Sampling grid for the no-medium case (alpha0_L = 0): 1024 samples at
+    dt = T / 16, a 64 T window.  A duration whose window overflows is
+    refused here, and one whose T / 16 underflows to 0 by
+    ``SampledEnvelope``, both as ConfigurationError."""
     dt = pulse.duration / 16.0
-    n = 1 << int(math.ceil(math.log2(max(8.0 * pulse.duration / dt, 1024))))
+    n = 1024
+    if not math.isfinite(n * dt):
+        raise ConfigurationError(
+            f"free-space window 64 T overflows at delta0_T = {pulse.duration:g}")
     t_start = -0.25 * n * dt
     t = t_start + dt * np.arange(n)
     return SampledEnvelope(t_start=t_start, dt=dt,
@@ -527,26 +533,6 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # store
 # ---------------------------------------------------------------------------
 
-def _regime_warnings(method, validity):
-    """Readable warnings for the validity indicators a retrieval left out
-    of regime; empty when the result is clean."""
-    warnings = []
-    if method == "revival" and validity["revival_condition_fraction"] > 0.5:
-        warnings.append("revival product form used outside its validity "
-                        "window (elapsed time not small against the pulse "
-                        "duration squared)")
-    if method == "established" and not validity["established_window_ok"]:
-        warnings.append("established-signal kernel used before the restored "
-                        "peak leaves the early window")
-    if validity["spectral_margin"] < 1.0:
-        warnings.append("pulse spectrum not confined inside the hole "
-                        "(delta0 T below sqrt(alpha0 L))")
-    if validity["temporal_margin"] < 1.0:
-        warnings.append("pulse not confined inside the slab "
-                        "(delta0 T above alpha0 L)")
-    return warnings
-
-
 def _store_panel(scenario: Scenario, alpha0_L, out_dir):
     """Write one panel's three files, only once its retrieval succeeded."""
     params = scenario.params_for(alpha0_L)
@@ -572,7 +558,7 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
         "t_pi2": schedule.t_pi2,
         "delta1_over_delta0": (None if schedule.infinite_bandwidth
                                else schedule.delta1),
-        "warnings": _regime_warnings(scenario.method, result.validity),
+        "warnings": list(result.warnings),
     }
 
     stem = os.path.join(out_dir, f"store_aL{_num(alpha0_L)}")
@@ -626,8 +612,7 @@ def _sweep_point(args):
                     "efficiency not converged: doubling the quadrature "
                     f"resolution moved eta by {abs(eta2 - eta):.2e}",
                     residual=abs(eta2 - eta))
-        return (alpha0_L, pulse.duration, eta, None,
-                _regime_warnings(scenario.method, result.validity))
+        return alpha0_L, pulse.duration, eta, None, list(result.warnings)
     except NumericsError as exc:
         failure = {"message": f"numerical failure: {exc}",
                    "residual": None if exc.residual is None

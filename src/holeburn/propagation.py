@@ -186,19 +186,12 @@ def undistorted_solution(env: SampledEnvelope, z, params: MediumParams,
     return env.with_samples(out)
 
 
-@dataclass(frozen=True)
-class ConfinementReport:
-    """Diagnostics of pulse confinement inside the slab."""
+def confinement_report(T, params: MediumParams):
+    """Margins (T / sqrt(L), L / T) of the double confinement sqrt(L) << T << L.
 
-    spectral_margin: float   # T / sqrt(L): pulse spectrum inside hole
-    temporal_margin: float   # L / T: pulse inside slab
-
-
-def confinement_report(T, params: MediumParams) -> ConfinementReport:
-    """Evaluate the double confinement condition sqrt(L) << T << L.
-
-    The one definition of the two margins, which ``storage.retrieve``
-    reports as validity indicators.
+    The spectral margin is above 1 when the pulse spectrum fits inside the
+    hole, the temporal margin when the pulse fits inside the slab.  The one
+    definition of the two margins, which ``storage.retrieve`` reports as
+    validity indicators and warns on below 1.
     """
-    return ConfinementReport(spectral_margin=T / math.sqrt(params.length),
-                             temporal_margin=params.length / T)
+    return T / math.sqrt(params.length), params.length / T

@@ -128,13 +128,15 @@ class RetrievalResult:
     """Restored waveform at the slab output with its energy bookkeeping.
 
     The envelope time axis is t - t_pi2; efficiency is restored over
-    incoming energy.
+    incoming energy.  ``validity`` holds the regime indicators and
+    ``warnings`` the lines ``retrieve`` writes for those out of regime.
     """
 
     envelope: SampledEnvelope
     efficiency: float
     method: str
     validity: dict = field(default_factory=dict)
+    warnings: tuple = ()
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -724,14 +726,16 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     """Compute the restored waveform on an auto grid and wrap it up.
 
     ``refine`` scales the quadrature node counts (deterministic for a
-    given value); method validity indicators are attached rather than
-    enforced, mirroring how the figure panels mix regimes; the spectral
-    and temporal margins are those of ``propagation.confinement_report``.
-    A restored energy that is not finite and positive, or a validity
-    indicator that is not finite, raises NumericsError: a degenerate pulse
-    duration or opacity is never reported as eta = 0.  The established and
-    series routes take no hole: any ``profile`` but the Gaussian one
-    (``None`` or kind "gaussian") raises PreconditionError for them.
+    given value).  The regime is reported, not enforced, as the figure
+    panels mix regimes: ``validity`` holds the four indicators (the
+    margins are those of ``propagation.confinement_report``) and
+    ``warnings`` one line per indicator out of regime, the lines a CLI
+    sidecar holds.  A restored energy that is not finite and positive, or
+    a validity indicator that is not finite, raises NumericsError: a
+    degenerate pulse duration or opacity is never reported as eta = 0.
+    The established and series routes take no hole: any ``profile`` but
+    the Gaussian one (``None`` or kind "gaussian") raises
+    PreconditionError for them.
     """
     label = _method_field(method, series_order)
     if (method in ("established", "series")
@@ -773,19 +777,33 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
             f"restored energy exceeds the input energy (eta = {eta:.6g}); "
             "the quadrature overshoots", residual=eta - 1.0)
     peak_t = env.peak_time() + schedule.t_pi2
-    confinement = confinement_report(pulse.duration, params)
+    spectral, temporal = confinement_report(pulse.duration, params)
     validity = {
         "revival_condition_fraction": float(
             revival_validity(peak_t, pulse, schedule, params)),
         "established_window_ok": bool(peak_t - schedule.t_pi2 > 5.0),
-        "spectral_margin": float(confinement.spectral_margin),
-        "temporal_margin": float(confinement.temporal_margin),
+        "spectral_margin": float(spectral),
+        "temporal_margin": float(temporal),
     }
     bad = sorted(key for key, val in validity.items() if not math.isfinite(val))
     if bad:
         raise NumericsError(f"validity indicators {bad} are not finite")
-    return RetrievalResult(envelope=env, efficiency=eta,
-                           method=label, validity=validity)
+    warnings = []
+    if method == "revival" and validity["revival_condition_fraction"] > 0.5:
+        warnings.append("revival product form used outside its validity "
+                        "window (elapsed time not small against the pulse "
+                        "duration squared)")
+    if method == "established" and not validity["established_window_ok"]:
+        warnings.append("established-signal kernel used before the restored "
+                        "peak leaves the early window")
+    if spectral < 1.0:
+        warnings.append("pulse spectrum not confined inside the hole "
+                        "(delta0 T below sqrt(alpha0 L))")
+    if temporal < 1.0:
+        warnings.append("pulse not confined inside the slab "
+                        "(delta0 T above alpha0 L)")
+    return RetrievalResult(envelope=env, efficiency=eta, method=label,
+                           validity=validity, warnings=tuple(warnings))
 
 
 def efficiency(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,

@@ -307,6 +307,23 @@ class TestGridBudget:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget" in err
 
+    @pytest.mark.parametrize("delta0_T, reason", [
+        (5e-324, "dt must be positive"), (1e308, "overflows")])
+    def test_free_space_degenerate_duration(self, tmp_path, capsys, delta0_T,
+                                            reason):
+        # validate accepts the scenario; the free-space grid's dt = T / 16
+        # underflows to 0, or its 64 T window overflows, and the run exits 2
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 0,
+                                    "delta0_T": delta0_T}))
+        out = str(tmp_path / "out")
+        assert main(["validate", "--scenario", str(path), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["transmit", "--scenario", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and reason in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
 
 class TestSizeCaps:
     """n_time and refine one step past their caps exit 2 before any work."""
@@ -792,6 +809,19 @@ class TestExitCodeContract:
         "transmit_panel_tags_collide":
             ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, '
                          '"delta0_T_values": [5, 5]}'),
+        # one range check each, every other field valid
+        "zero_duration":
+            ("store", '{"kind": "store", "alpha0_L": 25.0, "delta0_T": 0}'),
+        "negative_b":
+            ("store", '{"kind": "store", "alpha0_L": 25.0, "b": -0.6}'),
+        "negative_gamma": ("store", _STORE + ', "gamma_over_delta0": -0.1}'),
+        "tpi1_rule_word": ("store", _STORE + ', "tpi1_rule": "quarter"}'),
+        "tpi1_rule_zero": ("store", _STORE + ', "tpi1_rule": 0}'),
+        "zero_hold": ("store", _STORE + ', "hold_times_delta0": 0}'),
+        "series_order_7": ("store", _STORE + ', "series_order": 7}'),
+        "n_time_500": ("store", _STORE + ', "n_time": 500}'),
+        "transmit_b":
+            ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, "b": 0.6}'),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -970,18 +1000,24 @@ def _run_scenario(kind):
             "kind": st.just(kind),
             "gamma_over_delta0": st.just(0.0) | st.floats(0.0, 0.3),
             "v_over_c": st.just(0.0) | st.floats(0.0, 0.8),
-            "delta1_over_delta0": st.none() | st.floats(1.5, 6.0),
             "tpi1_rule": st.just("half-transit") | st.floats(0.1, 1.5),
             "hold_times_delta0": st.floats(0.1, 50.0),
-            "method": st.sampled_from(_METHODS),
             "series_order": st.integers(0, 2),
             "n_time": st.just(512),
             "refine": st.just(1),
         })
+        # only revival takes a finite conversion band; the other routes'
+        # refusal of one is checked by test_finite_band_refused
+        route = st.sampled_from(_METHODS).flatmap(
+            lambda method: st.fixed_dictionaries({
+                "method": st.just(method),
+                "delta1_over_delta0": (st.none() | st.floats(1.5, 6.0)
+                                       if method == "revival"
+                                       else st.none())}))
         opacities = ({"alpha0_L_values": [opacity]} if kind != "transmit"
                      else {"alpha0_L": opacity})
-        return st.tuples(fields_, duration).map(
-            lambda parts: {**parts[0], **parts[1], **opacities})
+        return st.tuples(fields_, route, duration).map(
+            lambda parts: {**parts[0], **parts[1], **parts[2], **opacities})
 
     low = 0.0 if kind == "transmit" else 1.0
     return st.floats(low, 100.0).flatmap(finish)

@@ -981,9 +981,28 @@ class TestRetrieve:
         t_pi1 = params.length / (2.0 * slow_light_velocity(params))
         schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 3.0)
         validity = retrieve(pulse, schedule, params, method=method).validity
-        report = confinement_report(pulse.duration, params)
-        assert validity["spectral_margin"] == report.spectral_margin
-        assert validity["temporal_margin"] == report.temporal_margin
+        spectral, temporal = confinement_report(pulse.duration, params)
+        assert validity["spectral_margin"] == spectral
+        assert validity["temporal_margin"] == temporal
+
+    @pytest.mark.parametrize("method, alpha0_L, delta0_T, expected", [
+        # revival fraction 1.16 and spectral margin 0.5
+        ("revival", 100.0, 5.0, ["revival product form",
+                                 "spectrum not confined"]),
+        # b = 0.6: the restored peak is still in the early window
+        ("established", 9.0, 0.6 * 9.0 ** 0.75, ["established-signal kernel"]),
+        # temporal margin 25 / 30
+        ("full_quadrature", 25.0, 30.0, ["not confined inside the slab"]),
+        ("established", 100.0, 19.0, []),
+    ])
+    def test_warnings_name_each_violation(self, method, alpha0_L, delta0_T,
+                                          expected):
+        # one line per out-of-regime indicator, in the order of validity
+        params, pulse, schedule = reduced_setup(alpha0_L, delta0_T)
+        lines = retrieve(pulse, schedule, params, method=method).warnings
+        assert isinstance(lines, tuple)
+        assert len(lines) == len(expected)
+        assert all(part in line for part, line in zip(expected, lines))
 
     def test_gaussian_only_routes_refuse_other_holes(self):
         # established and series take no hole, and once returned their
