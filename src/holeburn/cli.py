@@ -45,8 +45,9 @@ below 1 is a validation failure, for every subcommand that takes it.  Only
 
 Exit codes: 0 success, 2 validation failure (including a scenario file
 that is missing or is not a JSON object with a ``kind``, an ``--out``
-that is not a writable directory, and a ``--tol`` or ``--workers`` out of
-range), 3 numerical failure.
+that is not a writable directory, a ``--tol`` or ``--workers`` out of
+range, and a ``--tol`` that ``store`` or a revival sweep would not read),
+3 numerical failure.
 """
 
 import argparse
@@ -62,11 +63,11 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NumericsError,
                      PreconditionError)
-from .medium import (HoleProfile, MediumParams, exact_gaussian_model,
-                     second_order_model, slow_light_velocity)
+from .medium import (MediumParams, exact_gaussian_model, second_order_model,
+                     slow_light_velocity)
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, SampledEnvelope,
                           auto_grid, propagate, stretched_duration)
-from .storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
+from .storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
                       StorageSchedule, retrieve)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
@@ -246,8 +247,8 @@ class Scenario:
             bad.append("tpi1_rule fraction must be positive")
         if not self.hold_times_delta0 > 0:
             bad.append("hold_times_delta0 must be positive")
-        if self.method not in _METHODS:
-            bad.append(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            bad.append(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0 <= self.series_order <= 6:
             bad.append("series_order must lie in 0..6")
         if self.n_time < 2 or self.n_time & (self.n_time - 1):
@@ -542,8 +543,7 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
     env = auto_grid(pulse, params)
     original = propagate(env, params.length, exact_gaussian_model(params),
                          params)
-    result = retrieve(pulse, schedule, params, profile=HoleProfile.gaussian(),
-                      method=scenario.method,
+    result = retrieve(pulse, schedule, params, method=scenario.method,
                       series_order=scenario.series_order,
                       n_time=scenario.n_time, refine=scenario.refine)
     sidecar = {
@@ -596,9 +596,7 @@ def _sweep_point(args):
     pulse, schedule = scenario.pulse_and_schedule(params)
 
     def run(refine):
-        return retrieve(pulse, schedule, params,
-                        profile=HoleProfile.gaussian(),
-                        method=scenario.method,
+        return retrieve(pulse, schedule, params, method=scenario.method,
                         series_order=scenario.series_order,
                         n_time=scenario.n_time, refine=refine)
 
@@ -687,8 +685,8 @@ def _build_parser():
         p.add_argument("--workers", type=int, default=1,
                        help="process count for sweep points (at least 1)")
         p.add_argument("--tol", type=float, default=None,
-                       help="numerical tolerance (spectral leakage bound for "
-                            "transmit; eta convergence bound for sweeps)")
+                       help="spectral leakage bound for transmit; eta "
+                            "convergence bound for a non-revival sweep")
 
     add_common(sub.add_parser("transmit", help="input vs transmitted profiles"))
     add_common(sub.add_parser("store", help="original vs restored profiles"))
@@ -717,6 +715,16 @@ def _check_out(path):
         raise ConfigurationError(f"--out {path!r}: {probe!r} is not a directory")
 
 
+def _check_tol(scenario, tol):
+    """Refuse a ``--tol`` the run would ignore: ``store`` reads none, and a
+    sweep's guard doubles ``refine``, which the revival route never reads."""
+    if tol is not None and (scenario.kind == "store" or (
+            scenario.kind == "sweep-efficiency" and scenario.method == "revival")):
+        raise ConfigurationError(
+            f"--tol does not apply to {scenario.kind} with method "
+            f"{scenario.method!r}: the run reads no tolerance")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -730,7 +738,9 @@ def main(argv=None):
                 f"--workers must be at least 1, got {workers}")
         if args.command == "validate":
             _check_out(args.out)
-            Scenario.load(args.scenario).validate()
+            scenario = Scenario.load(args.scenario)
+            _check_tol(scenario, tol)
+            scenario.validate()
             print("scenario valid")
             return 0
         os.makedirs(args.out, exist_ok=True)
@@ -744,6 +754,7 @@ def main(argv=None):
         if scenario.kind != args.command:
             raise ConfigurationError(
                 f"scenario kind {scenario.kind!r} does not match {args.command!r}")
+        _check_tol(scenario, tol)
         # the run commands are named after the scenario kinds, _KINDS
         runners = {
             "transmit": lambda: run_transmit(

@@ -92,7 +92,8 @@ class HoleProfile:
     ``gaussian`` means g = 1 - exp(-Delta^2) exactly.  ``tabulated`` holds
     samples interpolated by a cubic spline, with g == 1 assumed beyond the
     sampled range.  ``uniform`` is the no-hole background g == 1 used for
-    flat-line limits.
+    flat-line limits.  The oracle and the storage routes also take a bare
+    callable g(Delta) in place of a HoleProfile.
     """
 
     kind: str = "gaussian"
@@ -168,21 +169,6 @@ class HoleProfile:
         return -8.0, 8.0
 
 
-def _profile_g(profile):
-    """``None`` selects the Gaussian hole; anything else passes through.
-
-    The susceptibility, absorption and group-velocity routines read
-    ``kind``, ``deficit`` and ``second_derivative`` and so need a
-    :class:`HoleProfile`; the time-domain oracle and the storage routes
-    (revival factors, full quadrature) also accept a bare callable
-    g(delta).  Detunings are in hole widths throughout, as in
-    :class:`HoleProfile`.
-    """
-    if profile is None:
-        return HoleProfile.gaussian()
-    return profile
-
-
 def _scalar_deficit(profile: HoleProfile):
     """Plain-float 1 - g(u) for the quadrature integrands."""
     if profile.kind == "gaussian":
@@ -248,7 +234,6 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
     the imaginary part vanishes identically at gamma = 0 and is not
     integrated there.
     """
-    profile = _profile_g(profile)
     omega = float(omega_offset)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma, abs(omega))
@@ -286,7 +271,6 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
     with L the Lorentzian of half-width gamma_ab.  For gamma_ab = 0 the
     Lorentzian collapses to a delta function at the hole center.
     """
-    profile = _profile_g(profile)
     omega = float(omega_offset)
     gamma = params.gamma_ab
 
@@ -317,7 +301,6 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
 
 def inverse_group_velocity(profile, params: MediumParams):
     """1/v = 1/c + (1 / 2 pi) * integral g(Delta) Delta^2/(Delta^2+gamma^2)^2 dDelta."""
-    profile = _profile_g(profile)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma)
 
@@ -357,7 +340,7 @@ def quadrature_model(profile, params: MediumParams):
     symmetry chi_hat(-Omega) = -conj(chi_hat(Omega)) valid for symmetric
     profiles to halve the work on symmetric grids.
     """
-    symmetric = _profile_g(profile).kind in ("gaussian", "uniform")
+    symmetric = profile.kind in ("gaussian", "uniform")
 
     def model(omega):
         om = np.asarray(omega, dtype=float)

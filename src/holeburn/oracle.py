@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .medium import MediumParams, _profile_g
+from .medium import MediumParams
 from .propagation import SampledEnvelope
 
 # Euler step limit: absorption change per z step must stay small.
@@ -173,7 +173,6 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
     """
     if n_atoms > 512:
         raise ConfigurationError("oracle instances are capped at 512 detunings")
-    g = _profile_g(profile)
     z = float(z)
     if n_steps is None:
         n_steps = max(1, int(np.ceil(z / MAX_STEP_OPACITY)))
@@ -189,7 +188,7 @@ def time_domain_propagate(env: SampledEnvelope, z, profile, params: MediumParams
         raise ConfigurationError(
             f"grid window {env.n * env.dt:.4g} exceeds the recurrence time "
             f"{recurrence:.4g} of {n_atoms} detuning classes")
-    gvals = np.asarray(g(nodes), dtype=float)
+    gvals = np.asarray(profile(nodes), dtype=float)
 
     n = env.n
     kernels = _filon_kernels(nodes, params.gamma_ab, env.dt, n)

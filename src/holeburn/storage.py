@@ -31,7 +31,7 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, NumericsError, PreconditionError
-from .medium import MediumParams, _profile_g, slow_light_velocity
+from .medium import HoleProfile, MediumParams, slow_light_velocity
 from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
                           transmitted_gaussian)
 from .special import SQRT_PI, erf, erfc, erfcx
@@ -76,9 +76,9 @@ MAX_RULE_NODES = 2048
 # 2^20 complex values, 16 MB.
 _RULE_BLOCK = 1 << 20
 
-# Largest ``refine`` a scenario may ask for.  Full quadrature builds
-# (48 refine) x (200 refine) arrays, and the sweep's convergence guard
-# doubles refine: at the cap those arrays hold 20 MB each.
+# Largest ``refine`` a scenario may ask for.  The sweep's convergence guard
+# doubles it, so the routes accept up to 2 MAX_REFINE (``_check_route``);
+# there full quadrature's (48 refine) x (200 refine) arrays hold 20 MB each.
 MAX_REFINE = 8
 
 
@@ -206,7 +206,6 @@ def _deficit_kernel(profile):
     sampled on [-8, 8]; a NumericsError is raised when its deficit at
     either end of that cut exceeds 1e-12, since the cut would drop it.
     """
-    profile = _profile_g(profile)
     if getattr(profile, "kind", None) == "gaussian":
         return lambda s: SQRT_PI * np.exp(-0.25 * np.asarray(s) ** 2)
     bare = not hasattr(profile, "sample_range")
@@ -306,12 +305,11 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise DomainError("revival argument x must be finite and non-negative")
-    g = _profile_g(profile)
     gamma = params.gamma_ab
     v = slow_light_velocity(params)
     b = 2.0 * x.ravel()
     b_max = b.max(initial=0.0)
-    ends = _band_panels(delta1, gamma, g)
+    ends = _band_panels(delta1, gamma, profile)
     counts = [40 + math.ceil(0.7 * (hi - lo) * b_max)
               for lo, hi in zip(ends[:-1], ends[1:])]
     if max(counts) > MAX_RULE_NODES:
@@ -322,14 +320,14 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     val = np.zeros(b.shape)
     for lo, hi, n in zip(ends[:-1], ends[1:], counts):
         nodes, w = _gl_interval(n, lo, hi)
-        gw = np.asarray(g(nodes), dtype=float) * w
+        gw = np.asarray(profile(nodes), dtype=float) * w
         dc = gamma - 1j * nodes
         rows = _RULE_BLOCK // n
         for start in range(0, b.size, rows):
             bracket = -np.expm1(-b[start:start + rows, None] * dc) / (dc * dc)
             val[start:start + rows] -= bracket.real @ gw
     if gamma == 0.0:
-        val -= np.pi * b * float(g(0.0))
+        val -= np.pi * b * float(profile(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
     out = v / (2.0 * np.pi) * val.reshape(x.shape)
@@ -340,8 +338,12 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 # restored-field routes
 # ---------------------------------------------------------------------------
 
-def _require_infinite_bandwidth(schedule: StorageSchedule, route):
-    """Refuse a finite conversion band on a route that has no band term."""
+def _check_route(schedule: StorageSchedule, refine, route):
+    """Refuse a node-count scale ``refine`` but an int in 1..2 MAX_REFINE,
+    and a finite conversion band on a route that has no band term."""
+    if type(refine) is not int or not 1 <= refine <= 2 * MAX_REFINE:
+        raise ConfigurationError(
+            f"refine must be an integer in 1..{2 * MAX_REFINE}, got {refine!r}")
     if not schedule.infinite_bandwidth:
         raise PreconditionError(
             f"{route} assumes infinite conversion bandwidth; model the "
@@ -349,7 +351,7 @@ def _require_infinite_bandwidth(schedule: StorageSchedule, route):
 
 
 def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
-                     params: MediumParams, profile=None):
+                     params: MediumParams, profile=HoleProfile.gaussian()):
     """Early-time restored field: frozen slowed pulse times the revival factor.
 
     A(L, t) = A_in(L - v (t - t_pi2), t_pi1) * kappa[(t - t_pi2) / 2];
@@ -382,7 +384,7 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
         kap[in_depth] = kappa_finite_bandwidth(
             xs[in_depth], schedule.delta1, profile, params)
     elif (params.gamma_ab == 0.0
-          and getattr(_profile_g(profile), "kind", None) == "gaussian"):
+          and getattr(profile, "kind", None) == "gaussian"):
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
         kap[in_depth] = kappa_quadrature(xs[in_depth], profile, params)
@@ -422,7 +424,7 @@ def _u_nodes(rho, dT, a, n_nodes):
     return s2, u, w1, w * 2.0 * dT / np.sqrt(2.0 * np.pi * a * w1)
 
 
-def _established_kernel(xh, yh, rho, dT, a, n_nodes=240):
+def _established_kernel(xh, yh, rho, dT, a, n_nodes):
     """Reduced single-quadrature kernel R(xh, yh) of the established signal
     (equation and nodes in ``_u_nodes``)."""
     xh = np.asarray(xh, dtype=float)[..., None]
@@ -436,7 +438,7 @@ def _established_kernel(xh, yh, rho, dT, a, n_nodes=240):
 
 
 def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
-                       params: MediumParams, n_nodes=240):
+                       params: MediumParams, refine=1):
     """Late-time restored field from the single-quadrature kernel.
 
     A(L, t) = m0 R(x - beta, y - beta): the memory kernel (a / 2 pi)
@@ -447,9 +449,10 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
     beta = (I0 - gamma I1) / I1: at gamma = 0, 1 - v/c and sqrt(pi)/2
     (taken as a / (2 (1 - v/c))).  The late window t - t_pi2 > 5 then holds
     to about 1e-3 of the full-quadrature peak at any v/c and gamma
-    (alpha0 L = 100, delta0 T = 19).  Infinite conversion bandwidth only.
+    (alpha0 L = 100, delta0 T = 19).  R takes 240 refine u-nodes; infinite
+    conversion bandwidth only.
     """
-    _require_infinite_bandwidth(schedule, "established signal")
+    _check_route(schedule, refine, "established signal")
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -461,14 +464,13 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
         mass, beta = (1.0 - vc) * (1.0 - gamma * i0), (i0 - gamma * i1) / i1
     else:
         mass, beta = 1.0 - vc, 0.5 * a / (1.0 - vc)
-    val = mass * _established_kernel(x - beta, y - beta, rho, dT, a, n_nodes)
-    out = np.where(y > 0, val, 0.0)
+    val = _established_kernel(x - beta, y - beta, rho, dT, a, 240 * refine)
+    out = np.where(y > 0, mass * val, 0.0)
     return out if np.ndim(t) else float(out)
 
 
 def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
-                        profile, params: MediumParams,
-                        n_pq=48, n_u=200):
+                        profile, params: MediumParams, refine=1):
     """Reference restored field: double time quadrature over the dipole memory.
 
     A(L, t) = (a / 2 pi) * integral_0^inf dp integral_0^y dq
@@ -476,9 +478,9 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     where K is the deficit kernel of the hole (``_deficit_kernel``;
     sqrt(pi) e^{-(p+q)^2/4} for the Gaussian hole) and R the established
-    kernel.  Both time integrals are truncated at KERNEL_RANGE.  Finite
-    conversion bandwidth is not supported on this route; use
-    revival_envelope for the cutoff dynamics.
+    kernel.  Both time integrals are truncated at KERNEL_RANGE, each on
+    n_pq = 48 refine nodes, and R takes n_u = 200 refine u-nodes.  No
+    finite conversion band: revival_envelope models the cutoff.
 
     The sums are factorized over the u-nodes of R (see ``_u_nodes``):
     R(x - p, y - q) = sum_u c_u f_u(x - p) g_u(y - q) with
@@ -493,7 +495,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     Below KERNEL_RANGE the q-interval is [0, y] and M belongs to one
     sample.  These early samples are taken in blocks of B = max(1, 2^16 //
-    (n_pq n_u)) (6 at the default nodes, 1 from refine 2 on): the block's
+    (n_pq n_u)) (6 at refine 1, 1 from refine 2 on): the block's
     weights w_q W are contracted with F in one (B n_q x n_p) @ (n_p x n_u)
     product, and each sample then costs one n_q x n_u exponential (its
     exponents floored at ``_EXP_FLOOR``) and one dot product.  Blocks stay
@@ -516,7 +518,8 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
-    _require_infinite_bandwidth(schedule, "full-quadrature restored field")
+    _check_route(schedule, refine, "full-quadrature restored field")
+    n_pq, n_u = 48 * refine, 200 * refine
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -644,7 +647,7 @@ def _series_derivatives(order, zeta, xh, dT, a, rho):
 
 
 def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
-                          params: MediumParams, order=2, n_pq=48):
+                          params: MediumParams, order=2, refine=1):
     """Derivative-series restored field for the Gaussian hole.
 
     Expanding the second-order propagator around a pure delay turns the
@@ -657,13 +660,15 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     with beta = a/2 and zeta = rho - (y - q).  The n = 0 truncation is the
     simple depth-slice field whose factorized limit is revival_envelope.
     The derivatives come from ``_series_derivatives`` (Taylor jets, O(order^2)
-    array operations per time sample).  Orders above 6 are rejected, the
-    same range a scenario's ``series_order`` accepts; the jets themselves
-    would allow more.  Infinite conversion bandwidth only.
+    array operations per time sample); p and q take 48 refine nodes each.
+    Orders above 6 are rejected, the same range a scenario's
+    ``series_order`` accepts; the jets would allow more.  Infinite
+    conversion bandwidth only.
     """
     if order < 0 or order > 6:
         raise DomainError("series order must lie in 0..6")
-    _require_infinite_bandwidth(schedule, "derivative-series restored field")
+    _check_route(schedule, refine, "derivative-series restored field")
+    n_pq = 48 * refine
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -697,13 +702,13 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
 # retrieval driver and efficiency
 # ---------------------------------------------------------------------------
 
-_METHODS = ("full_quadrature", "established", "revival", "series")
+METHODS = ("full_quadrature", "established", "revival", "series")
 
 
 def _method_field(method, series_order):
-    if method not in _METHODS:
+    if method not in METHODS:
         raise ConfigurationError(
-            f"unknown retrieval method {method!r}; choose from {_METHODS}")
+            f"unknown retrieval method {method!r}; choose from {METHODS}")
     if method == "series":
         return f"series({series_order})"
     return method
@@ -721,41 +726,40 @@ def retrieval_grid(pulse: PulseSpec, schedule: StorageSchedule,
 
 
 def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
-             profile=None, method="full_quadrature", series_order=2,
-             n_time=512, refine=1) -> RetrievalResult:
+             profile=HoleProfile.gaussian(), method="full_quadrature",
+             series_order=2, n_time=512, refine=1) -> RetrievalResult:
     """Compute the restored waveform on an auto grid and wrap it up.
 
-    ``refine`` scales the quadrature node counts (deterministic for a
-    given value).  The regime is reported, not enforced, as the figure
+    ``refine`` scales the route's quadrature node counts (the route
+    refuses any but an int in 1..2 MAX_REFINE; revival has none to scale
+    and ignores it).  The regime is reported, not enforced, as the figure
     panels mix regimes: ``validity`` holds the four indicators (the
     margins are those of ``propagation.confinement_report``) and
     ``warnings`` one line per indicator out of regime, the lines a CLI
     sidecar holds.  A restored energy that is not finite and positive, or
     a validity indicator that is not finite, raises NumericsError: a
     degenerate pulse duration or opacity is never reported as eta = 0.
-    The established and series routes take no hole: any ``profile`` but
-    the Gaussian one (``None`` or kind "gaussian") raises
-    PreconditionError for them.
+    ``profile`` is the hole the route computes with; the established and
+    series routes take no hole, so any ``profile`` but one of kind
+    "gaussian" raises PreconditionError for them.
     """
     label = _method_field(method, series_order)
     if (method in ("established", "series")
-            and getattr(_profile_g(profile), "kind", None) != "gaussian"):
+            and getattr(profile, "kind", None) != "gaussian"):
         raise PreconditionError(
             f"the {method} route is built for the Gaussian hole only; use "
             "full_quadrature or revival for another hole")
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
-    refine = int(refine)
     if method == "full_quadrature":
         amp = restored_field_full(t, pulse, schedule, profile, params,
-                                  n_pq=48 * refine, n_u=200 * refine)
+                                  refine=refine)
     elif method == "established":
-        amp = established_signal(t, pulse, schedule, params,
-                                 n_nodes=240 * refine)
+        amp = established_signal(t, pulse, schedule, params, refine=refine)
     elif method == "revival":
         amp = revival_envelope(t, pulse, schedule, params, profile=profile)
     else:
         amp = appendix_series_field(t, pulse, schedule, params,
-                                    order=series_order, n_pq=48 * refine)
+                                    order=series_order, refine=refine)
 
     dt = float(t[1] - t[0])
     env = SampledEnvelope(t_start=float(t[0] - schedule.t_pi2), dt=dt,
@@ -807,8 +811,8 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
 
 
 def efficiency(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
-               method="full_quadrature", profile=None, series_order=2,
-               n_time=512, refine=1) -> float:
+               method="full_quadrature", profile=HoleProfile.gaussian(),
+               series_order=2, n_time=512, refine=1) -> float:
     """Recovery efficiency: restored over incoming pulse energy."""
     return retrieve(pulse, schedule, params, profile=profile, method=method,
                     series_order=series_order, n_time=n_time,

@@ -19,7 +19,7 @@ from holeburn.cli import (_CSV_BLOCK, _KINDS, PRESETS, Scenario, _write_csv,
 from holeburn.errors import ConfigurationError, NumericsError
 from holeburn.medium import MediumParams, slow_light_velocity
 from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
-from holeburn.storage import (_METHODS, MAX_DELTA1_OVER_DELTA0, MAX_REFINE,
+from holeburn.storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
                               default_schedule)
 
 
@@ -237,7 +237,7 @@ class TestStore:
         assert capsys.readouterr().err.count("\n") == 1
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("method", _METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_lossy_panel_matches_sweep(self, tmp_path, capsys, method):
         # every route runs at gamma/delta0 = 0.05 (the exact chi is the
         # Faddeeva form at any gamma), and a store reports the eta that a
@@ -699,6 +699,35 @@ class TestTolOption:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--tol" in err
 
+    # store reads no tolerance, and a sweep's guard doubles refine, which
+    # the revival route does not read: it would compare eta with itself
+    @pytest.mark.parametrize("scenario", [
+        Scenario(kind="store", alpha0_L=25.0, b=0.6),
+        Scenario(kind="store", alpha0_L=25.0, b=0.6, method="revival"),
+        Scenario(kind="sweep-efficiency", alpha0_L_values=(25.0, 100.0),
+                 b=0.6, method="revival")],
+        ids=["store", "store_revival", "sweep_revival"])
+    def test_unread_tol_refused(self, tmp_path, capsys, scenario):
+        path = tmp_path / "s.json"
+        scenario.save(path)
+        errs = []
+        for command in (scenario.kind, "validate"):
+            assert main([command, "--scenario", str(path), "--out",
+                         str(tmp_path), "--tol", "1e-15"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--tol" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert not list(tmp_path.glob("*.csv*"))
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig6"])
+    def test_read_tol_valid(self, tmp_path, preset):
+        # transmit's leakage bound, a full-quadrature sweep's guard
+        path = tmp_path / "s.json"
+        PRESETS[preset].save(path)
+        assert main(["validate", "--scenario", str(path), "--out",
+                     str(tmp_path), "--tol", "1e-6"]) == 0
+
 
 class TestWorkersOption:
     @pytest.mark.parametrize("command", ["transmit", "store",
@@ -822,6 +851,10 @@ class TestExitCodeContract:
         "n_time_500": ("store", _STORE + ', "n_time": 500}'),
         "transmit_b":
             ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, "b": 0.6}'),
+        # a JSON integer beyond float range: math.isfinite overflows
+        "huge_integer_opacity":
+            ("store", '{"kind": "store", "alpha0_L": 1' + "0" * 400
+                      + ', "delta0_T": 5.0}'),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -998,7 +1031,6 @@ def _run_scenario(kind):
                 {"b": st.floats(b_low, max(b_low, 1.2))})
         fields_ = st.fixed_dictionaries({
             "kind": st.just(kind),
-            "gamma_over_delta0": st.just(0.0) | st.floats(0.0, 0.3),
             "v_over_c": st.just(0.0) | st.floats(0.0, 0.8),
             "tpi1_rule": st.just("half-transit") | st.floats(0.1, 1.5),
             "hold_times_delta0": st.floats(0.1, 50.0),
@@ -1007,13 +1039,19 @@ def _run_scenario(kind):
             "refine": st.just(1),
         })
         # only revival takes a finite conversion band; the other routes'
-        # refusal of one is checked by test_finite_band_refused
-        route = st.sampled_from(_METHODS).flatmap(
+        # refusal of one is checked by test_finite_band_refused.  Revival
+        # and established draw a broad line first, so that their gamma
+        # terms are reached through store
+        route = st.sampled_from(METHODS).flatmap(
             lambda method: st.fixed_dictionaries({
                 "method": st.just(method),
                 "delta1_over_delta0": (st.none() | st.floats(1.5, 6.0)
                                        if method == "revival"
-                                       else st.none())}))
+                                       else st.none()),
+                "gamma_over_delta0": (
+                    st.floats(0.01, 0.3) | st.just(0.0)
+                    if method in ("revival", "established")
+                    else st.just(0.0) | st.floats(0.0, 0.3))}))
         opacities = ({"alpha0_L_values": [opacity]} if kind != "transmit"
                      else {"alpha0_L": opacity})
         return st.tuples(fields_, route, duration).map(

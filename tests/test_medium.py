@@ -300,13 +300,15 @@ class TestQuadratureModel:
         # background
         monkeypatch.setattr(holeburn.medium, "chi_quadrature",
                             lambda omega, *args, **kw: complex(0.25, -1.5))
-        got = quadrature_model(None, MediumParams.reduced(10.0))(self.OMEGA)
+        got = quadrature_model(HoleProfile.gaussian(),
+                               MediumParams.reduced(10.0))(self.OMEGA)
         pos = self.OMEGA >= 0
         np.testing.assert_array_equal(got[pos], 0.25 - 1.0j)
         np.testing.assert_array_equal(got[~pos], -0.25 - 1.0j)
 
     def test_scalar_in_complex_out(self):
-        model = quadrature_model(None, MediumParams.reduced(10.0, 0.05))
+        model = quadrature_model(HoleProfile.gaussian(),
+                                 MediumParams.reduced(10.0, 0.05))
         val = model(0.7)
         assert type(val) is complex
         assert val == model(np.array([0.7]))[0]
@@ -380,11 +382,12 @@ def lazy_path_values():
     x = np.linspace(-6.0, 6.0, 241)
     tabulated = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
     values = []
+    gaussian = HoleProfile.gaussian()
     for params in (narrow, lossy):
-        chi = chi_quadrature(0.5, None, params)
+        chi = chi_quadrature(0.5, gaussian, params)
         values += [chi.real, chi.imag]
-    values.append(absorption_coefficient(0.3, None, lossy))
-    values.append(inverse_group_velocity(None, lossy))
+    values.append(absorption_coefficient(0.3, gaussian, lossy))
+    values.append(inverse_group_velocity(gaussian, lossy))
     values.append(kappa_quadrature(1.0, tabulated, narrow))
     return values
 

@@ -36,6 +36,7 @@ from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
                               revival_envelope)
 
 SQRT_PI = math.sqrt(math.pi)
+GAUSSIAN = HoleProfile.gaussian()
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -321,7 +322,7 @@ class TestKappaFiniteBandwidth:
         # every panel rule at twice its node count; the value at the
         # largest b of the grid must not move
         params, x = in_depth_x(100.0, 19.0, gamma)
-        one = kappa_finite_bandwidth(x, 6.0, None, params)
+        one = kappa_finite_bandwidth(x, 6.0, GAUSSIAN, params)
         gl = holeburn.storage._gl_interval
         counts = []
 
@@ -330,34 +331,34 @@ class TestKappaFiniteBandwidth:
             return gl(2 * n, lo, hi)
 
         monkeypatch.setattr(holeburn.storage, "_gl_interval", doubled)
-        two = kappa_finite_bandwidth(x, 6.0, None, params)
+        two = kappa_finite_bandwidth(x, 6.0, GAUSSIAN, params)
         assert counts
         assert abs(two[-1] - one[-1]) <= 1e-13 * np.max(np.abs(one))
 
     def test_scalar_matches_array_element(self):
         params, x = in_depth_x(25.0, 10.0)
-        arr = kappa_finite_bandwidth(x, 5.0, None, params)
+        arr = kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
         for i in (0, len(x) // 2, len(x) - 1):
-            val = kappa_finite_bandwidth(x[i], 5.0, None, params)
+            val = kappa_finite_bandwidth(x[i], 5.0, GAUSSIAN, params)
             assert isinstance(val, float)
             assert abs(val - arr[i]) <= 1e-13 * np.max(np.abs(arr))
-        assert kappa_finite_bandwidth(0.0, 5.0, None, params) == 0.0
+        assert kappa_finite_bandwidth(0.0, 5.0, GAUSSIAN, params) == 0.0
 
     def test_row_blocks_stitched(self, monkeypatch):
         # blocks of 4 rows, the last one partial, reproduce the single block
         params, x = in_depth_x(25.0, 10.0)
-        whole = kappa_finite_bandwidth(x, 5.0, None, params)
+        whole = kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
         n = 40 + math.ceil(0.7 * 5.0 * 2.0 * x[-1])
         assert len(x) % 4
         monkeypatch.setattr(holeburn.storage, "_RULE_BLOCK", 4 * n + 1)
-        blocked = kappa_finite_bandwidth(x, 5.0, None, params)
+        blocked = kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
         np.testing.assert_array_equal(blocked, whole)
 
     @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf])
     def test_bad_argument_rejected(self, x):
         params = MediumParams.reduced(10.0)
         with pytest.raises(DomainError):
-            kappa_finite_bandwidth(x, 5.0, None, params)
+            kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
 
     def test_node_cap(self, monkeypatch):
         # refused before the rule is built; a rule at the cap is built
@@ -370,13 +371,13 @@ class TestKappaFiniteBandwidth:
         gl = holeburn.storage._gl_interval
         monkeypatch.setattr(holeburn.storage, "_gl_interval", unreachable)
         with pytest.raises(ConfigurationError):
-            kappa_finite_bandwidth([1.0, 1.001 * x_cap], 5.0, None, params)
+            kappa_finite_bandwidth([1.0, 1.001 * x_cap], 5.0, GAUSSIAN, params)
         monkeypatch.setattr(holeburn.storage, "MAX_RULE_NODES", 100)
         x_100 = 0.5 * 59.5 / (0.7 * 5.0)
         with pytest.raises(ConfigurationError):
-            kappa_finite_bandwidth(x_100 * 1.01, 5.0, None, params)
+            kappa_finite_bandwidth(x_100 * 1.01, 5.0, GAUSSIAN, params)
         monkeypatch.setattr(holeburn.storage, "_gl_interval", gl)
-        assert math.isfinite(kappa_finite_bandwidth(x_100, 5.0, None, params))
+        assert math.isfinite(kappa_finite_bandwidth(x_100, 5.0, GAUSSIAN, params))
 
     def test_non_finite_result(self):
         params = MediumParams.reduced(10.0)
@@ -636,7 +637,7 @@ class TestRestoredFieldFull:
                                    atol=1e-13 * np.nanmax(np.abs(ref)))
 
     # early samples (0 < y < KERNEL_RANGE) are taken in blocks of
-    # max(1, 2^16 // (n_pq n_u)) samples: 6 at the default nodes
+    # max(1, 2^16 // (n_pq n_u)) samples: 6 at refine 1
     BLOCK = max(1, 2 ** 16 // (48 * 200))
 
     def test_every_early_sample_of_retrieval_grid(self):
@@ -667,14 +668,13 @@ class TestRestoredFieldFull:
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_refined_nodes_block_of_one(self):
-        # at n_pq = 96, n_u = 400 one sample fills a block
+        # at refine 2 (n_pq = 96, n_u = 400) one sample fills a block
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         prof = HoleProfile.gaussian()
         t = schedule.t_pi2 + np.array([0.4, 20.0, 6.5, 13.9, 30.0, 2.0])
         ref = reference_restored_field_full(t, pulse, schedule, prof, params,
                                             n_pq=96, n_u=400)
-        arr = restored_field_full(t, pulse, schedule, prof, params,
-                                  n_pq=96, n_u=400)
+        arr = restored_field_full(t, pulse, schedule, prof, params, refine=2)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_tabulated_hole_two_blocks(self):
@@ -1021,7 +1021,9 @@ class TestRetrieve:
             for hole in (flat, lambda d: 1.0 - np.exp(-np.asarray(d) ** 4)):
                 with pytest.raises(PreconditionError, match="Gaussian hole"):
                     eta(method, hole)
-            assert eta(method, None) == eta(method, HoleProfile.gaussian())
+            # the default hole is the Gaussian one
+            assert eta(method, GAUSSIAN) == retrieve(
+                pulse, schedule, params, method=method).efficiency
         assert eta("full_quadrature", flat) == pytest.approx(0.2748, abs=1e-4)
         assert eta("revival", flat) == pytest.approx(0.3568, abs=1e-4)
 
@@ -1029,6 +1031,26 @@ class TestRetrieve:
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         with pytest.raises(ConfigurationError):
             retrieve(pulse, schedule, params, method="magic")
+
+    # each route refuses a refine it cannot scale its node counts by, before
+    # numpy's leggauss sees it: not an int, a bool, or outside 1..16
+    @pytest.mark.parametrize("refine", [0, -1, 2.5, True, 17])
+    @pytest.mark.parametrize("method", ["full_quadrature", "established",
+                                        "series"])
+    def test_bad_refine_refused(self, method, refine):
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        with pytest.raises(ConfigurationError, match="refine must be an "
+                           r"integer in 1\.\.16, got"):
+            retrieve(pulse, schedule, params, method=method, refine=refine)
+
+    def test_refine_cap_accepted(self):
+        # the sweep guard doubles the scenario cap: 2 MAX_REFINE is run
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        t = schedule.t_pi2 + 20.0
+        cap = 2 * holeburn.storage.MAX_REFINE
+        assert established_signal(t, pulse, schedule, params, refine=cap) \
+            == pytest.approx(established_signal(t, pulse, schedule, params),
+                             rel=1e-10)
 
     def test_efficiency_bounds_invariant(self):
         with pytest.raises(ConfigurationError):
