@@ -10,7 +10,7 @@ the slab length and ``delta0_T`` the pulse duration itself.  Subcommands:
     Propagate a gaussian pulse through the slab and emit, per duration,
     the input profile together with the exact-susceptibility and the
     second-order-susceptibility outputs.  The second-order model has no
-    gamma term, so a slab run needs gamma_over_delta0 below 0.01.
+    gamma term, so a run needs gamma_over_delta0 below 0.01.
 ``store``
     Run the full write/hold/read protocol and emit the delayed original
     (no storage, time column t - t_pi1) and the restored waveform (time
@@ -65,8 +65,8 @@ from .errors import (ConfigurationError, DomainError, NumericsError,
                      PreconditionError)
 from .medium import (MediumParams, exact_gaussian_model, second_order_model,
                      slow_light_velocity)
-from .propagation import (MAX_GRID_SAMPLES, PulseSpec, SampledEnvelope,
-                          auto_grid, propagate, stretched_duration)
+from .propagation import (MAX_GRID_SAMPLES, PulseSpec, auto_grid, propagate,
+                          stretched_duration)
 from .storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
                       StorageSchedule, retrieve)
 
@@ -87,11 +87,10 @@ _SLOT = np.dtype([("text", "S20"), ("sep", "u4")])
 _REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
 _OPTIONAL_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "delta1_over_delta0")
 _INT_FIELDS = ("series_order", "n_time", "refine")
-# A transmit run through the slab needs gamma_over_delta0 below this: its
-# second-order profile is the expansion of chi at gamma = 0
-# (``chi_second_order`` has no gamma term), so at a wider homogeneous line
-# it would stand beside the exact profile as if both described that line.
-# A free-space run (alpha0_L = 0) evaluates no chi and is not limited.
+# A transmit run needs gamma_over_delta0 below this: its second-order
+# profile is the expansion of chi at gamma = 0 (``chi_second_order`` has no
+# gamma term), so at a wider homogeneous line it would stand beside the
+# exact profile as if both described that line.
 _TRANSMIT_MAX_GAMMA = 0.01
 
 
@@ -211,9 +210,7 @@ class Scenario:
         if numbers:
             return bad + numbers
         for aL in self._alpha0_L_list():
-            if self.kind == "transmit" and aL < 0:
-                bad.append(f"alpha0_L must be non-negative, got {aL}")
-            elif self.kind != "transmit" and not aL > 0:
+            if not aL > 0:
                 bad.append(f"alpha0_L must be positive, got {aL}")
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
@@ -229,7 +226,7 @@ class Scenario:
             bad.append(f"b must be positive, got {self.b}")
         if self.gamma_over_delta0 < 0:
             bad.append("gamma_over_delta0 must be non-negative")
-        if (self.kind == "transmit" and any(self._alpha0_L_list())
+        if (self.kind == "transmit"
                 and self.gamma_over_delta0 >= _TRANSMIT_MAX_GAMMA):
             bad.append("transmit needs gamma_over_delta0 below "
                        f"{_TRANSMIT_MAX_GAMMA:g} (its second-order profile "
@@ -477,51 +474,27 @@ def _num(x):
 # transmit
 # ---------------------------------------------------------------------------
 
-def _free_space_grid(pulse):
-    """Sampling grid for the no-medium case (alpha0_L = 0): 1024 samples at
-    dt = T / 16, a 64 T window.  A duration whose window overflows is
-    refused here, and one whose T / 16 underflows to 0 by
-    ``SampledEnvelope``, both as ConfigurationError."""
-    dt = pulse.duration / 16.0
-    n = 1024
-    if not math.isfinite(n * dt):
-        raise ConfigurationError(
-            f"free-space window 64 T overflows at delta0_T = {pulse.duration:g}")
-    t_start = -0.25 * n * dt
-    t = t_start + dt * np.arange(n)
-    return SampledEnvelope(t_start=t_start, dt=dt,
-                           samples=pulse.amplitude(t))
-
-
 def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
     """Emit input / exact / second-order transmitted profiles per duration.
 
-    Returns the list of files written.  ``alpha0_L = 0`` short-circuits
-    to identity transport (no medium): the output files equal the input
-    file apart from the time column.
+    Returns the list of files written.
     """
     scenario.validate()
-    alpha0_L = scenario._alpha0_L_list()[0]
+    params = scenario.params_for(scenario._alpha0_L_list()[0])
     durations = scenario.delta0_T_values or (scenario.delta0_T,)
     written = []
     for dT in durations:
         tag = f"transmit_dT{_num(dT)}"
-        pulse = PulseSpec(duration=float(dT))
-        if alpha0_L == 0.0:
-            env = _free_space_grid(pulse)
-            outputs = {"input": env, "exact": env, "second_order": env}
-        else:
-            params = scenario.params_for(alpha0_L)
-            env = auto_grid(pulse, params)
-            outputs = {
-                "input": env,
-                "exact": propagate(env, params.length,
-                                   exact_gaussian_model(params), params,
-                                   leakage_tol=tol),
-                "second_order": propagate(env, params.length,
-                                          second_order_model(params), params,
-                                          leakage_tol=tol),
-            }
+        env = auto_grid(PulseSpec(duration=float(dT)), params)
+        outputs = {
+            "input": env,
+            "exact": propagate(env, params.length,
+                               exact_gaussian_model(params), params,
+                               leakage_tol=tol),
+            "second_order": propagate(env, params.length,
+                                      second_order_model(params), params,
+                                      leakage_tol=tol),
+        }
         for name, out in outputs.items():
             path = os.path.join(out_dir, f"{tag}_{name}.csv")
             _write_csv(path, "t, re, im",
@@ -676,8 +649,8 @@ def _build_parser():
         description="Slow-light storage scenario runner (data files only).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
+    def add_common(p):
+        p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing, except "

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 from .special import SQRT_PI, dawson, erfcx, faddeeva
 
 _QUAD_LIMIT = 300
@@ -58,9 +58,9 @@ class MediumParams:
 
     def __post_init__(self):
         if not self.length > 0:
-            raise ValueError("length must be strictly positive")
+            raise DomainError("length must be strictly positive")
         if self.gamma_ab < 0 or self.inv_c < 0:
-            raise ValueError("gamma_ab and inv_c must be non-negative")
+            raise DomainError("gamma_ab and inv_c must be non-negative")
 
     @classmethod
     def reduced(cls, alpha0_L, gamma_over_delta0=0.0, v_over_c=0.0):
@@ -70,7 +70,7 @@ class MediumParams:
         1/v = 1/c + 1/sqrt(pi).
         """
         if not 0.0 <= v_over_c < 1.0:
-            raise ValueError("v_over_c must lie in [0, 1)")
+            raise DomainError("v_over_c must lie in [0, 1)")
         inv_c = v_over_c / (1.0 - v_over_c) / SQRT_PI
         return cls(gamma_ab=gamma_over_delta0, length=float(alpha0_L),
                    inv_c=inv_c)
@@ -91,9 +91,10 @@ class HoleProfile:
 
     ``gaussian`` means g = 1 - exp(-Delta^2) exactly.  ``tabulated`` holds
     samples interpolated by a cubic spline, with g == 1 assumed beyond the
-    sampled range.  ``uniform`` is the no-hole background g == 1 used for
-    flat-line limits.  The oracle and the storage routes also take a bare
-    callable g(Delta) in place of a HoleProfile.
+    sampled range, so a table of ones away from 0, e.g.
+    ``tabulated([1, 2, 3, 4], [1, 1, 1, 1])``, is the hole-free line
+    g == 1.  The oracle and the storage routes also take a bare callable
+    g(Delta) in place of a HoleProfile.
     """
 
     kind: str = "gaussian"
@@ -101,17 +102,17 @@ class HoleProfile:
     g_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "tabulated", "uniform"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+        if self.kind not in ("gaussian", "tabulated"):
+            raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "tabulated":
             d = np.asarray(self.detuning_samples, dtype=float)
             g = np.asarray(self.g_values, dtype=float)
             if d.ndim != 1 or d.shape != g.shape or d.size < 4:
-                raise ValueError("tabulated profile needs matching 1-d arrays, >= 4 points")
+                raise DomainError("tabulated profile needs matching 1-d arrays, >= 4 points")
             if np.any(np.diff(d) <= 0):
-                raise ValueError("detuning samples must be strictly increasing")
+                raise DomainError("detuning samples must be strictly increasing")
             if np.any(g < -1e-12) or np.any(g > 1.0 + 1e-12):
-                raise ValueError("g values must lie in [0, 1]")
+                raise DomainError("g values must lie in [0, 1]")
             object.__setattr__(self, "detuning_samples", d)
             object.__setattr__(self, "g_values", np.clip(g, 0.0, 1.0))
             from scipy.interpolate import CubicSpline
@@ -119,15 +120,11 @@ class HoleProfile:
             spline = CubicSpline(d, self.g_values, bc_type="natural")
             object.__setattr__(self, "_spline", spline)
             if d[0] < 0.0 < d[-1] and abs(float(spline(0.0))) > 1e-6:
-                raise ValueError("hole profile must satisfy g(0) = 0")
+                raise DomainError("hole profile must satisfy g(0) = 0")
 
     @classmethod
     def gaussian(cls):
         return cls(kind="gaussian")
-
-    @classmethod
-    def uniform(cls):
-        return cls(kind="uniform")
 
     @classmethod
     def tabulated(cls, detunings, g_values):
@@ -138,8 +135,6 @@ class HoleProfile:
         x = np.asarray(delta, dtype=float)
         if self.kind == "gaussian":
             out = 1.0 - np.exp(-x * x)
-        elif self.kind == "uniform":
-            out = np.ones_like(x)
         else:
             out = np.clip(self._spline(x), 0.0, 1.0)
             out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
@@ -155,8 +150,6 @@ class HoleProfile:
         x = np.asarray(delta, dtype=float)
         if self.kind == "gaussian":
             out = (2.0 - 4.0 * x * x) * np.exp(-x * x)
-        elif self.kind == "uniform":
-            out = np.zeros_like(x)
         else:
             out = self._spline(x, 2)
             out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
@@ -183,12 +176,15 @@ def _quad(func, a, b, epsabs, epsrel, points=None):
     ``scipy.optimize`` it pulls in) is imported on the first call, so a run
     that never integrates adaptively never loads it.  ``IntegrationWarning``
     is silenced: every caller checks the returned error estimate instead.
+    The subinterval limit grows past ``_QUAD_LIMIT`` only for more than
+    half that many break ``points``, which QUADPACK needs it to exceed.
     """
     from scipy import integrate
 
+    limit = max(_QUAD_LIMIT, 2 * (0 if points is None else len(points)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(func, a, b, points=points, limit=_QUAD_LIMIT,
+        return integrate.quad(func, a, b, points=points, limit=limit,
                               epsabs=epsabs, epsrel=epsrel)
 
 
@@ -238,9 +234,6 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma, abs(omega))
 
-    if profile.kind == "uniform":
-        return complex(0.0, -1.0)
-
     deficit = _scalar_deficit(profile)
     h_at = deficit(omega)
     gamma2 = gamma * gamma
@@ -269,7 +262,9 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
 
     alpha = integral g L dDelta + (Omega^2/2) integral g'' L dDelta
     with L the Lorentzian of half-width gamma_ab.  For gamma_ab = 0 the
-    Lorentzian collapses to a delta function at the hole center.
+    Lorentzian collapses to a delta function at the hole center.  A
+    tabulated hole's spline knots are break points of both integrals: its
+    g'' jumps there.
     """
     omega = float(omega_offset)
     gamma = params.gamma_ab
@@ -286,13 +281,15 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
         # substitution Delta = gamma tan(psi) turns the Lorentzian weight into
         # a flat measure: integral f L dDelta = (1/pi) integral f(gamma tan psi) dpsi
         half = np.pi / 2.0
+        knots = (np.arctan(profile.detuning_samples / gamma)
+                 if profile.kind == "tabulated" else None)
         deficit, e1 = _quad(
             lambda psi: profile.deficit(gamma * np.tan(psi)) / np.pi,
-            -half, half, 1e-12, 1e-10)
+            -half, half, 1e-12, 1e-10, points=knots)
         term1 = 1.0 - deficit
         term2, e2 = _quad(
             lambda psi: profile.second_derivative(gamma * np.tan(psi)) / np.pi,
-            -half, half, 1e-12, 1e-10)
+            -half, half, 1e-12, 1e-10, points=knots)
         if max(e1, e2) > 1e-7:
             raise NumericsError("absorption quadrature did not converge",
                                 residual=max(e1, e2))
@@ -340,7 +337,7 @@ def quadrature_model(profile, params: MediumParams):
     symmetry chi_hat(-Omega) = -conj(chi_hat(Omega)) valid for symmetric
     profiles to halve the work on symmetric grids.
     """
-    symmetric = profile.kind in ("gaussian", "uniform")
+    symmetric = profile.kind == "gaussian"
 
     def model(omega):
         om = np.asarray(omega, dtype=float)

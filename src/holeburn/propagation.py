@@ -109,8 +109,9 @@ def auto_grid(pulse: PulseSpec, params: MediumParams) -> SampledEnvelope:
     delay = params.length / slow_light_velocity(params)
     window = max(12.0 * pulse.duration, 4.0 * delay + 8.0 * pulse.duration)
     dt = min(0.1, pulse.duration / 8.0)
-    # a subnormal duration overflows window / dt to inf: over the budget
-    with np.errstate(over="ignore"):
+    # a subnormal duration overflows window / dt to inf, or underflows dt
+    # to 0 and divides by it: over the budget either way
+    with np.errstate(over="ignore", divide="ignore"):
         samples = max(window / dt, 1024)
     if not samples <= MAX_GRID_SAMPLES:
         raise ConfigurationError(

@@ -338,12 +338,17 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 # restored-field routes
 # ---------------------------------------------------------------------------
 
-def _check_route(schedule: StorageSchedule, refine, route):
-    """Refuse a node-count scale ``refine`` but an int in 1..2 MAX_REFINE,
-    and a finite conversion band on a route that has no band term."""
+def _check_refine(refine):
+    """Refuse a node-count scale ``refine`` but an int in 1..2 MAX_REFINE."""
     if type(refine) is not int or not 1 <= refine <= 2 * MAX_REFINE:
         raise ConfigurationError(
             f"refine must be an integer in 1..{2 * MAX_REFINE}, got {refine!r}")
+
+
+def _check_route(schedule: StorageSchedule, refine, route):
+    """Refuse a bad ``refine`` (``_check_refine``) and a finite conversion
+    band on a route that has no band term."""
+    _check_refine(refine)
     if not schedule.infinite_bandwidth:
         raise PreconditionError(
             f"{route} assumes infinite conversion bandwidth; model the "
@@ -716,8 +721,12 @@ def _method_field(method, series_order):
 
 def retrieval_grid(pulse: PulseSpec, schedule: StorageSchedule,
                    params: MediumParams, n_time=512) -> np.ndarray:
-    """Absolute-time grid covering the restored waveform and its tails."""
-    if n_time & (n_time - 1):
+    """Absolute-time grid covering the restored waveform and its tails.
+
+    ``n_time`` must be an int of at least 2 and a power of two, the CLI's
+    rule.
+    """
+    if type(n_time) is not int or n_time < 2 or n_time & (n_time - 1):
         raise ConfigurationError("n_time must be a power of two")
     v, a, rho, _ = _reduced(params)
     dT = pulse.duration
@@ -730,10 +739,10 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
              series_order=2, n_time=512, refine=1) -> RetrievalResult:
     """Compute the restored waveform on an auto grid and wrap it up.
 
-    ``refine`` scales the route's quadrature node counts (the route
-    refuses any but an int in 1..2 MAX_REFINE; revival has none to scale
-    and ignores it).  The regime is reported, not enforced, as the figure
-    panels mix regimes: ``validity`` holds the four indicators (the
+    ``refine`` scales the route's quadrature node counts; any but an int
+    in 1..2 MAX_REFINE is refused for every method, revival included,
+    though revival has no node count to scale.  The regime is reported,
+    not enforced, as the figure panels mix regimes: ``validity`` holds the four indicators (the
     margins are those of ``propagation.confinement_report``) and
     ``warnings`` one line per indicator out of regime, the lines a CLI
     sidecar holds.  A restored energy that is not finite and positive, or
@@ -744,6 +753,7 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     "gaussian" raises PreconditionError for them.
     """
     label = _method_field(method, series_order)
+    _check_refine(refine)
     if (method in ("established", "series")
             and getattr(profile, "kind", None) != "gaussian"):
         raise PreconditionError(

@@ -99,13 +99,6 @@ class TestPresetCommand:
 
 
 class TestTransmit:
-    def test_no_medium_identity(self, tmp_path):
-        scenario = Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0)
-        files = run_transmit(scenario, str(tmp_path))
-        assert len(files) == 3
-        texts = [Path(f).read_bytes() for f in files]
-        assert texts[0] == texts[1] == texts[2]
-
     def test_outputs_and_peak(self, tmp_path):
         scenario = Scenario(kind="transmit", alpha0_L=100.0, delta0_T=10.0)
         run_transmit(scenario, str(tmp_path))
@@ -131,7 +124,7 @@ class TestTransmit:
     def test_gamma_refused_by_validate_and_transmit(self, tmp_path, capsys):
         # the second-order profile has no gamma term: validate reports what
         # transmit refuses, in the same one stderr line, and nothing is
-        # written; a free-space run evaluates no chi and stays valid
+        # written
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 25.0,
                                     "delta0_T": 10.0,
@@ -144,8 +137,6 @@ class TestTransmit:
         assert errs[0] == errs[1]
         assert errs[0].count("\n") == 1 and "gamma_over_delta0" in errs[0]
         assert not list(tmp_path.glob("*.csv"))
-        assert Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0,
-                        gamma_over_delta0=0.05).violations() == []
 
     @pytest.mark.parametrize("command, kind", [
         (command, kind) for command in _KINDS for kind in _KINDS
@@ -307,21 +298,21 @@ class TestGridBudget:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget" in err
 
-    @pytest.mark.parametrize("delta0_T, reason", [
-        (5e-324, "dt must be positive"), (1e308, "overflows")])
-    def test_free_space_degenerate_duration(self, tmp_path, capsys, delta0_T,
-                                            reason):
-        # validate accepts the scenario; the free-space grid's dt = T / 16
-        # underflows to 0, or its 64 T window overflows, and the run exits 2
+    @pytest.mark.parametrize("delta0_T", [5e-324, 1e308])
+    def test_degenerate_duration_over_budget(self, tmp_path, capsys,
+                                             delta0_T):
+        # validate accepts the scenario; the slab grid of the smallest
+        # subnormal or of a near-overflow duration needs more samples than
+        # the budget, and the run exits 2 before allocating
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 0,
+        path.write_text(json.dumps({"kind": "transmit", "alpha0_L": 25.0,
                                     "delta0_T": delta0_T}))
         out = str(tmp_path / "out")
         assert main(["validate", "--scenario", str(path), "--out", out]) == 0
         capsys.readouterr()
         assert main(["transmit", "--scenario", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and reason in err
+        assert err.count("\n") == 1 and "budget" in err
         assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -785,6 +776,10 @@ class TestExitCodeContract:
         # MediumParams requires alpha0 > 0
         "store_zero_opacity":
             ("store", '{"kind": "store", "alpha0_L": 0, "delta0_T": 10.0}'),
+        # every kind runs through a slab, transmit too
+        "transmit_zero_opacity":
+            ("transmit",
+             '{"kind": "transmit", "alpha0_L": 0, "delta0_T": 10.0}'),
         # NaN < 0 is False, so a sign check alone lets NaN through
         "sweep_nan_opacity":
             ("sweep-efficiency",
@@ -887,10 +882,6 @@ class TestExitCodeContract:
         transmit = Scenario(kind="transmit", alpha0_L_values=(10.0,),
                             delta0_T_values=(5.0, 10.0))
         assert transmit.violations() == []
-
-    def test_transmit_keeps_zero_opacity(self):
-        scenario = Scenario(kind="transmit", alpha0_L=0.0, delta0_T=10.0)
-        assert scenario.violations() == []
 
     @pytest.mark.parametrize("values", [[], [4.0, "deep"], 9.0])
     def test_malformed_value_lists_rejected(self, values):

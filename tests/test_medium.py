@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.special import wofz
 
 import holeburn.medium
-from holeburn.errors import NumericsError
+from holeburn.errors import DomainError, NumericsError
 from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
                              chi_exact_gaussian, chi_quadrature,
                              chi_second_order, inverse_group_velocity,
@@ -24,6 +24,8 @@ from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
 from holeburn.special import erfcx
 
 SQRT_PI = math.sqrt(math.pi)
+# the hole-free line g == 1: a table of ones, away from 0
+FLAT = HoleProfile.tabulated([1, 2, 3, 4], [1, 1, 1, 1])
 
 
 def reference_chi_quadrature(omega_offset, profile, params, tol=1e-11):
@@ -33,8 +35,6 @@ def reference_chi_quadrature(omega_offset, profile, params, tol=1e-11):
     omega = float(omega_offset)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma, abs(omega))
-    if profile.kind == "uniform":
-        return complex(0.0, -1.0)
     h_at = float(profile.deficit(omega))
 
     def regularized(u):
@@ -88,6 +88,11 @@ class TestMediumParams:
         v = slow_light_velocity(params)
         assert v * params.inv_c == pytest.approx(0.25, rel=1e-12)
 
+    def test_reduced_rejects_light_speed(self):
+        # v/c = 1 would put 1/c at infinity
+        with pytest.raises(DomainError, match="v_over_c"):
+            MediumParams.reduced(10.0, 0.0, 1.0)
+
 
 class TestHoleProfile:
     def test_gaussian_shape(self):
@@ -103,8 +108,17 @@ class TestHoleProfile:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     def test_uniform(self):
-        g = HoleProfile.uniform()
+        g = FLAT
         assert g(0.0) == 1.0 and g(7.3) == 1.0
+
+    @pytest.mark.parametrize("kind", ["uniform", "lorentzian"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(DomainError, match="unknown profile kind"):
+            HoleProfile(kind=kind)
+
+    def test_g_above_one_rejected(self):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            HoleProfile.tabulated([-2, -1, 0, 1, 2], [1, 1.5, 0, 1, 1])
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
@@ -189,7 +203,7 @@ class TestChiQuadrature:
     def test_flat_line_pure_absorption(self):
         params = MediumParams.reduced(10.0, gamma_over_delta0=1e-3)
         for omega in (0.0, 0.7, 3.0):
-            val = chi_quadrature(omega, HoleProfile.uniform(), params)
+            val = chi_quadrature(omega, FLAT, params)
             assert val == pytest.approx(-1j, abs=1e-9)
 
     def test_matches_exact_gaussian(self):
@@ -324,7 +338,7 @@ class TestAbsorptionCoefficient:
     def test_flat_line(self):
         params = MediumParams.reduced(10.0, gamma_over_delta0=0.2)
         for omega in (0.0, 1.0, 2.5):
-            val = absorption_coefficient(omega, HoleProfile.uniform(), params)
+            val = absorption_coefficient(omega, FLAT, params)
             assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_quadratic_transmission_factor(self):
@@ -333,6 +347,24 @@ class TestAbsorptionCoefficient:
         for omega in (0.1, 0.2):
             val = absorption_coefficient(omega, HoleProfile.gaussian(), params)
             assert val == pytest.approx(omega ** 2, rel=0.05)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3])
+    @pytest.mark.parametrize("knots, reach", [(121, 6.0), (321, 8.0)])
+    def test_tabulated_matches_gaussian(self, knots, reach, gamma):
+        # the spline's g'' jumps at every knot, so both integrals break
+        # there (321 break points need more than the default 300
+        # subintervals); the deficit integral then matches the Gaussian
+        # hole's to the spline's accuracy (1.4e-6 at 121 knots), and the g''
+        # integral, read off alpha(0.3) - alpha(0), to 2.6e-4
+        x = np.linspace(-reach, reach, knots)
+        tab = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
+        gauss = HoleProfile.gaussian()
+        params = MediumParams.reduced(25.0, gamma_over_delta0=gamma)
+        at0, at3 = ([absorption_coefficient(omega, h, params)
+                     for h in (tab, gauss)] for omega in (0.0, 0.3))
+        assert abs(at0[0] - at0[1]) < 2e-6
+        curv = [2.0 * (a3 - a0) / 0.09 for a0, a3 in zip(at0, at3)]
+        assert abs(curv[0] - curv[1]) < 3e-4
 
     def test_singular_lorentzian_rejected(self):
         params = MediumParams.reduced(10.0, gamma_over_delta0=0.0)
@@ -349,7 +381,7 @@ class TestInverseGroupVelocity:
 
     def test_flat_line(self):
         params = MediumParams.reduced(10.0, gamma_over_delta0=0.5)
-        val = inverse_group_velocity(HoleProfile.uniform(), params)
+        val = inverse_group_velocity(FLAT, params)
         assert val == pytest.approx(1.0 / (4.0 * params.gamma_ab), rel=1e-6)
 
     def test_monotone_in_hole_width(self):

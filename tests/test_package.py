@@ -1,4 +1,5 @@
-"""Package layout: the modules of holeburn share only public names."""
+"""Package layout: the modules of holeburn share only public names, and
+raise only the exception classes of ``holeburn.errors``."""
 
 import ast
 import pathlib
@@ -21,6 +22,55 @@ def private_imports(source):
         found += [module + alias.name for alias in node.names
                   if alias.name.startswith("_")]
     return found
+
+
+def package_errors():
+    """Names of the exception classes that holeburn.errors defines."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def foreign_raises(source, allowed):
+    """Line and class name of each ``raise C`` or ``raise C(...)`` in
+    ``source`` whose class C is not in ``allowed``.  A bare ``raise`` and
+    an exception object raised again (``raise caught[0]``) are re-raises
+    and pass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = (exc.id if isinstance(exc, ast.Name) else
+                exc.attr if isinstance(exc, ast.Attribute) else None)
+        if isinstance(node.exc, ast.Call) or (name and name[0].isupper()):
+            if name not in allowed:
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("raise ValueError('x')", [(1, "ValueError")]),
+    ("raise TypeError", [(1, "TypeError")]),
+    ("raise builtins.KeyError('x') from None", [(1, "KeyError")]),
+    ("raise DomainError('x')", []),
+    ("raise ConfigurationError", []),
+    ("try:\n    f()\nexcept ValueError:\n    raise", []),
+    ("raise caught[0]", []),
+])
+def test_foreign_raises_found(source, expected):
+    assert foreign_raises(source, {"DomainError", "ConfigurationError"}) \
+        == expected
+
+
+def test_every_refusal_is_a_package_error():
+    # the CLI maps package errors to exit codes; any other class would
+    # leave it as a traceback
+    allowed = package_errors()
+    assert {"ConfigurationError", "DomainError", "NumericsError",
+            "PreconditionError"} <= allowed
+    found = {path.name: foreign_raises(path.read_text(), allowed)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: raises for name, raises in found.items() if raises} == {}
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -33,6 +33,12 @@ class TestSampledEnvelope:
                               samples=pulse.amplitude(t - 0.37))
         assert env.peak_time() == pytest.approx(0.37, abs=1e-3)
 
+    def test_peak_time_at_first_sample(self):
+        # no neighbour on the left to fit a parabola through
+        env = SampledEnvelope(t_start=-3.0, dt=0.5,
+                              samples=np.exp(-np.arange(8.0)))
+        assert env.peak_time() == -3.0
+
 
 class TestPulseSpec:
     def test_validation(self):

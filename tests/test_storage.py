@@ -281,6 +281,11 @@ class TestBandwidthReduction:
         assert np.all(np.diff(vals) > 0.0)
         assert np.all((vals > 0.0) & (vals < 1.0))
 
+    @pytest.mark.parametrize("y", [0.0, [1.0, -2.0]], ids=["zero", "negative"])
+    def test_non_positive_ratio_rejected(self, y):
+        with pytest.raises(DomainError, match="must be positive"):
+            bandwidth_reduction_factor(y)
+
     def test_finite_bandwidth_kappa_long_time_ratio(self):
         # sharp cutoff at 5 hole widths scales the plateau by ~B(5)
         params = MediumParams.reduced(10.0)
@@ -857,11 +862,12 @@ class TestDeficitKernelSeries:
             rtol=0, atol=1e-12 * np.max(np.abs(one)))
 
     def test_uniform_hole_has_zero_kernel(self):
-        kern = _deficit_kernel(HoleProfile.uniform())
+        # the hole-free line g == 1, as a table of ones away from 0
+        flat = HoleProfile.tabulated([1, 2, 3, 4], [1, 1, 1, 1])
+        kern = _deficit_kernel(flat)
         assert np.all(kern(np.linspace(0.0, 28.0, 29)) == 0.0)
         params = MediumParams.reduced(10.0)
-        assert np.all(kappa_quadrature([0.5, 3.0], HoleProfile.uniform(),
-                                       params) == 0.0)
+        assert np.all(kappa_quadrature([0.5, 3.0], flat, params) == 0.0)
 
     def test_degree_cap(self, monkeypatch):
         # the wide Gaussian hole's kernel needs degree 128
@@ -1032,16 +1038,26 @@ class TestRetrieve:
         with pytest.raises(ConfigurationError):
             retrieve(pulse, schedule, params, method="magic")
 
-    # each route refuses a refine it cannot scale its node counts by, before
-    # numpy's leggauss sees it: not an int, a bool, or outside 1..16
-    @pytest.mark.parametrize("refine", [0, -1, 2.5, True, 17])
+    # every method refuses a refine the routes cannot scale their node
+    # counts by, before numpy's leggauss sees it: not an int, a bool, or
+    # outside 1..16; revival, which scales none, refuses the same values
+    @pytest.mark.parametrize("refine", [0, -1, 2.5, True, 17, "x"])
     @pytest.mark.parametrize("method", ["full_quadrature", "established",
-                                        "series"])
+                                        "series", "revival"])
     def test_bad_refine_refused(self, method, refine):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         with pytest.raises(ConfigurationError, match="refine must be an "
                            r"integer in 1\.\.16, got"):
             retrieve(pulse, schedule, params, method=method, refine=refine)
+
+    # the CLI's rule: an int, at least 2, and a power of two
+    @pytest.mark.parametrize("n_time", [0, 1, 3, True])
+    def test_bad_n_time_refused(self, n_time):
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        with pytest.raises(ConfigurationError,
+                           match="n_time must be a power of two"):
+            retrieve(pulse, schedule, params, method="revival",
+                     n_time=n_time)
 
     def test_refine_cap_accepted(self):
         # the sweep guard doubles the scenario cap: 2 MAX_REFINE is run
