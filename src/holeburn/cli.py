@@ -21,9 +21,10 @@ the slab length and ``delta0_T`` the pulse duration itself.  Subcommands:
     Tabulate recovery efficiency against sqrt(alpha0 L) under the
     matched schedule delta0 T = b (alpha0 L)^(3/4), t_pi1 = L/(2v).
 ``validate``
-    Check a scenario file against every module precondition and exit.
-    It writes nothing: a missing ``--out`` is checked (its nearest
-    existing ancestor must be a directory) but not created.
+    Check a scenario file by building the run's own objects
+    (``Scenario.violations``) and exit.  It writes nothing: a missing
+    ``--out`` is checked (its nearest existing ancestor must be a
+    directory) but not created.
 ``preset <name>``
     Write one of the pinned scenario files (fig2, fig4a, fig4b, fig5,
     fig6) into the output directory.
@@ -41,7 +42,8 @@ produce byte-identical files.
 
 ``--workers`` (default 1) is the process count for sweep points; a value
 below 1 is a validation failure, for every subcommand that takes it.  Only
-``preset`` and the three run commands create ``--out``.
+``preset`` and the three run commands create ``--out``, a run only once
+its scenario is valid.
 
 Exit codes: 0 success, 2 validation failure (including a scenario file
 that is missing or is not a JSON object with a ``kind``, an ``--out``
@@ -67,8 +69,8 @@ from .medium import (MediumParams, exact_gaussian_model, second_order_model,
                      slow_light_velocity)
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, auto_grid, propagate,
                           stretched_duration)
-from .storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
-                      StorageSchedule, retrieve)
+from .storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, StorageSchedule,
+                      check_retrieval_args, retrieve)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
@@ -200,7 +202,12 @@ class Scenario:
         return bad
 
     def violations(self):
-        """List of precondition violations; empty when the scenario is valid."""
+        """List of precondition violations; empty when the scenario is valid.
+
+        Scenario-level rules and budgets are checked here, the rest by
+        building each panel's MediumParams, PulseSpecs and StorageSchedule
+        as the run does and by ``check_retrieval_args`` (given no field that
+        is over its budget); each message they raise is listed once."""
         bad = []
         if self.kind not in _KINDS:
             bad.append(f"kind must be one of {_KINDS}, got {self.kind!r}")
@@ -209,52 +216,33 @@ class Scenario:
         numbers = self._number_violations()
         if numbers:
             return bad + numbers
-        for aL in self._alpha0_L_list():
-            if not aL > 0:
-                bad.append(f"alpha0_L must be positive, got {aL}")
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
                                       ("b", self.b)) if val is not None]
         if len(dur) != 1:
             bad.append("exactly one of delta0_T / delta0_T_values / b is "
                        f"required, got {dur or 'none'}")
-        for dT in (self.delta0_T_values or ()) + (
-                () if self.delta0_T is None else (self.delta0_T,)):
-            if not dT > 0:
-                bad.append(f"delta0_T must be positive, got {dT}")
-        if self.b is not None and not self.b > 0:
-            bad.append(f"b must be positive, got {self.b}")
-        if self.gamma_over_delta0 < 0:
-            bad.append("gamma_over_delta0 must be non-negative")
         if (self.kind == "transmit"
                 and self.gamma_over_delta0 >= _TRANSMIT_MAX_GAMMA):
             bad.append("transmit needs gamma_over_delta0 below "
                        f"{_TRANSMIT_MAX_GAMMA:g} (its second-order profile "
                        f"has no gamma term), got {self.gamma_over_delta0:g}")
-        if not 0.0 <= self.v_over_c < 1.0:
-            bad.append("v_over_c must lie in [0, 1)")
         d1 = self.delta1_over_delta0
-        if d1 is not None and not 1.0 < d1 <= MAX_DELTA1_OVER_DELTA0:
-            bad.append("delta1_over_delta0 must lie in "
-                       f"(1, {MAX_DELTA1_OVER_DELTA0:g}] (conversion band "
-                       f"wider than the hole), got {d1:g}")
-        if not (self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)):
+        if d1 is not None and d1 > MAX_DELTA1_OVER_DELTA0:
+            bad.append("delta1_over_delta0 must not exceed "
+                       f"{MAX_DELTA1_OVER_DELTA0:g}, got {d1:g}")
+        tpi1_ok = self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)
+        if not tpi1_ok:
             bad.append("tpi1_rule must be 'half-transit' or a transit fraction")
-        if _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
+        elif _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
             bad.append("tpi1_rule fraction must be positive")
-        if not self.hold_times_delta0 > 0:
-            bad.append("hold_times_delta0 must be positive")
-        if self.method not in METHODS:
-            bad.append(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0 <= self.series_order <= 6:
-            bad.append("series_order must lie in 0..6")
-        if self.n_time < 2 or self.n_time & (self.n_time - 1):
-            bad.append("n_time must be a power of two")
-        elif self.n_time > MAX_GRID_SAMPLES:
-            bad.append(f"n_time must not exceed {MAX_GRID_SAMPLES}, "
-                       f"got {self.n_time}")
-        if not 1 <= self.refine <= MAX_REFINE:
-            bad.append(f"refine must lie in 1..{MAX_REFINE}, got {self.refine}")
+        retrieval = {"method": self.method, "series_order": self.series_order}
+        for name, cap in (("n_time", MAX_GRID_SAMPLES), ("refine", MAX_REFINE)):
+            val = getattr(self, name)
+            if val > cap:
+                bad.append(f"{name} must not exceed {cap}, got {val}")
+            else:
+                retrieval[name] = val
         if self.kind == "transmit" and self.b is not None:
             bad.append("transmit scenarios need an explicit delta0_T")
         if self.kind != "transmit" and self.delta0_T_values is not None:
@@ -275,7 +263,24 @@ class Scenario:
                            f"file tag {tag!r}")
             else:
                 seen[tag] = val
-        return bad
+
+        refused = []
+
+        def build(make, *args, **kwargs):
+            try:
+                return make(*args, **kwargs)
+            except (ConfigurationError, DomainError) as exc:
+                refused.append(str(exc))
+
+        for alpha0_L in self._alpha0_L_list():
+            params = build(self.params_for, alpha0_L)
+            if params is not None:
+                for duration in self.durations(params) if dur else ():
+                    build(PulseSpec, duration=duration)
+                if tpi1_ok:
+                    build(self.schedule_for, params)
+        build(check_retrieval_args, **retrieval)
+        return bad + list(dict.fromkeys(refused))
 
     def validate(self):
         bad = self.violations()
@@ -293,26 +298,30 @@ class Scenario:
         return MediumParams.reduced(alpha0_L, self.gamma_over_delta0,
                                     self.v_over_c)
 
-    def pulse_and_schedule(self, params):
-        """Build (PulseSpec, StorageSchedule) for one panel.
-
-        T = delta0_T, or b (alpha0 L)^(3/4) under the matched schedule
-        (``storage.default_schedule``); t_pi1 is the ``tpi1_rule`` fraction
-        of the transit time L/v (one half for "half-transit"), and t_pi2
-        follows after ``hold_times_delta0``.
-        """
+    def durations(self, params):
+        """The panel's pulse durations: b (alpha0 L)^(3/4) under the matched
+        schedule (``storage.default_schedule``), else delta0_T(_values)."""
         if self.b is not None:
-            duration = self.b * params.length ** 0.75
-        else:
-            duration = self.delta0_T
-        pulse = PulseSpec(duration=duration)
+            return (self.b * params.length ** 0.75,)
+        return self.delta0_T_values or (self.delta0_T,)
+
+    def schedule_for(self, params):
+        """The panel's StorageSchedule: t_pi1 is the ``tpi1_rule`` fraction
+        of the transit time L/v (one half for "half-transit"), and t_pi2
+        follows after ``hold_times_delta0``."""
         fraction = (0.5 if self.tpi1_rule == "half-transit"
                     else float(self.tpi1_rule))
-        t_pi1 = fraction * (params.length / slow_light_velocity(params))
+        # Python floats: an instant that overflows is refused, not warned of
+        t_pi1 = fraction * (params.length / float(slow_light_velocity(params)))
         delta1 = (math.inf if self.delta1_over_delta0 is None
                   else self.delta1_over_delta0)
-        return pulse, StorageSchedule(
+        return StorageSchedule(
             t_pi1=t_pi1, t_pi2=t_pi1 + self.hold_times_delta0, delta1=delta1)
+
+    def pulse_and_schedule(self, params):
+        """(PulseSpec, StorageSchedule) for one store or sweep panel."""
+        return (PulseSpec(duration=self.durations(params)[0]),
+                self.schedule_for(params))
 
 
 PRESETS = {
@@ -481,9 +490,8 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
     """
     scenario.validate()
     params = scenario.params_for(scenario._alpha0_L_list()[0])
-    durations = scenario.delta0_T_values or (scenario.delta0_T,)
     written = []
-    for dT in durations:
+    for dT in scenario.durations(params):
         tag = f"transmit_dT{_num(dT)}"
         env = auto_grid(PulseSpec(duration=float(dT)), params)
         outputs = {
@@ -709,25 +717,24 @@ def main(argv=None):
         if workers < 1:
             raise ConfigurationError(
                 f"--workers must be at least 1, got {workers}")
-        if args.command == "validate":
-            _check_out(args.out)
-            scenario = Scenario.load(args.scenario)
-            _check_tol(scenario, tol)
-            scenario.validate()
-            print("scenario valid")
-            return 0
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "preset":
+            os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.name}.json")
             PRESETS[args.name].save(path)
             print(path)
             return 0
-
+        if args.command == "validate":
+            _check_out(args.out)
         scenario = Scenario.load(args.scenario)
-        if scenario.kind != args.command:
+        if args.command not in ("validate", scenario.kind):
             raise ConfigurationError(
                 f"scenario kind {scenario.kind!r} does not match {args.command!r}")
         _check_tol(scenario, tol)
+        scenario.validate()
+        if args.command == "validate":
+            print("scenario valid")
+            return 0
+        os.makedirs(args.out, exist_ok=True)
         # the run commands are named after the scenario kinds, _KINDS
         runners = {
             "transmit": lambda: run_transmit(

@@ -58,9 +58,11 @@ class MediumParams:
 
     def __post_init__(self):
         if not self.length > 0:
-            raise DomainError("length must be strictly positive")
-        if self.gamma_ab < 0 or self.inv_c < 0:
-            raise DomainError("gamma_ab and inv_c must be non-negative")
+            raise DomainError(f"alpha0 L must be positive, got {self.length!r}")
+        if not (self.gamma_ab >= 0 and self.inv_c >= 0):
+            raise DomainError(
+                "gamma_ab and inv_c must be non-negative, got gamma_ab = "
+                f"{float(self.gamma_ab)!r}, inv_c = {float(self.inv_c)!r}")
 
     @classmethod
     def reduced(cls, alpha0_L, gamma_over_delta0=0.0, v_over_c=0.0):
@@ -70,7 +72,7 @@ class MediumParams:
         1/v = 1/c + 1/sqrt(pi).
         """
         if not 0.0 <= v_over_c < 1.0:
-            raise DomainError("v_over_c must lie in [0, 1)")
+            raise DomainError(f"v_over_c must lie in [0, 1), got {v_over_c!r}")
         inv_c = v_over_c / (1.0 - v_over_c) / SQRT_PI
         return cls(gamma_ab=gamma_over_delta0, length=float(alpha0_L),
                    inv_c=inv_c)
@@ -93,8 +95,8 @@ class HoleProfile:
     samples interpolated by a cubic spline, with g == 1 assumed beyond the
     sampled range, so a table of ones away from 0, e.g.
     ``tabulated([1, 2, 3, 4], [1, 1, 1, 1])``, is the hole-free line
-    g == 1.  The oracle and the storage routes also take a bare callable
-    g(Delta) in place of a HoleProfile.
+    g == 1.  The storage routes take a HoleProfile only; the oracle, which
+    only evaluates g, also takes a bare callable g(Delta).
     """
 
     kind: str = "gaussian"
@@ -109,9 +111,9 @@ class HoleProfile:
             g = np.asarray(self.g_values, dtype=float)
             if d.ndim != 1 or d.shape != g.shape or d.size < 4:
                 raise DomainError("tabulated profile needs matching 1-d arrays, >= 4 points")
-            if np.any(np.diff(d) <= 0):
+            if not np.all(np.diff(d) > 0):
                 raise DomainError("detuning samples must be strictly increasing")
-            if np.any(g < -1e-12) or np.any(g > 1.0 + 1e-12):
+            if not np.all((g >= -1e-12) & (g <= 1.0 + 1e-12)):
                 raise DomainError("g values must lie in [0, 1]")
             object.__setattr__(self, "detuning_samples", d)
             object.__setattr__(self, "g_values", np.clip(g, 0.0, 1.0))
@@ -155,11 +157,6 @@ class HoleProfile:
             out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
                            0.0, out)
         return out if out.ndim else float(out)
-
-    def sample_range(self):
-        if self.kind == "tabulated":
-            return self.detuning_samples[0], self.detuning_samples[-1]
-        return -8.0, 8.0
 
 
 def _scalar_deficit(profile: HoleProfile):

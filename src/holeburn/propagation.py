@@ -89,7 +89,8 @@ class PulseSpec:
 
     def __post_init__(self):
         if not self.duration > 0:
-            raise ConfigurationError("pulse duration must be positive")
+            raise ConfigurationError(
+                f"pulse duration must be positive, got {self.duration!r}")
 
     def amplitude(self, t):
         arg = np.asarray(t, dtype=float) / self.duration

@@ -99,10 +99,13 @@ class StorageSchedule:
 
     def __post_init__(self):
         if not self.t_pi2 > self.t_pi1:
-            raise ConfigurationError("read instant t_pi2 must follow write instant t_pi1")
+            raise ConfigurationError(
+                "read instant t_pi2 must follow write instant t_pi1, got t_pi1 "
+                f"= {float(self.t_pi1)!r}, t_pi2 = {float(self.t_pi2)!r}")
         if not self.delta1 > 1.0:
             raise ConfigurationError(
-                "conversion bandwidth delta1 must exceed the hole width")
+                "conversion bandwidth delta1 must exceed the hole width, got "
+                f"{float(self.delta1)!r}")
 
     @property
     def infinite_bandwidth(self) -> bool:
@@ -199,25 +202,16 @@ def _deficit_kernel(profile):
     """K(s) = integral dDelta (1 - g) e^{i Delta s}, the stored-dipole sum.
 
     Returns a callable of the delay s on [0, SIGMA_MAX].  Gaussian hole:
-    K = sqrt(pi) exp(-s^2/4).  Any other hole: the Chebyshev series of the
-    trapezoid sum over 4097 detunings u of the sampled support,
+    K = sqrt(pi) exp(-s^2/4).  A tabulated hole: the Chebyshev series of
+    the trapezoid sum over 4097 detunings u of the sampled support,
     sum_u w_u (1 - g) cos(s u) (real part only; the tiny odd-part imaginary
-    component of an asymmetric hole is dropped).  A bare callable is
-    sampled on [-8, 8]; a NumericsError is raised when its deficit at
-    either end of that cut exceeds 1e-12, since the cut would drop it.
+    component of an asymmetric hole is dropped).
     """
-    if getattr(profile, "kind", None) == "gaussian":
+    if profile.kind == "gaussian":
         return lambda s: SQRT_PI * np.exp(-0.25 * np.asarray(s) ** 2)
-    bare = not hasattr(profile, "sample_range")
-    lo, hi = (-8.0, 8.0) if bare else profile.sample_range()
-    u, du = np.linspace(lo, hi, 4097, retstep=True)
-    h = np.asarray(1.0 - profile(u), dtype=float)
-    edge = np.max(np.abs(h[[0, -1]]))
-    if bare and edge > 1e-12:
-        raise NumericsError(
-            f"hole deficit 1 - g reads {edge:.3g} at the cut |Delta| = 8; "
-            "pass a HoleProfile.tabulated to set the support")
-    hw = h * du
+    d = profile.detuning_samples
+    u, du = np.linspace(d[0], d[-1], 4097, retstep=True)
+    hw = profile.deficit(u) * du
     hw[[0, -1]] *= 0.5
     return _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
 
@@ -275,11 +269,13 @@ def _band_panels(delta1, gamma, g):
         ends.append(step)
         step *= 4.0
     ends = np.concatenate([np.negative(ends), ends])
-    if getattr(g, "kind", None) == "tabulated":
+    if g.kind == "tabulated":
         ends = np.append(ends, g.detuning_samples)
     return np.unique(np.clip(ends, -delta1, delta1))
 
 
+# a D^2 that underflows (gamma_ab < ~1e-155) is a NumericsError, not a warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     """Revival factor when only |Delta| <= delta1 dipoles are converted.
 
@@ -338,17 +334,9 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 # restored-field routes
 # ---------------------------------------------------------------------------
 
-def _check_refine(refine):
-    """Refuse a node-count scale ``refine`` but an int in 1..2 MAX_REFINE."""
-    if type(refine) is not int or not 1 <= refine <= 2 * MAX_REFINE:
-        raise ConfigurationError(
-            f"refine must be an integer in 1..{2 * MAX_REFINE}, got {refine!r}")
-
-
 def _check_route(schedule: StorageSchedule, refine, route):
-    """Refuse a bad ``refine`` (``_check_refine``) and a finite conversion
-    band on a route that has no band term."""
-    _check_refine(refine)
+    """Refuse a bad ``refine`` and a finite band on a route without one."""
+    check_retrieval_args(refine=refine)
     if not schedule.infinite_bandwidth:
         raise PreconditionError(
             f"{route} assumes infinite conversion bandwidth; model the "
@@ -388,8 +376,7 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     if not schedule.infinite_bandwidth:
         kap[in_depth] = kappa_finite_bandwidth(
             xs[in_depth], schedule.delta1, profile, params)
-    elif (params.gamma_ab == 0.0
-          and getattr(profile, "kind", None) == "gaussian"):
+    elif params.gamma_ab == 0.0 and profile.kind == "gaussian":
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
         kap[in_depth] = kappa_quadrature(xs[in_depth], profile, params)
@@ -666,12 +653,10 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     simple depth-slice field whose factorized limit is revival_envelope.
     The derivatives come from ``_series_derivatives`` (Taylor jets, O(order^2)
     array operations per time sample); p and q take 48 refine nodes each.
-    Orders above 6 are rejected, the same range a scenario's
-    ``series_order`` accepts; the jets would allow more.  Infinite
-    conversion bandwidth only.
+    Orders above 6 are refused (``check_retrieval_args``); the jets would
+    allow more.  Infinite conversion bandwidth only.
     """
-    if order < 0 or order > 6:
-        raise DomainError("series order must lie in 0..6")
+    check_retrieval_args(series_order=order)
     _check_route(schedule, refine, "derivative-series restored field")
     n_pq = 48 * refine
     v, a, rho, vc = _reduced(params)
@@ -710,24 +695,31 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
 METHODS = ("full_quadrature", "established", "revival", "series")
 
 
-def _method_field(method, series_order):
+def check_retrieval_args(*, method="full_quadrature", series_order=2,
+                         n_time=512, refine=1):
+    """Raise one ConfigurationError naming each argument ``retrieve`` would
+    refuse; ``retrieve`` calls it before any work, and each route and
+    ``retrieval_grid`` for its own argument (the defaults pass)."""
+    bad = []
     if method not in METHODS:
-        raise ConfigurationError(
-            f"unknown retrieval method {method!r}; choose from {METHODS}")
-    if method == "series":
-        return f"series({series_order})"
-    return method
+        bad.append(f"method must be one of {METHODS}, got {method!r}")
+    if type(series_order) is not int or not 0 <= series_order <= 6:
+        bad.append(f"series_order must be an integer in 0..6, got "
+                   f"{series_order!r}")
+    if type(n_time) is not int or n_time < 2 or n_time & (n_time - 1):
+        bad.append(f"n_time must be a power of two, got {n_time!r}")
+    if type(refine) is not int or not 1 <= refine <= 2 * MAX_REFINE:
+        bad.append(f"refine must be an integer in 1..{2 * MAX_REFINE}, "
+                   f"got {refine!r}")
+    if bad:
+        raise ConfigurationError("; ".join(bad))
 
 
 def retrieval_grid(pulse: PulseSpec, schedule: StorageSchedule,
                    params: MediumParams, n_time=512) -> np.ndarray:
-    """Absolute-time grid covering the restored waveform and its tails.
-
-    ``n_time`` must be an int of at least 2 and a power of two, the CLI's
-    rule.
-    """
-    if type(n_time) is not int or n_time < 2 or n_time & (n_time - 1):
-        raise ConfigurationError("n_time must be a power of two")
+    """Absolute-time grid of ``n_time`` samples (``check_retrieval_args``)
+    covering the restored waveform and its tails."""
+    check_retrieval_args(n_time=n_time)
     v, a, rho, _ = _reduced(params)
     dT = pulse.duration
     ymax = rho + 5.0 * math.sqrt(2.0 * a * rho) + 2.0 * dT + 10.0
@@ -741,8 +733,9 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
 
     ``refine`` scales the route's quadrature node counts; any but an int
     in 1..2 MAX_REFINE is refused for every method, revival included,
-    though revival has no node count to scale.  The regime is reported,
-    not enforced, as the figure panels mix regimes: ``validity`` holds the four indicators (the
+    though revival has no node count to scale (``check_retrieval_args``).
+    The regime is reported, not enforced, as the figure panels mix
+    regimes: ``validity`` holds the four indicators (the
     margins are those of ``propagation.confinement_report``) and
     ``warnings`` one line per indicator out of regime, the lines a CLI
     sidecar holds.  A restored energy that is not finite and positive, or
@@ -752,10 +745,9 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     series routes take no hole, so any ``profile`` but one of kind
     "gaussian" raises PreconditionError for them.
     """
-    label = _method_field(method, series_order)
-    _check_refine(refine)
-    if (method in ("established", "series")
-            and getattr(profile, "kind", None) != "gaussian"):
+    check_retrieval_args(method=method, series_order=series_order,
+                         n_time=n_time, refine=refine)
+    if method in ("established", "series") and profile.kind != "gaussian":
         raise PreconditionError(
             f"the {method} route is built for the Gaussian hole only; use "
             "full_quadrature or revival for another hole")
@@ -816,6 +808,7 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     if temporal < 1.0:
         warnings.append("pulse not confined inside the slab "
                         "(delta0 T above alpha0 L)")
+    label = f"series({series_order})" if method == "series" else method
     return RetrievalResult(envelope=env, efficiency=eta, method=label,
                            validity=validity, warnings=tuple(warnings))
 

@@ -846,6 +846,15 @@ class TestExitCodeContract:
         "n_time_500": ("store", _STORE + ', "n_time": 500}'),
         "transmit_b":
             ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, "b": 0.6}'),
+        # t_pi1 + 1e-20 == t_pi1 in floating point: the schedule the run
+        # builds has no hold
+        "hold_underflow":
+            ("store", '{"kind": "store", "alpha0_L": 25.0, "delta0_T": 5.0, '
+                      '"hold_times_delta0": 1e-20, "method": "revival"}'),
+        # t_pi1 = 10 L/v overflows to inf: a refusal, with no numpy warning
+        "write_instant_overflow":
+            ("store", '{"kind": "store", "alpha0_L": 1e308, "delta0_T": 5.0, '
+                      '"tpi1_rule": 10}'),
         # a JSON integer beyond float range: math.isfinite overflows
         "huge_integer_opacity":
             ("store", '{"kind": "store", "alpha0_L": 1' + "0" * 400
@@ -868,6 +877,23 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error")
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"out_is_a_file",
+                                                          "out_empty"}))
+    def test_refused_run_creates_no_out(self, tmp_path, capsys, case):
+        # validate and the run refuse in the same line, and the run does so
+        # before it creates --out
+        command, text = self.CASES[case]
+        path = tmp_path / "s.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "fresh" / "out"
+        errs = []
+        for cmd in ("validate", command):
+            assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert not (tmp_path / "fresh").exists()
 
     def test_panel_tag_collision_named(self):
         store = Scenario(kind="store", b=0.6,

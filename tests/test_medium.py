@@ -69,6 +69,15 @@ class TestMediumParams:
         with pytest.raises(ValueError):
             MediumParams(gamma_ab=0.0, length=1.0, inv_c=-0.1)
 
+    @pytest.mark.parametrize("fields", [
+        {"gamma_ab": math.nan, "length": 1.0},
+        {"gamma_ab": 0.0, "length": 1.0, "inv_c": math.nan},
+        {"gamma_ab": 0.0, "length": math.nan}], ids=["gamma", "inv_c", "length"])
+    def test_nan_refused(self, fields):
+        # a sign check alone lets NaN through: NaN < 0 is False
+        with pytest.raises(DomainError, match="got"):
+            MediumParams(**fields)
+
     def test_reduced_units(self):
         # lengths are optical depths: alpha0 is the unit, not a parameter
         params = MediumParams.reduced(100.0)
@@ -128,6 +137,14 @@ class TestHoleProfile:
         with pytest.raises(ValueError):
             # profile spanning zero must have a hole there
             HoleProfile.tabulated([-2, -1, 1, 2], [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("d, g", [
+        ([-2, -1, 0, 1, 2], [1, math.nan, 0, 1, 1]),
+        ([-2, -1, 0, math.nan, 2], [1, 1, 0, 1, 1])], ids=["g", "detuning"])
+    def test_tabulated_non_finite_refused(self, d, g):
+        # NaN < 0 and NaN <= 0 are False, so sign checks alone pass NaN on
+        with pytest.raises(DomainError):
+            HoleProfile.tabulated(d, g)
 
     def test_tabulated_tracks_gaussian(self):
         x = np.linspace(-8, 8, 321)
