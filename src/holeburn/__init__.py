@@ -20,12 +20,7 @@ later retrieved.  Modules:
     Scenario runner emitting deterministic CSV/JSON data files.
 """
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericsError,
-    PreconditionError,
-)
+from .errors import ConfigurationError, DomainError, NumericsError
 from .medium import (
     HoleProfile,
     MediumParams,
@@ -67,7 +62,6 @@ __all__ = [
     "ConfigurationError",
     "DomainError",
     "NumericsError",
-    "PreconditionError",
     "HoleProfile",
     "MediumParams",
     "absorption_coefficient",

@@ -22,9 +22,7 @@ the slab length and ``delta0_T`` the pulse duration itself.  Subcommands:
     matched schedule delta0 T = b (alpha0 L)^(3/4), t_pi1 = L/(2v).
 ``validate``
     Check a scenario file by building the run's own objects
-    (``Scenario.violations``) and exit.  It writes nothing: a missing
-    ``--out`` is checked (its nearest existing ancestor must be a
-    directory) but not created.
+    (``Scenario.panels``) and exit.  It writes nothing.
 ``preset <name>``
     Write one of the pinned scenario files (fig2, fig4a, fig4b, fig5,
     fig6) into the output directory.
@@ -41,9 +39,10 @@ parameter order regardless of the worker count, so identical scenarios
 produce byte-identical files.
 
 ``--workers`` (default 1) is the process count for sweep points; a value
-below 1 is a validation failure, for every subcommand that takes it.  Only
-``preset`` and the three run commands create ``--out``, a run only once
-its scenario is valid.
+below 1 is a validation failure, for every subcommand that takes it.  A
+run computes with the panels ``Scenario.validate`` built, and the first
+file written creates a missing ``--out`` (``_replacing``), so a run refused
+before then leaves no directory behind.
 
 Exit codes: 0 success, 2 validation failure (including a scenario file
 that is missing or is not a JSON object with a ``kind``, an ``--out``
@@ -57,14 +56,14 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from functools import cache
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, NumericsError,
-                     PreconditionError)
+from .errors import ConfigurationError, DomainError, NumericsError
 from .medium import (MediumParams, exact_gaussian_model, second_order_model,
                      slow_light_velocity)
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, auto_grid, propagate,
@@ -201,12 +200,14 @@ class Scenario:
                 bad.append(f"{name} must be an integer, got {val!r}")
         return bad
 
-    def violations(self):
-        """List of precondition violations; empty when the scenario is valid.
+    def panels(self):
+        """(panels, violations): each panel's run objects, built once, and
+        the list of precondition violations, empty when the scenario is
+        valid; ``panels`` is empty unless it is.
 
         Scenario-level rules and budgets are checked here, the rest by
         building each panel's MediumParams, PulseSpecs and StorageSchedule
-        as the run does and by ``check_retrieval_args`` (given no field that
+        (see ``Panel``) and by ``check_retrieval_args`` (given no field that
         is over its budget); each message they raise is listed once."""
         bad = []
         if self.kind not in _KINDS:
@@ -215,7 +216,7 @@ class Scenario:
             bad.append("exactly one of alpha0_L / alpha0_L_values is required")
         numbers = self._number_violations()
         if numbers:
-            return bad + numbers
+            return [], bad + numbers
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
                                       ("b", self.b)) if val is not None]
@@ -227,16 +228,18 @@ class Scenario:
             bad.append("transmit needs gamma_over_delta0 below "
                        f"{_TRANSMIT_MAX_GAMMA:g} (its second-order profile "
                        f"has no gamma term), got {self.gamma_over_delta0:g}")
+        retrieval = {"method": self.method, "series_order": self.series_order}
         d1 = self.delta1_over_delta0
         if d1 is not None and d1 > MAX_DELTA1_OVER_DELTA0:
             bad.append("delta1_over_delta0 must not exceed "
                        f"{MAX_DELTA1_OVER_DELTA0:g}, got {d1:g}")
+        elif d1 is not None and self.kind != "transmit":
+            retrieval["delta1"] = d1
         tpi1_ok = self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)
         if not tpi1_ok:
             bad.append("tpi1_rule must be 'half-transit' or a transit fraction")
         elif _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
             bad.append("tpi1_rule fraction must be positive")
-        retrieval = {"method": self.method, "series_order": self.series_order}
         for name, cap in (("n_time", MAX_GRID_SAMPLES), ("refine", MAX_REFINE)):
             val = getattr(self, name)
             if val > cap:
@@ -272,56 +275,56 @@ class Scenario:
             except (ConfigurationError, DomainError) as exc:
                 refused.append(str(exc))
 
+        panels = []
         for alpha0_L in self._alpha0_L_list():
-            params = build(self.params_for, alpha0_L)
-            if params is not None:
-                for duration in self.durations(params) if dur else ():
-                    build(PulseSpec, duration=duration)
-                if tpi1_ok:
-                    build(self.schedule_for, params)
+            params = build(MediumParams.reduced, alpha0_L,
+                           self.gamma_over_delta0, self.v_over_c)
+            if params is None:
+                continue
+            if self.b is not None:
+                durations = (self.b * params.length ** 0.75,)
+            else:
+                durations = self.delta0_T_values or (self.delta0_T,)
+            pulses = tuple(build(PulseSpec, duration=duration)
+                           for duration in durations if duration is not None)
+            schedule = None
+            if tpi1_ok:
+                fraction = (0.5 if self.tpi1_rule == "half-transit"
+                            else float(self.tpi1_rule))
+                # Python floats: an overflowing instant is refused, not warned
+                transit = params.length / float(slow_light_velocity(params))
+                t_pi1 = fraction * transit
+                schedule = build(StorageSchedule, t_pi1=t_pi1,
+                                 t_pi2=t_pi1 + self.hold_times_delta0,
+                                 delta1=math.inf if d1 is None else d1)
+            panels.append(Panel(alpha0_L, params, pulses, schedule))
         build(check_retrieval_args, **retrieval)
-        return bad + list(dict.fromkeys(refused))
+        bad += list(dict.fromkeys(refused))
+        return ([] if bad else panels), bad
+
+    def violations(self):
+        """The violations of ``panels``; empty when the scenario is valid."""
+        return self.panels()[1]
 
     def validate(self):
-        bad = self.violations()
+        """The scenario's panels; ConfigurationError naming every violation."""
+        panels, bad = self.panels()
         if bad:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
-
-    # -- derived pieces -----------------------------------------------------
+        return panels
 
     def _alpha0_L_list(self):
         if self.alpha0_L_values is not None:
             return list(self.alpha0_L_values)
         return [self.alpha0_L] if self.alpha0_L is not None else []
 
-    def params_for(self, alpha0_L):
-        return MediumParams.reduced(alpha0_L, self.gamma_over_delta0,
-                                    self.v_over_c)
 
-    def durations(self, params):
-        """The panel's pulse durations: b (alpha0 L)^(3/4) under the matched
-        schedule (``storage.default_schedule``), else delta0_T(_values)."""
-        if self.b is not None:
-            return (self.b * params.length ** 0.75,)
-        return self.delta0_T_values or (self.delta0_T,)
-
-    def schedule_for(self, params):
-        """The panel's StorageSchedule: t_pi1 is the ``tpi1_rule`` fraction
-        of the transit time L/v (one half for "half-transit"), and t_pi2
-        follows after ``hold_times_delta0``."""
-        fraction = (0.5 if self.tpi1_rule == "half-transit"
-                    else float(self.tpi1_rule))
-        # Python floats: an instant that overflows is refused, not warned of
-        t_pi1 = fraction * (params.length / float(slow_light_velocity(params)))
-        delta1 = (math.inf if self.delta1_over_delta0 is None
-                  else self.delta1_over_delta0)
-        return StorageSchedule(
-            t_pi1=t_pi1, t_pi2=t_pi1 + self.hold_times_delta0, delta1=delta1)
-
-    def pulse_and_schedule(self, params):
-        """(PulseSpec, StorageSchedule) for one store or sweep panel."""
-        return (PulseSpec(duration=self.durations(params)[0]),
-                self.schedule_for(params))
+# One opacity's run objects, built by ``Scenario.panels``: its MediumParams,
+# a PulseSpec per duration (b (alpha0 L)^(3/4) under the matched schedule of
+# ``storage.default_schedule``, else delta0_T(_values)) and a StorageSchedule
+# whose t_pi1 is the ``tpi1_rule`` fraction of the transit time L/v (one half
+# for "half-transit") and whose t_pi2 is ``hold_times_delta0`` later.
+Panel = namedtuple("Panel", "alpha0_L params pulses schedule")
 
 
 PRESETS = {
@@ -352,8 +355,11 @@ PRESETS = {
 def _replacing(path):
     """Write ``path.tmp``, then rename it over ``path``: no partial files.
 
-    A write that raises removes ``path.tmp`` and leaves ``path`` as it was.
+    A missing directory of ``path`` is created first, so ``--out`` exists
+    only once a file is written.  A write that raises removes ``path.tmp``
+    and leaves ``path`` as it was.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -488,12 +494,12 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 
     Returns the list of files written.
     """
-    scenario.validate()
-    params = scenario.params_for(scenario._alpha0_L_list()[0])
+    (panel,) = scenario.validate()
+    params = panel.params
     written = []
-    for dT in scenario.durations(params):
-        tag = f"transmit_dT{_num(dT)}"
-        env = auto_grid(PulseSpec(duration=float(dT)), params)
+    for pulse in panel.pulses:
+        tag = f"transmit_dT{_num(pulse.duration)}"
+        env = auto_grid(pulse, params)
         outputs = {
             "input": env,
             "exact": propagate(env, params.length,
@@ -515,10 +521,9 @@ def run_transmit(scenario: Scenario, out_dir, tol=1e-6):
 # store
 # ---------------------------------------------------------------------------
 
-def _store_panel(scenario: Scenario, alpha0_L, out_dir):
+def _store_panel(scenario: Scenario, panel: Panel, out_dir):
     """Write one panel's three files, only once its retrieval succeeded."""
-    params = scenario.params_for(alpha0_L)
-    pulse, schedule = scenario.pulse_and_schedule(params)
+    alpha0_L, params, (pulse,), schedule = panel
 
     # delayed original: transmitted profile with the control pulses off
     env = auto_grid(pulse, params)
@@ -556,10 +561,9 @@ def _store_panel(scenario: Scenario, alpha0_L, out_dir):
 
 def run_store(scenario: Scenario, out_dir):
     """Emit original/restored profile pairs, one per opacity panel."""
-    scenario.validate()
     written = []
-    for alpha0_L in scenario._alpha0_L_list():
-        written.extend(_store_panel(scenario, alpha0_L, out_dir))
+    for panel in scenario.validate():
+        written.extend(_store_panel(scenario, panel, out_dir))
     return written
 
 
@@ -572,9 +576,7 @@ def _sweep_point(args):
 
     Module-level so process pools can pickle it.
     """
-    scenario, alpha0_L, tol = args
-    params = scenario.params_for(alpha0_L)
-    pulse, schedule = scenario.pulse_and_schedule(params)
+    scenario, (alpha0_L, params, (pulse,), schedule), tol = args
 
     def run(refine):
         return retrieve(pulse, schedule, params, method=scenario.method,
@@ -596,7 +598,7 @@ def _sweep_point(args):
         failure = {"message": f"numerical failure: {exc}",
                    "residual": None if exc.residual is None
                    else float(exc.residual)}
-    except (ConfigurationError, PreconditionError, DomainError) as exc:
+    except (ConfigurationError, DomainError) as exc:
         failure = {"message": str(exc)}
     return alpha0_L, pulse.duration, math.nan, failure, []
 
@@ -610,9 +612,8 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
     ``store`` of that point would carry.  After writing both files a
     NumericsError is raised if any point failed numerically.
     """
-    scenario.validate()
-    points = sorted(scenario._alpha0_L_list())
-    jobs = [(scenario, aL, tol) for aL in points]
+    panels = sorted(scenario.validate(), key=lambda panel: panel.alpha0_L)
+    jobs = [(scenario, panel, tol) for panel in panels]
     if workers > 1:
         # multiprocessing is loaded only when a pool is asked for
         from concurrent.futures import ProcessPoolExecutor
@@ -661,8 +662,8 @@ def _build_parser():
         p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--out", default=".",
-                       help="output directory (created if missing, except "
-                            "by validate)")
+                       help="output directory (created by the first file "
+                            "written; validate writes none)")
         p.add_argument("--workers", type=int, default=1,
                        help="process count for sweep points (at least 1)")
         p.add_argument("--tol", type=float, default=None,
@@ -718,24 +719,22 @@ def main(argv=None):
             raise ConfigurationError(
                 f"--workers must be at least 1, got {workers}")
         if args.command == "preset":
-            os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.name}.json")
             PRESETS[args.name].save(path)
             print(path)
             return 0
-        if args.command == "validate":
-            _check_out(args.out)
+        _check_out(args.out)
         scenario = Scenario.load(args.scenario)
         if args.command not in ("validate", scenario.kind):
             raise ConfigurationError(
                 f"scenario kind {scenario.kind!r} does not match {args.command!r}")
         _check_tol(scenario, tol)
-        scenario.validate()
         if args.command == "validate":
+            scenario.validate()
             print("scenario valid")
             return 0
-        os.makedirs(args.out, exist_ok=True)
-        # the run commands are named after the scenario kinds, _KINDS
+        # the run commands are named after the scenario kinds, _KINDS; each
+        # validates the scenario and computes with the panels it built
         runners = {
             "transmit": lambda: run_transmit(
                 scenario, args.out, tol=1e-6 if tol is None else tol),
@@ -747,7 +746,7 @@ def main(argv=None):
         for path in written:
             print(path)
         return 0
-    except (ConfigurationError, PreconditionError, DomainError,
+    except (ConfigurationError, DomainError,
             OSError) as exc:  # OSError: --out is not a writable directory
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

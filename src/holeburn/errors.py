@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Raised when a function receives an argument outside its domain."""
 
 
-class PreconditionError(ValueError):
-    """Raised when a documented physical-regime assumption is violated."""
-
-
 class ConfigurationError(ValueError):
     """Raised when a grid or scenario cannot support the requested computation."""
 

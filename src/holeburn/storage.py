@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, DomainError, NumericsError, PreconditionError
+from .errors import ConfigurationError, DomainError, NumericsError
 from .medium import HoleProfile, MediumParams, slow_light_velocity
 from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
                           transmitted_gaussian)
@@ -77,7 +77,7 @@ MAX_RULE_NODES = 2048
 _RULE_BLOCK = 1 << 20
 
 # Largest ``refine`` a scenario may ask for.  The sweep's convergence guard
-# doubles it, so the routes accept up to 2 MAX_REFINE (``_check_route``);
+# doubles it, so ``check_retrieval_args`` accepts up to 2 MAX_REFINE;
 # there full quadrature's (48 refine) x (200 refine) arrays hold 20 MB each.
 MAX_REFINE = 8
 
@@ -216,6 +216,17 @@ def _deficit_kernel(profile):
     return _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
 
 
+def _revival_b(x):
+    """b = 2 x as a float array; DomainError naming an x for which b is
+    negative or not finite."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0) & (x <= 0.5 * np.finfo(float).max))
+    if bad.any():
+        raise DomainError("revival argument x must be non-negative with 2x "
+                          f"finite, got x = {float(x[bad].flat[0])!r}")
+    return 2.0 * x
+
+
 def kappa_quadrature(x, profile, params: MediumParams):
     """Revival factor from the double time integral (independent of Eq.-28 form).
 
@@ -229,13 +240,10 @@ def kappa_quadrature(x, profile, params: MediumParams):
     S0 and S1 the integrals from 0 of the Chebyshev series W of
     K e^{-gamma s} and of s W.  ``x`` may be an array.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise DomainError("revival argument x must be finite and non-negative")
+    b = _revival_b(x)
     kern = _deficit_kernel(profile)
     w = _chebyshev(lambda s: kern(s) * np.exp(-params.gamma_ab * s))
     s0, s1 = w.integ(), (w * Chebyshev.identity(w.domain)).integ()
-    b = 2.0 * x
     m = np.minimum(b, SIGMA_MAX)
     val = s1(m) - s1(0.0) + b * (s0(SIGMA_MAX) - s0(m))
     out = slow_light_velocity(params) / (2.0 * np.pi) * val
@@ -274,7 +282,7 @@ def _band_panels(delta1, gamma, g):
     return np.unique(np.clip(ends, -delta1, delta1))
 
 
-# a D^2 that underflows (gamma_ab < ~1e-155) is a NumericsError, not a warning
+# a bracket that is not finite is a NumericsError, not a warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     """Revival factor when only |Delta| <= delta1 dipoles are converted.
@@ -296,25 +304,25 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 
     At gamma_ab = 0 the bracket's part b gamma / (gamma^2 + Delta^2) is
     pi b delta(Delta), which no node rule sees; it is added as pi b g(0)
-    (zero for the Gaussian hole).
+    (zero for the Gaussian hole).  This gamma = 0 rule also serves where
+    gamma_ab^2 is not a normal float: D^2 would underflow at |Delta| ~ gamma.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise DomainError("revival argument x must be finite and non-negative")
+    b = _revival_b(x).ravel()
     gamma = params.gamma_ab
+    if gamma * gamma < np.finfo(float).tiny:
+        gamma = 0.0
     v = slow_light_velocity(params)
-    b = 2.0 * x.ravel()
     b_max = b.max(initial=0.0)
     ends = _band_panels(delta1, gamma, profile)
-    counts = [40 + math.ceil(0.7 * (hi - lo) * b_max)
-              for lo, hi in zip(ends[:-1], ends[1:])]
-    if max(counts) > MAX_RULE_NODES:
+    # float counts: one that overflows is refused, not an OverflowError
+    counts = 40.0 + np.ceil(0.7 * np.diff(ends) * b_max)
+    if counts.max() > MAX_RULE_NODES:
         raise ConfigurationError(
-            f"conversion band delta1 = {delta1:g} needs {max(counts)} "
+            f"conversion band delta1 = {delta1:g} needs {counts.max():.0f} "
             f"Gauss-Legendre nodes at b = {b_max:g}, above {MAX_RULE_NODES}; "
             "narrow the band or use infinite bandwidth")
     val = np.zeros(b.shape)
-    for lo, hi, n in zip(ends[:-1], ends[1:], counts):
+    for lo, hi, n in zip(ends[:-1], ends[1:], counts.astype(int).tolist()):
         nodes, w = _gl_interval(n, lo, hi)
         gw = np.asarray(profile(nodes), dtype=float) * w
         dc = gamma - 1j * nodes
@@ -326,22 +334,13 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
         val -= np.pi * b * float(profile(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
-    out = v / (2.0 * np.pi) * val.reshape(x.shape)
+    out = v / (2.0 * np.pi) * val.reshape(np.shape(x))
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # restored-field routes
 # ---------------------------------------------------------------------------
-
-def _check_route(schedule: StorageSchedule, refine, route):
-    """Refuse a bad ``refine`` and a finite band on a route without one."""
-    check_retrieval_args(refine=refine)
-    if not schedule.infinite_bandwidth:
-        raise PreconditionError(
-            f"{route} assumes infinite conversion bandwidth; model the "
-            "cutoff with revival_envelope")
-
 
 def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
                      params: MediumParams, profile=HoleProfile.gaussian()):
@@ -444,7 +443,8 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
     (alpha0 L = 100, delta0 T = 19).  R takes 240 refine u-nodes; infinite
     conversion bandwidth only.
     """
-    _check_route(schedule, refine, "established signal")
+    check_retrieval_args(method="established", refine=refine,
+                         delta1=schedule.delta1)
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
@@ -510,7 +510,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
-    _check_route(schedule, refine, "full-quadrature restored field")
+    check_retrieval_args(refine=refine, delta1=schedule.delta1)
     n_pq, n_u = 48 * refine, 200 * refine
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
@@ -656,8 +656,8 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     Orders above 6 are refused (``check_retrieval_args``); the jets would
     allow more.  Infinite conversion bandwidth only.
     """
-    check_retrieval_args(series_order=order)
-    _check_route(schedule, refine, "derivative-series restored field")
+    check_retrieval_args(method="series", series_order=order, refine=refine,
+                         delta1=schedule.delta1)
     n_pq = 48 * refine
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
@@ -696,13 +696,23 @@ METHODS = ("full_quadrature", "established", "revival", "series")
 
 
 def check_retrieval_args(*, method="full_quadrature", series_order=2,
-                         n_time=512, refine=1):
+                         n_time=512, refine=1, delta1=math.inf,
+                         profile=HoleProfile.gaussian()):
     """Raise one ConfigurationError naming each argument ``retrieve`` would
     refuse; ``retrieve`` calls it before any work, and each route and
-    ``retrieval_grid`` for its own argument (the defaults pass)."""
+    ``retrieval_grid`` for its own arguments (the defaults pass).  Only
+    revival models a finite conversion band ``delta1``, and only full
+    quadrature and revival take a ``profile`` other than the Gaussian hole."""
     bad = []
     if method not in METHODS:
         bad.append(f"method must be one of {METHODS}, got {method!r}")
+    elif method != "revival" and not math.isinf(delta1):
+        bad.append(f"the {method} route assumes infinite conversion "
+                   f"bandwidth, got delta1 = {delta1:g}; only revival "
+                   "models a finite band")
+    if method in ("established", "series") and profile.kind != "gaussian":
+        bad.append(f"the {method} route is built for the Gaussian hole "
+                   "only; use full_quadrature or revival for another hole")
     if type(series_order) is not int or not 0 <= series_order <= 6:
         bad.append(f"series_order must be an integer in 0..6, got "
                    f"{series_order!r}")
@@ -741,16 +751,13 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     sidecar holds.  A restored energy that is not finite and positive, or
     a validity indicator that is not finite, raises NumericsError: a
     degenerate pulse duration or opacity is never reported as eta = 0.
-    ``profile`` is the hole the route computes with; the established and
-    series routes take no hole, so any ``profile`` but one of kind
-    "gaussian" raises PreconditionError for them.
+    ``profile`` is the hole the route computes with.  What
+    ``check_retrieval_args`` refuses, a finite band or a hole a method
+    does not model included, raises ConfigurationError before any work.
     """
     check_retrieval_args(method=method, series_order=series_order,
-                         n_time=n_time, refine=refine)
-    if method in ("established", "series") and profile.kind != "gaussian":
-        raise PreconditionError(
-            f"the {method} route is built for the Gaussian hole only; use "
-            "full_quadrature or revival for another hole")
+                         n_time=n_time, refine=refine, delta1=schedule.delta1,
+                         profile=profile)
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
     if method == "full_quadrature":
         amp = restored_field_full(t, pulse, schedule, profile, params,

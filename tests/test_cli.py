@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -69,9 +69,10 @@ class TestPulseAndSchedule:
             scenario = Scenario(kind="store", alpha0_L=alpha0_L,
                                 tpi1_rule=rule, delta1_over_delta0=delta1,
                                 hold_times_delta0=12.5, v_over_c=0.2,
-                                **duration)
-            params = scenario.params_for(alpha0_L)
-            pulse, schedule = scenario.pulse_and_schedule(params)
+                                method="revival", **duration)
+            (panel,) = scenario.panels()[0]
+            params, (pulse,), schedule = (panel.params, panel.pulses,
+                                          panel.schedule)
 
             hold = 12.5
             transit = params.length / slow_light_velocity(params)
@@ -207,7 +208,7 @@ class TestStore:
         out = tmp_path / "out"
         assert main(["store", "--scenario", str(path),
                      "--out", str(out)]) == code
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("fields, code", [
         ({"alpha0_L": 25.0, "b": 1e-300}, 2),
@@ -226,7 +227,7 @@ class TestStore:
         assert main(["store", "--scenario", str(path),
                      "--out", str(out)]) == code
         assert capsys.readouterr().err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_lossy_panel_matches_sweep(self, tmp_path, capsys, method):
@@ -249,23 +250,46 @@ class TestStore:
         if method == "full_quadrature":
             assert side["eta"] == pytest.approx(0.4294, abs=1e-4)
 
-    @pytest.mark.parametrize("method, route", [
-        ("established", "established signal"),
-        ("series", "derivative-series restored field"),
-        ("full_quadrature", "full-quadrature restored field")])
-    def test_finite_band_refused(self, tmp_path, capsys, method, route):
+    @pytest.mark.parametrize("method", ["established", "series",
+                                        "full_quadrature"])
+    def test_finite_band_refused(self, tmp_path, capsys, method):
         # only the revival route has a conversion-band term; the others
-        # once returned their infinite-band eta for a finite band
+        # once returned their infinite-band eta for a finite band, and
+        # validate refuses the scenario in the same line
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"kind": "store", "alpha0_L": 25.0,
                                     "b": 0.6, "delta1_over_delta0": 3.0,
                                     "method": method}))
         out = tmp_path / "out"
-        assert main(["store", "--scenario", str(path),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and route in err
-        assert list(out.iterdir()) == []
+        errs = []
+        for command in ("validate", "store"):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].count("\n") == 1 and f"the {method} route" in errs[0]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_subnormal_linewidth_band_matches_zero(self, tmp_path, gamma):
+        # the fig4b panel at a linewidth whose square is not a normal float
+        # takes the gamma = 0 finite-band rule, so eta and the restored
+        # waveform match gamma = 0 within 1e-12 relative
+        def store(g):
+            path, out = tmp_path / f"{g:g}.json", tmp_path / f"{g:g}"
+            replace(PRESETS["fig4b"], gamma_over_delta0=g).save(path)
+            assert main(["store", "--scenario", str(path),
+                         "--out", str(out)]) == 0
+            side = json.loads(
+                (out / "store_aL100_restored.csv.json").read_text())
+            return side["eta"], np.loadtxt(out / "store_aL100_restored.csv",
+                                           delimiter=",")
+
+        (eta0, wave0), (eta, wave) = store(0.0), store(gamma)
+        assert eta == pytest.approx(eta0, rel=1e-12)
+        np.testing.assert_allclose(wave, wave0, rtol=1e-12,
+                                   atol=1e-12 * np.abs(wave0).max())
 
 
 class TestGridBudget:
@@ -459,23 +483,24 @@ class TestSweep:
                      "--out", str(tmp_path), "--tol", "1e-16"])
         assert code == 3
 
-    def test_per_point_failure_recorded(self, tmp_path):
-        # every route but revival rejects finite conversion bandwidth; each
-        # failing point is recorded and the sweep still writes both files
-        for method in ("full_quadrature", "established", "series"):
-            scenario = Scenario(kind="sweep-efficiency",
-                                alpha0_L_values=(4.0, 9.0), b=0.6,
-                                method=method, delta1_over_delta0=5.0)
-            out = tmp_path / method
-            out.mkdir()
-            files = run_sweep(scenario, str(out))
-            table = np.loadtxt(files[0], delimiter=",")
-            assert table.shape[0] == 2
-            assert np.all(np.isnan(table[:, 3]))
-            side = json.loads(Path(files[1]).read_text())
-            assert set(side["failures"]) == {"4", "9"}
-            assert all("infinite conversion bandwidth" in message
-                       for message in side["failures"].values())
+    def test_per_point_failure_recorded(self, tmp_path, capsys):
+        # at delta1/delta0 = 50 the revival route's finite-band rule needs
+        # more nodes than its cap at alpha0 L = 340 only: that point is
+        # recorded, and the sweep writes both files and exits 0
+        path = tmp_path / "s.json"
+        Scenario(kind="sweep-efficiency", alpha0_L_values=(25.0, 340.0),
+                 b=0.6, method="revival", delta1_over_delta0=50.0).save(path)
+        assert main(["sweep-efficiency", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        table = np.loadtxt(tmp_path / "efficiency.csv", delimiter=",")
+        assert table.shape[0] == 2
+        assert table[0, 3] == pytest.approx(0.66499, abs=1e-5)
+        assert np.isnan(table[1, 3])
+        side = json.loads((tmp_path / "efficiency.csv.json").read_text())
+        assert list(side["failures"]) == ["340"]
+        assert "needs 6728 Gauss-Legendre nodes" in side["failures"]["340"]
+        assert side["residuals"] == {}
 
     @pytest.mark.parametrize("fields, point, method", [
         pytest.param(fields, point, method,
@@ -809,7 +834,7 @@ class TestExitCodeContract:
             ("sweep-efficiency",
              '{"kind": "sweep-efficiency", "alpha0_L_values": "49", '
              '"b": 0.6, "method": "revival"}'),
-        # pulse_and_schedule reads delta0_T or b, never delta0_T_values
+        # a store or sweep panel takes delta0_T or b, never delta0_T_values
         "store_duration_list":
             ("store", '{"kind": "store", "alpha0_L": 25.0, '
                       '"delta0_T_values": [5.0], "method": "revival"}'),
@@ -844,6 +869,15 @@ class TestExitCodeContract:
         "zero_hold": ("store", _STORE + ', "hold_times_delta0": 0}'),
         "series_order_7": ("store", _STORE + ', "series_order": 7}'),
         "n_time_500": ("store", _STORE + ', "n_time": 500}'),
+        # only the revival route models a finite conversion band
+        **{f"store_finite_band_{method}":
+           ("store", _STORE + ', "delta1_over_delta0": 3.0, '
+                     f'"method": "{method}"}}')
+           for method in ("established", "series", "full_quadrature")},
+        "sweep_finite_band_full_quadrature":
+            ("sweep-efficiency",
+             '{"kind": "sweep-efficiency", "alpha0_L_values": [9.0], '
+             '"b": 0.6, "delta1_over_delta0": 3.0}'),
         "transmit_b":
             ("transmit", '{"kind": "transmit", "alpha0_L": 10.0, "b": 0.6}'),
         # t_pi1 + 1e-20 == t_pi1 in floating point: the schedule the run

@@ -66,11 +66,40 @@ def test_every_refusal_is_a_package_error():
     # the CLI maps package errors to exit codes; any other class would
     # leave it as a traceback
     allowed = package_errors()
-    assert {"ConfigurationError", "DomainError", "NumericsError",
-            "PreconditionError"} <= allowed
+    assert {"ConfigurationError", "DomainError", "NumericsError"} <= allowed
     found = {path.name: foreign_raises(path.read_text(), allowed)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: raises for name, raises in found.items() if raises} == {}
+
+
+def caught_in(source, function):
+    """Class names in the ``except`` clauses of ``function`` in ``source``."""
+    tree = ast.parse(source)
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            names |= {t.id for t in types if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def main():\n    try:\n        f()\n    except (A, b.C):\n        pass"
+     "\n    except D as exc:\n        pass", {"A", "D"}),
+    ("def main():\n    try:\n        f()\n    except:\n        pass\n"
+     "def g():\n    try:\n        f()\n    except E:\n        pass", set()),
+])
+def test_caught_in_found(source, expected):
+    assert caught_in(source, "main") == expected
+
+
+def test_every_package_error_has_an_exit_code():
+    # cli.main maps each class it catches to exit 2 or 3; a package error
+    # it does not catch would end the run in a traceback
+    assert package_errors() <= caught_in((SRC / "cli.py").read_text(), "main")
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -20,8 +20,7 @@ from scipy import integrate
 from scipy.special import erfcx, sici
 
 import holeburn.storage
-from holeburn.errors import (ConfigurationError, DomainError, NumericsError,
-                             PreconditionError)
+from holeburn.errors import ConfigurationError, DomainError, NumericsError
 from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
 from holeburn.propagation import (PulseSpec, confinement_report,
                                   transmitted_gaussian)
@@ -228,9 +227,11 @@ class TestKappa:
             assert abs(one - val) <= 1e-15
         assert kappa_quadrature(0.0, prof, params) == 0.0
 
-    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf])
+    # at x = 1e308, b = 2 x overflows: once a NaN with a numpy warning
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf,
+                                   1e308])
     def test_quadrature_bad_argument_rejected(self, x):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got x = "):
             kappa_quadrature(x, HoleProfile.gaussian(),
                              MediumParams.reduced(10.0))
 
@@ -364,10 +365,12 @@ class TestKappaFiniteBandwidth:
         blocked = kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
         np.testing.assert_array_equal(blocked, whole)
 
-    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf])
+    # at x = 1e308, b = 2 x overflows: once an OverflowError
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf,
+                                   1e308])
     def test_bad_argument_rejected(self, x):
         params = MediumParams.reduced(10.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got x = "):
             kappa_finite_bandwidth(x, 5.0, GAUSSIAN, params)
 
     def test_node_cap(self, monkeypatch):
@@ -389,12 +392,32 @@ class TestKappaFiniteBandwidth:
         monkeypatch.setattr(holeburn.storage, "_gl_interval", gl)
         assert math.isfinite(kappa_finite_bandwidth(x_100, 5.0, GAUSSIAN, params))
 
-    def test_non_finite_result(self):
-        # at gamma / delta0 = 1e-200 the nodes nearest 0 underflow D^2 to
-        # 0: a numerical failure, with no numpy warning
-        params = MediumParams.reduced(10.0, 1e-200)
+    def test_non_finite_result(self, monkeypatch):
+        # a bracket that is not finite (here at nodes made NaN) is a
+        # numerical failure, with no numpy warning
+        gl = holeburn.storage._gl_interval
+
+        def nan_nodes(n, lo, hi):
+            nodes, w = gl(n, lo, hi)
+            return np.full_like(nodes, np.nan), w
+
+        monkeypatch.setattr(holeburn.storage, "_gl_interval", nan_nodes)
+        params = MediumParams.reduced(10.0)
         with pytest.raises(NumericsError, match="not finite"):
             kappa_finite_bandwidth([1.0, 2.0], 5.0, GAUSSIAN, params)
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_subnormal_linewidth_takes_zero_rule(self, gamma):
+        # gamma^2 is not a normal float, so D^2 would underflow at the
+        # nodes |Delta| ~ gamma: the gamma = 0 rule serves, off the true
+        # value by O(gamma b)
+        x = [1.0, 2.0]
+        zero = kappa_finite_bandwidth(x, 5.0, GAUSSIAN,
+                                      MediumParams.reduced(100.0))
+        tiny = kappa_finite_bandwidth(x, 5.0, GAUSSIAN,
+                                      MediumParams.reduced(100.0, gamma))
+        np.testing.assert_allclose(tiny, zero, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(zero, [0.80220017, 0.88057537], atol=1e-8)
 
     def test_zero_linewidth_hole_floor(self):
         # at gamma = 0 the bracket's pi b delta(Delta) part weighs g(0);
@@ -534,22 +557,23 @@ class TestRestoredFieldFull:
 
     def test_finite_bandwidth_rejected(self):
         # no route but revival has a conversion-band term: the other three
-        # refuse a finite band, each naming itself, rather than return
+        # refuse a finite band, each naming its method, rather than return
         # their infinite-band field
         params, pulse, schedule = reduced_setup(100.0, 19.0)
         clipped = StorageSchedule(t_pi1=schedule.t_pi1, t_pi2=schedule.t_pi2,
                                   delta1=5.0)
         t = schedule.t_pi2 + 1.0
         routes = {
-            "full-quadrature": lambda: restored_field_full(
+            "full_quadrature": lambda: restored_field_full(
                 t, pulse, clipped, HoleProfile.gaussian(), params),
             "established": lambda: established_signal(t, pulse, clipped,
                                                       params),
-            "derivative-series": lambda: appendix_series_field(
+            "series": lambda: appendix_series_field(
                 t, pulse, clipped, params),
         }
         for name, route in routes.items():
-            with pytest.raises(PreconditionError, match=name):
+            with pytest.raises(ConfigurationError,
+                               match=f"the {name} route assumes infinite"):
                 route()
 
     def test_time_translation_covariance(self):
@@ -1015,7 +1039,7 @@ class TestRetrieve:
                             method=method).efficiency
 
         for method in ("established", "series"):
-            with pytest.raises(PreconditionError, match="Gaussian hole"):
+            with pytest.raises(ConfigurationError, match="Gaussian hole"):
                 eta(method, flat)
             # the default hole is the Gaussian one
             assert eta(method, GAUSSIAN) == retrieve(
