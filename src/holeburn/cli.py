@@ -38,8 +38,9 @@ with a three-digit exponent).  Sweep points are merged in sorted
 parameter order regardless of the worker count, so identical scenarios
 produce byte-identical files.
 
-``--workers`` (default 1) is the process count for sweep points; a value
-below 1 is a validation failure, for every subcommand that takes it.  A
+``_READ_BY`` names the inputs only some kinds read (``--workers``, the
+process count for sweep points, is one); one away from its default, given
+to a kind that does not read it, is refused in one line that names it.  A
 run computes with the panels ``Scenario.validate`` built, and the first
 file written creates a missing ``--out`` (``_replacing``), so a run refused
 before then leaves no directory behind.
@@ -47,8 +48,8 @@ before then leaves no directory behind.
 Exit codes: 0 success, 2 validation failure (including a scenario file
 that is missing or is not a JSON object with a ``kind``, an ``--out``
 that is not a writable directory, a ``--tol`` or ``--workers`` out of
-range, and a ``--tol`` that ``store`` or a revival sweep would not read),
-3 numerical failure.
+range or not read by the kind, and a ``--tol`` on a revival sweep, which
+reads none), 3 numerical failure.
 """
 
 import argparse
@@ -83,11 +84,17 @@ _E0 = 101
 # One value's slot in ``_format_block``: its text, NUL-padded to the 20
 # bytes of the longest ``_FMT`` output, then its separator word.
 _SLOT = np.dtype([("text", "S20"), ("sep", "u4")])
-# Scenario fields that must hold finite real numbers, those that may also be
-# None, and those that must hold integers.
-_REAL_FIELDS = ("gamma_over_delta0", "v_over_c", "hold_times_delta0")
-_OPTIONAL_REAL_FIELDS = ("alpha0_L", "delta0_T", "b", "delta1_over_delta0")
-_INT_FIELDS = ("series_order", "n_time", "refine")
+# Inputs (scenario fields, run flags) that only some kinds read, and the
+# kinds that read them; every other field is read by every kind.
+_STORAGE_KINDS = ("store", "sweep-efficiency")
+_READ_BY = {
+    "delta0_T_values": ("transmit",),
+    **dict.fromkeys(("alpha0_L_values", "b", "delta1_over_delta0",
+                     "tpi1_rule", "hold_times_delta0", "method",
+                     "series_order", "n_time", "refine"), _STORAGE_KINDS),
+    "--tol": ("transmit", "sweep-efficiency"),
+    "--workers": ("sweep-efficiency",),
+}
 # A transmit run needs gamma_over_delta0 below this: its second-order
 # profile is the expansion of chi at gamma = 0 (``chi_second_order`` has no
 # gamma term), so at a wider homogeneous line it would stand beside the
@@ -95,16 +102,23 @@ _INT_FIELDS = ("series_order", "n_time", "refine")
 _TRANSMIT_MAX_GAMMA = 0.01
 
 
-def _is_real(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def _is_finite(val):
     """A real number that a float holds finitely (JSON ints are unbounded)."""
     try:
-        return _is_real(val) and math.isfinite(val)
+        return (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and math.isfinite(val))
     except OverflowError:
         return False
+
+
+def _unread(kind, name, value, default):
+    """The refusal of an input ``kind`` does not read, away from its default;
+    None for any other input or for a kind that is none of ``_KINDS``."""
+    readers = _READ_BY.get(name, _KINDS)
+    if value == default or kind in readers or kind not in _KINDS:
+        return None
+    return (f"{name} {value!r} is not read by {kind}, only by "
+            + " and ".join(readers))
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +153,6 @@ class Scenario:
     refine: int = 1
     label: str = ""
 
-    def to_dict(self):
-        d = asdict(self)
-        for key in ("alpha0_L_values", "delta0_T_values"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
-
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
@@ -177,27 +184,28 @@ class Scenario:
         return cls.from_dict(data)
 
     def save(self, path):
-        _write_json(path, self.to_dict())
+        _write_json(path, asdict(self))
 
     # -- validation ---------------------------------------------------------
 
-    def _number_violations(self):
-        """Non-numeric or non-finite values; the range checks need numbers."""
+    def _field_violations(self):
+        """Unread fields, and values unlike their field's type (a float is
+        finite or a None default); the range checks need numbers."""
         bad = []
-        values = [(name, getattr(self, name)) for name in _REAL_FIELDS]
-        values += [(name, getattr(self, name)) for name in _OPTIONAL_REAL_FIELDS
-                   if getattr(self, name) is not None]
-        values += [(name, v) for name in ("alpha0_L_values", "delta0_T_values")
-                   for v in getattr(self, name) or ()]
-        if _is_real(self.tpi1_rule):
-            values.append(("tpi1_rule", self.tpi1_rule))
-        for name, val in values:
-            if not _is_finite(val):
-                bad.append(f"{name} must be a finite number, got {val!r}")
-        for name in _INT_FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int):
-                bad.append(f"{name} must be an integer, got {val!r}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            unread = _unread(self.kind, f.name, val, f.default)
+            if unread:
+                bad.append(unread)
+            elif f.type is int and (isinstance(val, bool)
+                                    or not isinstance(val, int)):
+                bad.append(f"{f.name} must be an integer, got {val!r}")
+            elif f.type is float and not (_is_finite(val) or (
+                    val is None and f.default is None)):
+                bad.append(f"{f.name} must be a finite number, got {val!r}")
+            elif f.type is tuple:
+                bad += [f"{f.name} must be a finite number, got {v!r}"
+                        for v in val or () if not _is_finite(v)]
         return bad
 
     def panels(self):
@@ -206,17 +214,17 @@ class Scenario:
         valid; ``panels`` is empty unless it is.
 
         Scenario-level rules and budgets are checked here, the rest by
-        building each panel's MediumParams, PulseSpecs and StorageSchedule
-        (see ``Panel``) and by ``check_retrieval_args`` (given no field that
-        is over its budget); each message they raise is listed once."""
+        building each panel's objects (see ``Panel``) and, for the kinds
+        that store, by ``check_retrieval_args`` (given no field that is over
+        its budget); each message they raise is listed once."""
         bad = []
         if self.kind not in _KINDS:
             bad.append(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if (self.alpha0_L is None) == (self.alpha0_L_values is None):
             bad.append("exactly one of alpha0_L / alpha0_L_values is required")
-        numbers = self._number_violations()
-        if numbers:
-            return [], bad + numbers
+        bad += self._field_violations()
+        if bad:
+            return [], bad
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
                                       ("b", self.b)) if val is not None]
@@ -233,12 +241,12 @@ class Scenario:
         if d1 is not None and d1 > MAX_DELTA1_OVER_DELTA0:
             bad.append("delta1_over_delta0 must not exceed "
                        f"{MAX_DELTA1_OVER_DELTA0:g}, got {d1:g}")
-        elif d1 is not None and self.kind != "transmit":
+        elif d1 is not None:
             retrieval["delta1"] = d1
-        tpi1_ok = self.tpi1_rule == "half-transit" or _is_real(self.tpi1_rule)
+        tpi1_ok = self.tpi1_rule == "half-transit" or _is_finite(self.tpi1_rule)
         if not tpi1_ok:
             bad.append("tpi1_rule must be 'half-transit' or a transit fraction")
-        elif _is_real(self.tpi1_rule) and not self.tpi1_rule > 0:
+        elif self.tpi1_rule != "half-transit" and not self.tpi1_rule > 0:
             bad.append("tpi1_rule fraction must be positive")
         for name, cap in (("n_time", MAX_GRID_SAMPLES), ("refine", MAX_REFINE)):
             val = getattr(self, name)
@@ -246,14 +254,6 @@ class Scenario:
                 bad.append(f"{name} must not exceed {cap}, got {val}")
             else:
                 retrieval[name] = val
-        if self.kind == "transmit" and self.b is not None:
-            bad.append("transmit scenarios need an explicit delta0_T")
-        if self.kind != "transmit" and self.delta0_T_values is not None:
-            bad.append("delta0_T_values is for transmit; store and sweep "
-                       "scenarios take delta0_T or b")
-        if self.kind == "transmit" and len(self._alpha0_L_list()) > 1:
-            bad.append("transmit takes one opacity, got alpha0_L_values "
-                       f"{list(self.alpha0_L_values)}")
         # each panel's files are named by _num of its value: equal tags
         # would overwrite one panel with the next
         field = ("alpha0_L_values" if self.kind == "store" else
@@ -275,8 +275,8 @@ class Scenario:
             except (ConfigurationError, DomainError) as exc:
                 refused.append(str(exc))
 
-        panels = []
-        for alpha0_L in self._alpha0_L_list():
+        panels, stores = [], self.kind in _STORAGE_KINDS
+        for alpha0_L in self.alpha0_L_values or (self.alpha0_L,):
             params = build(MediumParams.reduced, alpha0_L,
                            self.gamma_over_delta0, self.v_over_c)
             if params is None:
@@ -288,7 +288,7 @@ class Scenario:
             pulses = tuple(build(PulseSpec, duration=duration)
                            for duration in durations if duration is not None)
             schedule = None
-            if tpi1_ok:
+            if stores and tpi1_ok:
                 fraction = (0.5 if self.tpi1_rule == "half-transit"
                             else float(self.tpi1_rule))
                 # Python floats: an overflowing instant is refused, not warned
@@ -298,13 +298,10 @@ class Scenario:
                                  t_pi2=t_pi1 + self.hold_times_delta0,
                                  delta1=math.inf if d1 is None else d1)
             panels.append(Panel(alpha0_L, params, pulses, schedule))
-        build(check_retrieval_args, **retrieval)
+        if stores:
+            build(check_retrieval_args, **retrieval)
         bad += list(dict.fromkeys(refused))
         return ([] if bad else panels), bad
-
-    def violations(self):
-        """The violations of ``panels``; empty when the scenario is valid."""
-        return self.panels()[1]
 
     def validate(self):
         """The scenario's panels; ConfigurationError naming every violation."""
@@ -313,17 +310,12 @@ class Scenario:
             raise ConfigurationError("invalid scenario: " + "; ".join(bad))
         return panels
 
-    def _alpha0_L_list(self):
-        if self.alpha0_L_values is not None:
-            return list(self.alpha0_L_values)
-        return [self.alpha0_L] if self.alpha0_L is not None else []
-
 
 # One opacity's run objects, built by ``Scenario.panels``: its MediumParams,
 # a PulseSpec per duration (b (alpha0 L)^(3/4) under the matched schedule of
 # ``storage.default_schedule``, else delta0_T(_values)) and a StorageSchedule
-# whose t_pi1 is the ``tpi1_rule`` fraction of the transit time L/v (one half
-# for "half-transit") and whose t_pi2 is ``hold_times_delta0`` later.
+# (None for transmit): t_pi1 is the ``tpi1_rule`` fraction of the transit
+# time L/v (one half for "half-transit"), t_pi2 ``hold_times_delta0`` later.
 Panel = namedtuple("Panel", "alpha0_L params pulses schedule")
 
 
@@ -665,10 +657,10 @@ def _build_parser():
                        help="output directory (created by the first file "
                             "written; validate writes none)")
         p.add_argument("--workers", type=int, default=1,
-                       help="process count for sweep points (at least 1)")
+                       help="process count of sweep-efficiency (at least 1)")
         p.add_argument("--tol", type=float, default=None,
-                       help="spectral leakage bound for transmit; eta "
-                            "convergence bound for a non-revival sweep")
+                       help="transmit's spectral leakage bound; a "
+                            "non-revival sweep's eta convergence bound")
 
     add_common(sub.add_parser("transmit", help="input vs transmitted profiles"))
     add_common(sub.add_parser("store", help="original vs restored profiles"))
@@ -697,11 +689,15 @@ def _check_out(path):
         raise ConfigurationError(f"--out {path!r}: {probe!r} is not a directory")
 
 
-def _check_tol(scenario, tol):
-    """Refuse a ``--tol`` the run would ignore: ``store`` reads none, and a
-    sweep's guard doubles ``refine``, which the revival route never reads."""
-    if tol is not None and (scenario.kind == "store" or (
-            scenario.kind == "sweep-efficiency" and scenario.method == "revival")):
+def _check_flags(scenario, tol, workers):
+    """Refuse a flag the scenario's kind does not read, and a ``--tol`` on a
+    revival sweep: its guard doubles ``refine``, which revival never reads."""
+    for flag, value, default in (("--tol", tol, None), ("--workers", workers, 1)):
+        unread = _unread(scenario.kind, flag, value, default)
+        if unread:
+            raise ConfigurationError(unread)
+    if (tol is not None and scenario.kind == "sweep-efficiency"
+            and scenario.method == "revival"):
         raise ConfigurationError(
             f"--tol does not apply to {scenario.kind} with method "
             f"{scenario.method!r}: the run reads no tolerance")
@@ -728,7 +724,7 @@ def main(argv=None):
         if args.command not in ("validate", scenario.kind):
             raise ConfigurationError(
                 f"scenario kind {scenario.kind!r} does not match {args.command!r}")
-        _check_tol(scenario, tol)
+        _check_flags(scenario, tol, workers)
         if args.command == "validate":
             scenario.validate()
             print("scenario valid")

@@ -172,9 +172,10 @@ def _gl_interval(n, lo, hi):
 def kappa(x, v_over_c=0.0):
     """Closed-form revival factor (1 - v/c)(1 - e^{-x^2} + x sqrt(pi) erfc(x)).
 
-    x = (t - t_pi2) / 2; monotone from 0 to (1 - v/c).
+    x = (t - t_pi2) / 2, in ``_revival_b``'s domain; monotone from 0 to
+    (1 - v/c), which floats reach past x = 27.3: x is capped at 30.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.minimum(0.5 * _revival_b(x), 30.0)
     val = (1.0 - v_over_c) * (1.0 - np.exp(-x * x) + x * SQRT_PI * erfc(x))
     return val if val.ndim else float(val)
 

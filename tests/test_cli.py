@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from holeburn.storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
 class TestScenario:
     def test_roundtrip_lossless(self):
         for scenario in PRESETS.values():
-            assert Scenario.from_dict(scenario.to_dict()) == scenario
+            assert Scenario.from_dict(asdict(scenario)) == scenario
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "s.json"
@@ -40,20 +40,24 @@ class TestScenario:
 
     def test_presets_valid(self):
         for name, scenario in PRESETS.items():
-            assert scenario.violations() == [], name
+            assert scenario.panels()[1] == [], name
 
     def test_violations_listed(self):
-        scenario = Scenario(kind="nonsense", alpha0_L=-1.0, delta0_T=2.0,
-                            b=0.6, v_over_c=1.5, method="magic")
-        bad = scenario.violations()
+        scenario = Scenario(kind="store", alpha0_L=-1.0, delta0_T=2.0,
+                            b=0.6, v_over_c=1.5, method="magic",
+                            tpi1_rule="quarter")
+        bad = scenario.panels()[1]
         assert len(bad) >= 4
         with pytest.raises(ConfigurationError):
             scenario.validate()
+        # a kind that is none of the kinds is named, and reads no field
+        nonsense = replace(scenario, kind="nonsense")
+        assert nonsense.panels()[1][0].startswith("kind must be one of")
 
     def test_bandwidth_bound(self):
         scenario = Scenario(kind="store", alpha0_L=10.0, delta0_T=5.0,
                             delta1_over_delta0=0.5)
-        assert any("delta1" in b for b in scenario.violations())
+        assert any("delta1" in b for b in scenario.panels()[1])
 
 
 class TestPulseAndSchedule:
@@ -383,12 +387,12 @@ class TestSizeCaps:
         scenario = Scenario(kind="store", alpha0_L=25.0, delta0_T=5.0,
                             method="revival",
                             delta1_over_delta0=MAX_DELTA1_OVER_DELTA0)
-        assert scenario.violations() == []
+        assert scenario.panels()[1] == []
 
     def test_caps_themselves_valid(self):
         scenario = Scenario(kind="store", alpha0_L=25.0, delta0_T=5.0,
                             n_time=MAX_GRID_SAMPLES, refine=MAX_REFINE)
-        assert scenario.violations() == []
+        assert scenario.panels()[1] == []
 
 
 class TestRegimeWarnings:
@@ -758,6 +762,70 @@ class TestWorkersOption:
         assert err.count("\n") == 1 and "--workers" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("preset, kind", [("fig5", "store"),
+                                              ("fig2", "transmit")])
+    def test_unread_refused(self, tmp_path, capsys, preset, kind):
+        # only a sweep runs a pool; --workers 7 elsewhere was once ignored
+        path = tmp_path / "s.json"
+        PRESETS[preset].save(path)
+        for command in (kind, "validate"):
+            assert main([command, "--scenario", str(path), "--out",
+                         str(tmp_path), "--workers", "7"]) == 2
+            assert capsys.readouterr().err == (
+                f"validation error: --workers 7 is not read by {kind}, only "
+                "by sweep-efficiency\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+class TestReadTable:
+    """An input that a kind does not read, given away from its default, is
+    refused by validate and by the run in the same line, naming it."""
+
+    TRANSMIT = {"kind": "transmit", "alpha0_L": 10.0, "delta0_T": 5.0}
+    STORAGE = "only by store and sweep-efficiency"
+
+    @pytest.mark.parametrize("field, value", [
+        ("hold_times_delta0", 0), ("delta1_over_delta0", 3),
+        ("method", "bogus"), ("method", "series"), ("b", 0.6),
+        ("tpi1_rule", 0.3), ("series_order", 1), ("n_time", 1024),
+        ("refine", 2), ("alpha0_L_values", [10.0])])
+    def test_transmit_refuses_storage_fields(self, tmp_path, capsys, field,
+                                             value):
+        # a transmit has no pi-pulses, hold, conversion band or route
+        doc = {**self.TRANSMIT, field: value}
+        if field == "alpha0_L_values":
+            del doc["alpha0_L"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        shown = getattr(Scenario.from_dict(doc), field)
+        for command in ("validate", "transmit"):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                f"validation error: invalid scenario: {field} {shown!r} is "
+                f"not read by transmit, {self.STORAGE}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["store", "sweep-efficiency"])
+    def test_storage_kinds_refuse_duration_list(self, tmp_path, capsys, kind):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": kind, "alpha0_L_values": [25.0],
+                                    "delta0_T_values": [5.0]}))
+        for command in ("validate", kind):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                "validation error: invalid scenario: delta0_T_values (5.0,) "
+                f"is not read by {kind}, only by transmit\n")
+
+    def test_transmit_defaults_accepted(self):
+        # a storage field at its default is no input: the pinned transmit
+        # builds no storage schedule
+        scenario = Scenario(**self.TRANSMIT, hold_times_delta0=10,
+                            method="full_quadrature", tpi1_rule="half-transit")
+        ((_, _, _, schedule),) = scenario.validate()
+        assert schedule is None
+
 
 class TestValidateCommand:
     def test_valid(self, tmp_path):
@@ -932,16 +1000,16 @@ class TestExitCodeContract:
     def test_panel_tag_collision_named(self):
         store = Scenario(kind="store", b=0.6,
                          alpha0_L_values=(25.0000001, 25.0000002))
-        assert store.violations() == [
+        assert store.panels()[1] == [
             "alpha0_L_values 25.0000001 and 25.0000002 share the file tag "
             "'25'"]
         # a sweep writes one table whatever its points
         sweep = Scenario(kind="sweep-efficiency",
                          alpha0_L_values=(25.0000001, 25.0000002), b=0.6)
-        assert sweep.violations() == []
-        transmit = Scenario(kind="transmit", alpha0_L_values=(10.0,),
+        assert sweep.panels()[1] == []
+        transmit = Scenario(kind="transmit", alpha0_L=10.0,
                             delta0_T_values=(5.0, 10.0))
-        assert transmit.violations() == []
+        assert transmit.panels()[1] == []
 
     @pytest.mark.parametrize("values", [[], [4.0, "deep"], 9.0])
     def test_malformed_value_lists_rejected(self, values):
@@ -952,7 +1020,7 @@ class TestExitCodeContract:
     def test_non_numeric_fields_listed(self):
         scenario = Scenario(kind="store", alpha0_L="10", delta0_T=5.0,
                             n_time=512.0)
-        bad = scenario.violations()
+        bad = scenario.panels()[1]
         assert any("alpha0_L" in b for b in bad)
         assert any("n_time" in b for b in bad)
 
@@ -1070,19 +1138,31 @@ def test_degenerate_revival_one_stderr_line(tmp_path, fresh_python, command,
 
 
 def _run_scenario(kind):
-    """Scenario dicts of ``kind`` for the run commands, sized so that no grid
+    """Scenario dicts of ``kind`` for the run commands, drawing only the
+    fields the kind reads (``cli._READ_BY``), sized so that no grid
     exceeds 2^14 samples: alpha0 L <= 100, delta0 T >= 2 (or b at least
     that) and <= 40, v/c <= 0.8, so the window 4 L/v + 8 T stays under
     2^14 dt at dt = 0.1."""
     def finish(opacity):
-        duration = st.fixed_dictionaries({"delta0_T": st.floats(2.0, 40.0)})
-        if kind != "transmit":
-            b_low = max(0.3, 2.0 / opacity ** 0.75)
+        durations = st.floats(2.0, 40.0)
+        duration = st.fixed_dictionaries({"delta0_T": durations})
+        common = {"kind": st.just(kind),
+                  "v_over_c": st.just(0.0) | st.floats(0.0, 0.8)}
+        if kind == "transmit":
+            # gamma on both sides of the transmit bound, 0.01
             duration |= st.fixed_dictionaries(
-                {"b": st.floats(b_low, max(b_low, 1.2))})
+                {"delta0_T_values": st.lists(durations, min_size=1,
+                                             max_size=2)})
+            fields_ = st.fixed_dictionaries({
+                **common, "alpha0_L": st.just(opacity),
+                "gamma_over_delta0": st.just(0.0) | st.floats(0.0, 0.02)})
+            return st.tuples(fields_, duration).map(
+                lambda parts: {**parts[0], **parts[1]})
+        b_low = max(0.3, 2.0 / opacity ** 0.75)
+        duration |= st.fixed_dictionaries(
+            {"b": st.floats(b_low, max(b_low, 1.2))})
         fields_ = st.fixed_dictionaries({
-            "kind": st.just(kind),
-            "v_over_c": st.just(0.0) | st.floats(0.0, 0.8),
+            **common, "alpha0_L_values": st.just([opacity]),
             "tpi1_rule": st.just("half-transit") | st.floats(0.1, 1.5),
             "hold_times_delta0": st.floats(0.1, 50.0),
             "series_order": st.integers(0, 2),
@@ -1103,10 +1183,8 @@ def _run_scenario(kind):
                     st.floats(0.01, 0.3) | st.just(0.0)
                     if method in ("revival", "established")
                     else st.just(0.0) | st.floats(0.0, 0.3))}))
-        opacities = ({"alpha0_L_values": [opacity]} if kind != "transmit"
-                     else {"alpha0_L": opacity})
         return st.tuples(fields_, route, duration).map(
-            lambda parts: {**parts[0], **parts[1], **parts[2], **opacities})
+            lambda parts: {**parts[0], **parts[1], **parts[2]})
 
     low = 0.0 if kind == "transmit" else 1.0
     return st.floats(low, 100.0).flatmap(finish)

@@ -457,3 +457,24 @@ print(json.dumps({"loaded_by_import": loaded, "values": lazy_path_values()}))
     fresh = json.loads(result.stdout)
     assert fresh["loaded_by_import"] == []
     assert fresh["values"] == lazy_path_values()
+
+
+@pytest.mark.parametrize("call, message, bound", [
+    (lambda params: chi_quadrature(0.5, HoleProfile.gaussian(), params),
+     "susceptibility", 1e-6),
+    (lambda params: absorption_coefficient(0.3, HoleProfile.gaussian(),
+                                           params), "absorption", 1e-7),
+    (lambda params: inverse_group_velocity(HoleProfile.gaussian(), params),
+     "group-velocity", 1e-7),
+], ids=["chi_quadrature", "absorption_coefficient", "inverse_group_velocity"])
+def test_unconverged_quadrature_refused(monkeypatch, call, message, bound):
+    # no profile in reach leaves QUADPACK's error estimate above these
+    # bounds, so the quadrature reports one just above each bound
+    residual = 2.0 * bound
+    monkeypatch.setattr(holeburn.medium, "_quad",
+                        lambda *args, **kwargs: (0.0, residual))
+    params = MediumParams.reduced(10.0, gamma_over_delta0=0.05)
+    with pytest.raises(NumericsError,
+                       match=f"{message} quadrature did not converge") as info:
+        call(params)
+    assert info.value.residual == residual

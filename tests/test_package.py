@@ -1,10 +1,14 @@
 """Package layout: the modules of holeburn share only public names, and
 raise only the exception classes of ``holeburn.errors``."""
 
+import argparse
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+from holeburn import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "holeburn"
 
@@ -122,3 +126,24 @@ def test_no_private_imports_across_modules():
     found = {path.name: private_imports(path.read_text())
              for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def run_flags():
+    """The flags of the run subcommands, those named after the kinds."""
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {flag for kind in cli._KINDS
+            for action in sub.choices[kind]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings}
+
+
+def test_read_table_matches_fields_and_flags():
+    # the table of inputs that only some kinds read names Scenario fields
+    # and run flags, and every run flag but the two each run needs
+    table = set(cli._READ_BY)
+    flags = run_flags()
+    assert table <= {f.name for f in dataclasses.fields(cli.Scenario)} | flags
+    assert flags - {"--scenario", "--out"} <= table
+    assert all(set(kinds) < set(cli._KINDS) for kinds in cli._READ_BY.values())

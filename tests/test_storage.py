@@ -196,6 +196,21 @@ class TestKappa:
         assert kappa(0.0) == 0.0
         assert kappa(40.0) == pytest.approx(1.0, abs=1e-14)
 
+    def test_huge_argument_is_one(self):
+        # x * x once overflowed to inf at x = 1e200, with numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kappa(1e200) == 1.0
+            np.testing.assert_array_equal(kappa(np.array([30.0, 1e300])),
+                                          [1.0, 1.0])
+
+    # kappa(-1) once read -2.634, and kappa(nan) failed inside erfc
+    @pytest.mark.parametrize("x", [-1.0, [1.0, -1.0], math.nan, math.inf,
+                                   1e308])
+    def test_bad_argument_rejected(self, x):
+        with pytest.raises(DomainError, match="got x = "):
+            kappa(x)
+
     def test_frozen_values(self):
         assert kappa(1.0) == pytest.approx(0.91092614410921965, abs=1e-12)
         assert kappa(0.5) == pytest.approx(0.6461451359685607, abs=1e-12)
