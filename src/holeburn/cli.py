@@ -117,7 +117,8 @@ def _unread(kind, name, value, default):
     readers = _READ_BY.get(name, _KINDS)
     if value == default or kind in readers or kind not in _KINDS:
         return None
-    return (f"{name} {value!r} is not read by {kind}, only by "
+    shown = list(value) if isinstance(value, tuple) else value  # as in JSON
+    return (f"{name} {shown!r} is not read by {kind}, only by "
             + " and ".join(readers))
 
 
@@ -222,9 +223,9 @@ class Scenario:
             bad.append(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if (self.alpha0_L is None) == (self.alpha0_L_values is None):
             bad.append("exactly one of alpha0_L / alpha0_L_values is required")
-        bad += self._field_violations()
-        if bad:
-            return [], bad
+        fields_bad = self._field_violations()
+        if fields_bad:
+            return [], bad + fields_bad
         dur = [name for name, val in (("delta0_T", self.delta0_T),
                                       ("delta0_T_values", self.delta0_T_values),
                                       ("b", self.b)) if val is not None]
@@ -276,7 +277,9 @@ class Scenario:
                 refused.append(str(exc))
 
         panels, stores = [], self.kind in _STORAGE_KINDS
-        for alpha0_L in self.alpha0_L_values or (self.alpha0_L,):
+        opacities = self.alpha0_L_values or (
+            (self.alpha0_L,) if self.alpha0_L is not None else ())
+        for alpha0_L in opacities:
             params = build(MediumParams.reduced, alpha0_L,
                            self.gamma_over_delta0, self.v_over_c)
             if params is None:

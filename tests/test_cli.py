@@ -50,9 +50,20 @@ class TestScenario:
         assert len(bad) >= 4
         with pytest.raises(ConfigurationError):
             scenario.validate()
-        # a kind that is none of the kinds is named, and reads no field
-        nonsense = replace(scenario, kind="nonsense")
-        assert nonsense.panels()[1][0].startswith("kind must be one of")
+        # a kind that is none of the kinds is named beside the violations of
+        # the fields every kind reads; the storage fields are not judged
+        nonsense = Scenario(kind="nonsense", alpha0_L=-1.0, delta0_T=2.0,
+                            b=0.6, v_over_c=1.5, method="magic")
+        bad = nonsense.panels()[1]
+        assert len(bad) >= 3
+        assert bad[0].startswith("kind must be one of")
+        assert any(b.startswith("exactly one of delta0_T") for b in bad)
+        assert any(b.startswith("v_over_c must lie") for b in bad)
+        assert not any("method" in b for b in bad)
+        # a scenario with no opacity still has its duration judged
+        bad = Scenario(kind="store").panels()[1]
+        assert [b.split(" /")[0] for b in bad] == ["exactly one of alpha0_L",
+                                                   "exactly one of delta0_T"]
 
     def test_bandwidth_bound(self):
         scenario = Scenario(kind="store", alpha0_L=10.0, delta0_T=5.0,
@@ -797,12 +808,12 @@ class TestReadTable:
             del doc["alpha0_L"]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
-        shown = getattr(Scenario.from_dict(doc), field)
         for command in ("validate", "transmit"):
             assert main([command, "--scenario", str(path),
                          "--out", str(tmp_path / "out")]) == 2
+            # the value as the JSON file wrote it
             assert capsys.readouterr().err == (
-                f"validation error: invalid scenario: {field} {shown!r} is "
+                f"validation error: invalid scenario: {field} {value!r} is "
                 f"not read by transmit, {self.STORAGE}\n")
         assert not (tmp_path / "out").exists()
 
@@ -815,7 +826,7 @@ class TestReadTable:
             assert main([command, "--scenario", str(path),
                          "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == (
-                "validation error: invalid scenario: delta0_T_values (5.0,) "
+                "validation error: invalid scenario: delta0_T_values [5.0] "
                 f"is not read by {kind}, only by transmit\n")
 
     def test_transmit_defaults_accepted(self):
