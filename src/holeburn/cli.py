@@ -65,12 +65,11 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericsError
-from .medium import (MediumParams, exact_gaussian_model, second_order_model,
-                     slow_light_velocity)
+from .medium import MediumParams, exact_gaussian_model, second_order_model
 from .propagation import (MAX_GRID_SAMPLES, PulseSpec, auto_grid, propagate,
                           stretched_duration)
 from .storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, StorageSchedule,
-                      check_retrieval_args, retrieve)
+                      check_retrieval_args, retrieve, transit_time)
 
 _KINDS = ("transmit", "store", "sweep-efficiency")
 _FMT = "%.12e"
@@ -294,9 +293,7 @@ class Scenario:
             if stores and tpi1_ok:
                 fraction = (0.5 if self.tpi1_rule == "half-transit"
                             else float(self.tpi1_rule))
-                # Python floats: an overflowing instant is refused, not warned
-                transit = params.length / float(slow_light_velocity(params))
-                t_pi1 = fraction * transit
+                t_pi1 = fraction * transit_time(params)
                 schedule = build(StorageSchedule, t_pi1=t_pi1,
                                  t_pi2=t_pi1 + self.hold_times_delta0,
                                  delta1=math.inf if d1 is None else d1)
@@ -318,7 +315,8 @@ class Scenario:
 # a PulseSpec per duration (b (alpha0 L)^(3/4) under the matched schedule of
 # ``storage.default_schedule``, else delta0_T(_values)) and a StorageSchedule
 # (None for transmit): t_pi1 is the ``tpi1_rule`` fraction of the transit
-# time L/v (one half for "half-transit"), t_pi2 ``hold_times_delta0`` later.
+# time L/v (``storage.transit_time``; one half for "half-transit"), t_pi2
+# ``hold_times_delta0`` later.
 Panel = namedtuple("Panel", "alpha0_L params pulses schedule")
 
 

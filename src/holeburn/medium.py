@@ -87,7 +87,7 @@ def slow_light_velocity(params: MediumParams) -> float:
     return 1.0 / (params.inv_c + 1.0 / SQRT_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoleProfile:
     """Normalized inhomogeneous distribution g(Delta) in [0, 1].
 
@@ -97,6 +97,9 @@ class HoleProfile:
     ``tabulated([1, 2, 3, 4], [1, 1, 1, 1])``, is the hole-free line
     g == 1.  The storage routes take a HoleProfile only; the oracle, which
     only evaluates g, also takes a bare callable g(Delta).
+
+    Profiles compare and hash by identity: fields compared as a tuple would
+    put a table's arrays in a truth test.
     """
 
     kind: str = "gaussian"

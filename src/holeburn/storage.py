@@ -18,7 +18,10 @@ reduced variables are
     x = t_w,  y = t - t_r,  rho = L / v,  a = v,
 
 with t_w, t_r the write/read instants.  For the Gaussian hole
-a = sqrt(pi) (1 - v/c).
+a = sqrt(pi) (1 - v/c).  These come from ``_reduced`` (rho also from
+``transit_time``), and the memory the read pulse recalls, the hole's
+deficit spectrum K decayed over the delay s, W(s) = K(s) e^{-gamma s},
+from ``_memory_weight``.
 """
 
 import math
@@ -76,6 +79,12 @@ MAX_RULE_NODES = 2048
 # 2^20 complex values, 16 MB.
 _RULE_BLOCK = 1 << 20
 
+# Longest hold t_pi2 - t_pi1.  The routes take absolute times t_pi2 + y,
+# which round y more the later the read: at this bound each route's
+# waveform moves by <= 5e-14 of peak and eta by <= 4e-13 relative against a
+# hold of 10 (alpha0 L 9 to 100, b 0.6); at 1e6, by 3e-11 of peak.
+MAX_HOLD = 1e3
+
 # Largest ``refine`` a scenario may ask for.  The sweep's convergence guard
 # doubles it, so ``check_retrieval_args`` accepts up to 2 MAX_REFINE;
 # there full quadrature's (48 refine) x (200 refine) arrays hold 20 MB each.
@@ -87,7 +96,7 @@ class StorageSchedule:
     """Write/read timing and conversion bandwidth of the protocol.
 
     t_pi1  : write instant (pulse confined in the slab)
-    t_pi2  : read instant
+    t_pi2  : read instant, at most ``MAX_HOLD`` after t_pi1
     delta1 : conversion half-bandwidth, wider than the hole (delta1 > 1);
              atoms beyond |Delta| > delta1 are never stored.  math.inf
              selects infinite-bandwidth operation.
@@ -102,6 +111,13 @@ class StorageSchedule:
             raise ConfigurationError(
                 "read instant t_pi2 must follow write instant t_pi1, got t_pi1 "
                 f"= {float(self.t_pi1)!r}, t_pi2 = {float(self.t_pi2)!r}")
+        # rounding is monotone, so t_pi2 = t_pi1 + hold passes for every
+        # hold up to MAX_HOLD
+        if not self.t_pi2 <= self.t_pi1 + MAX_HOLD:
+            raise ConfigurationError(
+                f"hold t_pi2 - t_pi1 must not exceed {MAX_HOLD:g}, got "
+                f"{float(self.t_pi2 - self.t_pi1)!r}: past it the retrieval "
+                "times t_pi2 + y round the restored field")
         if not self.delta1 > 1.0:
             raise ConfigurationError(
                 "conversion bandwidth delta1 must exceed the hole width, got "
@@ -119,9 +135,8 @@ def default_schedule(params: MediumParams, b=0.6):
     t_pi1 = L/(2v) and read instant 10 later (without Raman decoherence
     the hold does not change the restored field).
     """
-    v = slow_light_velocity(params)
     T = b * params.length ** 0.75
-    t_pi1 = params.length / (2.0 * v)
+    t_pi1 = 0.5 * transit_time(params)
     return (PulseSpec(duration=T),
             StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 10.0))
 
@@ -147,9 +162,14 @@ class RetrievalResult:
 
 
 def _reduced(params: MediumParams):
-    """(v, a, rho, v/c) for the Gaussian-hole group velocity."""
-    v = slow_light_velocity(params)
-    return v, v, params.length / v, params.inv_c * v
+    """(v, a, rho, v/c), Python floats: an overflowing rho is inf, unwarned."""
+    v = float(slow_light_velocity(params))
+    return v, v, float(params.length) / v, float(params.inv_c) * v
+
+
+def transit_time(params: MediumParams) -> float:
+    """Transit time rho = L/v of the slab (``_reduced``)."""
+    return _reduced(params)[2]
 
 
 # Unbounded, so that each rule size is built once per process: one pass of
@@ -195,26 +215,29 @@ def _chebyshev(func):
         if np.max(np.abs(coef[-8:])) <= _SERIES_TOL * np.max(np.abs(coef)):
             return Chebyshev(coef, domain=[0.0, SIGMA_MAX])
         deg *= 2
-    raise NumericsError("deficit kernel is not resolved by a Chebyshev "
+    raise NumericsError("memory weight is not resolved by a Chebyshev "
                         f"series of degree {_MAX_SERIES_DEGREE}")
 
 
-def _deficit_kernel(profile):
-    """K(s) = integral dDelta (1 - g) e^{i Delta s}, the stored-dipole sum.
+def _memory_weight(profile, gamma):
+    """W(s) = K(s) e^{-gamma s} on [0, SIGMA_MAX]: the stored-dipole sum
+    K(s) = integral dDelta (1 - g) e^{i Delta s}, decayed over the delay s.
 
-    Returns a callable of the delay s on [0, SIGMA_MAX].  Gaussian hole:
-    K = sqrt(pi) exp(-s^2/4).  A tabulated hole: the Chebyshev series of
+    Gaussian hole: sqrt(pi) exp((-s/4 - gamma) s), at gamma = 0 the bits of
+    -s^2/4.  A tabulated hole: e^{-gamma s} times the Chebyshev series of
     the trapezoid sum over 4097 detunings u of the sampled support,
-    sum_u w_u (1 - g) cos(s u) (real part only; the tiny odd-part imaginary
-    component of an asymmetric hole is dropped).
+    sum_u w_u (1 - g) cos(s u) (its real part: an asymmetric hole's tiny
+    imaginary part is dropped); a series of W would keep its rounding noise
+    past a large gamma's decay.
     """
     if profile.kind == "gaussian":
-        return lambda s: SQRT_PI * np.exp(-0.25 * np.asarray(s) ** 2)
+        return lambda s: SQRT_PI * np.exp((-0.25 * np.asarray(s) - gamma) * s)
     d = profile.detuning_samples
     u, du = np.linspace(d[0], d[-1], 4097, retstep=True)
     hw = profile.deficit(u) * du
     hw[[0, -1]] *= 0.5
-    return _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
+    kern = _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
+    return lambda s: kern(s) * np.exp(-gamma * s)
 
 
 def _revival_b(x):
@@ -231,23 +254,22 @@ def _revival_b(x):
 def kappa_quadrature(x, profile, params: MediumParams):
     """Revival factor from the double time integral (independent of Eq.-28 form).
 
-    kappa = (v / 2 pi) * integral_0^inf min(s, b) K(s) e^{-gamma s} ds
-    with b = 2 x; the min(s, b) weight is the area of the tau + tau' = s
-    strip inside [0, inf) x [0, b].  Cut at SIGMA_MAX, with
-    m = min(b, SIGMA_MAX):
+    kappa = (v / 2 pi) * integral_0^inf min(s, b) W(s) ds
+    with b = 2 x and W the memory weight (``_memory_weight``); min(s, b) is
+    the area of the tau + tau' = s strip inside [0, inf) x [0, b].  Cut at
+    SIGMA_MAX, with m = min(b, SIGMA_MAX):
 
         kappa = (v / 2 pi) [S1(m) + b (S0(SIGMA_MAX) - S0(m))],
 
-    S0 and S1 the integrals from 0 of the Chebyshev series W of
-    K e^{-gamma s} and of s W.  ``x`` may be an array.
+    S0 and S1 the integrals from 0 of the Chebyshev series of W and of
+    s W.  ``x`` may be an array.
     """
     b = _revival_b(x)
-    kern = _deficit_kernel(profile)
-    w = _chebyshev(lambda s: kern(s) * np.exp(-params.gamma_ab * s))
+    w = _chebyshev(_memory_weight(profile, params.gamma_ab))
     s0, s1 = w.integ(), (w * Chebyshev.identity(w.domain)).integ()
     m = np.minimum(b, SIGMA_MAX)
     val = s1(m) - s1(0.0) + b * (s0(SIGMA_MAX) - s0(m))
-    out = slow_light_velocity(params) / (2.0 * np.pi) * val
+    out = _reduced(params)[0] / (2.0 * np.pi) * val
     return out if out.ndim else float(out)
 
 
@@ -312,7 +334,6 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     gamma = params.gamma_ab
     if gamma * gamma < np.finfo(float).tiny:
         gamma = 0.0
-    v = slow_light_velocity(params)
     b_max = b.max(initial=0.0)
     ends = _band_panels(delta1, gamma, profile)
     # float counts: one that overflows is refused, not an OverflowError
@@ -335,7 +356,7 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
         val -= np.pi * b * float(profile(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
-    out = v / (2.0 * np.pi) * val.reshape(np.shape(x))
+    out = _reduced(params)[0] / (2.0 * np.pi) * val.reshape(np.shape(x))
     return out if out.ndim else float(out)
 
 
@@ -390,9 +411,8 @@ def revival_validity(t, pulse: PulseSpec, schedule: StorageSchedule,
 
     The product form holds where this fraction is << 1.
     """
-    v = slow_light_velocity(params)
     elapsed = np.minimum(np.asarray(t, dtype=float) - schedule.t_pi2,
-                         params.length / v)
+                         transit_time(params))
     return np.maximum(elapsed, 0.0) / pulse.duration ** 2
 
 
@@ -434,10 +454,10 @@ def established_signal(t, pulse: PulseSpec, schedule: StorageSchedule,
     """Late-time restored field from the single-quadrature kernel.
 
     A(L, t) = m0 R(x - beta, y - beta): the memory kernel (a / 2 pi)
-    K(p + q) e^{-gamma (p+q)} of ``restored_field_full`` as its mass m0 at
-    beta, half the mean of s = p + q under the weight s K(s) e^{-gamma s}.
-    For the Gaussian hole, with I0 = sqrt(pi) erfcx(gamma) and
-    I1 = 2 - 2 gamma I0, m0 = (1 - v/c)(1 - gamma I0) and
+    W(p + q) of ``restored_field_full`` as its mass m0 at beta, half the
+    mean of s = p + q under s W(s): two moments of the memory weight
+    (``_memory_weight``).  For the Gaussian hole, with I0 = sqrt(pi)
+    erfcx(gamma) and I1 = 2 - 2 gamma I0, m0 = (1 - v/c)(1 - gamma I0) and
     beta = (I0 - gamma I1) / I1: at gamma = 0, 1 - v/c and sqrt(pi)/2
     (taken as a / (2 (1 - v/c))).  The late window t - t_pi2 > 5 then holds
     to about 1e-3 of the full-quadrature peak at any v/c and gamma
@@ -467,11 +487,11 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     """Reference restored field: double time quadrature over the dipole memory.
 
     A(L, t) = (a / 2 pi) * integral_0^inf dp integral_0^y dq
-              K(p + q) e^{-gamma (p+q)} R(x - p, y - q)
+              W(p + q) R(x - p, y - q)
 
-    where K is the deficit kernel of the hole (``_deficit_kernel``;
-    sqrt(pi) e^{-(p+q)^2/4} for the Gaussian hole) and R the established
-    kernel.  Both time integrals are truncated at KERNEL_RANGE, each on
+    where W = K e^{-gamma s} is the memory weight of the hole
+    (``_memory_weight``) and R the established kernel.  Both time
+    integrals are truncated at KERNEL_RANGE, each on
     n_pq = 48 refine nodes, and R takes n_u = 200 refine u-nodes.  No
     finite conversion band: revival_envelope models the cutoff.
 
@@ -481,8 +501,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     (2 a s2)].  F[p, u] = w_p c_u f_u(x - p) is built once per call, and
     for one set of q-nodes the p-sum is contracted into
 
-        M[q, u] = w_q sum_p W[p, q] F[p, u],
-        W[p, q] = K(p + q) e^{-gamma (p+q)},
+        M[q, u] = w_q sum_p W(p + q) F[p, u],
 
     so that A ~ sum_{q,u} G[q, u] M[q, u] with G[q, u] = g_u(y - q).
 
@@ -516,8 +535,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
-    gamma = params.gamma_ab
-    kern = _deficit_kernel(profile)
+    memory = _memory_weight(profile, params.gamma_ab)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     y = t_arr.ravel() - schedule.t_pi2
     sums = np.zeros(y.shape, dtype=float)
@@ -533,10 +551,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
         def contract(y_top):
             # q-nodes on [0, y_top[b]]; M[b] = (w_q W[b]^T) @ F, one GEMM
             q, wq = _gl_interval(n_pq, 0.0, y_top[:, None])
-            pp = q[:, :, None] + p
-            weight = kern(pp) * wq[:, :, None]
-            if gamma:  # at gamma = 0 the factor is exactly 1
-                weight *= np.exp(-gamma * pp)
+            weight = memory(q[:, :, None] + p) * wq[:, :, None]
             m = weight.reshape(-1, n_pq) @ f
             return q, m.reshape(y_top.size, n_pq, n_u)
 
@@ -647,23 +662,24 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     depth integral into a series of spatial derivatives of the frozen
     field evaluated at the readout depth:
 
-        A = ((1 - v/c)/2) * sum_n (beta^n / n!) * [double (p, q) quadrature
-            of e^{-(p+q)^2/4} d^{2n}/dzeta^{2n} (frozen * (rho - zeta)^n)]
+        A = (a / 2 pi) * sum_n (beta^n / n!) * [double (p, q) quadrature
+            of W(p + q) d^{2n}/dzeta^{2n} (frozen * (rho - zeta)^n)]
 
-    with beta = a/2 and zeta = rho - (y - q).  The n = 0 truncation is the
-    simple depth-slice field whose factorized limit is revival_envelope.
-    The derivatives come from ``_series_derivatives`` (Taylor jets, O(order^2)
-    array operations per time sample); p and q take 48 refine nodes each.
+    with W the memory weight (``_memory_weight``), beta = a/2 and
+    zeta = rho - (y - q).  The n = 0 truncation is the simple depth-slice
+    field whose factorized limit is revival_envelope.  The derivatives come
+    from ``_series_derivatives`` (Taylor jets, O(order^2) array operations
+    per time sample); p and q take 48 refine nodes each.
     Orders above 6 are refused (``check_retrieval_args``); the jets would
     allow more.  Infinite conversion bandwidth only.
     """
     check_retrieval_args(method="series", series_order=order, refine=refine,
                          delta1=schedule.delta1)
     n_pq = 48 * refine
-    v, a, rho, vc = _reduced(params)
+    _, a, rho, _ = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
-    gamma = params.gamma_ab
+    memory = _memory_weight(HoleProfile.gaussian(), params.gamma_ab)
     beta = 0.5 * a
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
@@ -677,14 +693,13 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
         if y <= 0 or qhi <= qlo:
             continue
         q, wq = _gl_interval(n_pq, qlo, qhi)
-        pp = p[:, None] + q[None, :]
-        weight = np.exp(-0.25 * pp * pp - gamma * pp)
+        weight = memory(p[:, None] + q[None, :])
         zeta0 = rho - (y - q)[None, :]
         xh = (x - p)[:, None]
         derivs = _series_derivatives(order, zeta0, xh, dT, a, rho)
         total = sum(beta ** n / math.factorial(n) * deriv
                     for n, deriv in enumerate(derivs))
-        out.ravel()[i] = (0.5 * (1.0 - vc)
+        out.ravel()[i] = (a / (2.0 * np.pi)
                           * float(np.einsum("i,j,ij->", wp, wq, weight * total)))
     return out if np.ndim(t) else float(out[0])
 

@@ -19,8 +19,8 @@ from holeburn.cli import (_CSV_BLOCK, _KINDS, PRESETS, Scenario, _write_csv,
 from holeburn.errors import ConfigurationError, NumericsError
 from holeburn.medium import MediumParams, slow_light_velocity
 from holeburn.propagation import MAX_GRID_SAMPLES, PulseSpec, auto_grid
-from holeburn.storage import (MAX_DELTA1_OVER_DELTA0, MAX_REFINE, METHODS,
-                              default_schedule)
+from holeburn.storage import (MAX_DELTA1_OVER_DELTA0, MAX_HOLD, MAX_REFINE,
+                              METHODS, default_schedule)
 
 
 class TestScenario:
@@ -193,6 +193,27 @@ class TestStore:
         original = np.loadtxt(tmp_path / "store_aL100_original.csv",
                               delimiter=",")
         assert original.shape[1] == 3
+
+    def test_hold_bound(self, tmp_path, capsys):
+        # the longest hold runs; past it validate and store refuse in one
+        # line that names the hold
+        path, out = tmp_path / "s.json", tmp_path / "out"
+        scenario = {"kind": "store", "alpha0_L": 25.0, "b": 0.6,
+                    "method": "revival", "hold_times_delta0": MAX_HOLD}
+        path.write_text(json.dumps(scenario))
+        assert main(["store", "--scenario", str(path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        path.write_text(json.dumps({**scenario,
+                                    "hold_times_delta0": 2 * MAX_HOLD}))
+        errs = []
+        for command in ("validate", "store"):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].count("\n") == 1
+        assert "hold t_pi2 - t_pi1 must not exceed 1000, got 2000" in errs[0]
 
     def test_valid_call_after_rejected_arguments(self, tmp_path, capsys):
         # the parser is built once per process; a call argparse rejects
@@ -946,6 +967,9 @@ class TestExitCodeContract:
         "tpi1_rule_word": ("store", _STORE + ', "tpi1_rule": "quarter"}'),
         "tpi1_rule_zero": ("store", _STORE + ', "tpi1_rule": 0}'),
         "zero_hold": ("store", _STORE + ', "hold_times_delta0": 0}'),
+        # once valid to validate, and a "dt must be positive" refusal to store
+        "hold_past_bound":
+            ("store", _STORE + ', "hold_times_delta0": 1e308}'),
         "series_order_7": ("store", _STORE + ', "series_order": 7}'),
         "n_time_500": ("store", _STORE + ', "n_time": 500}'),
         # only the revival route models a finite conversion band

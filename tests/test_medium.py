@@ -120,6 +120,16 @@ class TestHoleProfile:
         g = FLAT
         assert g(0.0) == 1.0 and g(7.3) == 1.0
 
+    def test_equality_and_hash(self):
+        # profiles compare and hash by identity: two tables of the same
+        # arrays once raised ValueError on ==, and TypeError on hash()
+        d = np.linspace(-4.0, 4.0, 41)
+        a = HoleProfile.tabulated(d, 1.0 - np.exp(-d * d))
+        b = HoleProfile.tabulated(d, 1.0 - np.exp(-d * d))
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a, HoleProfile.gaussian()}) == 3
+
     @pytest.mark.parametrize("kind", ["uniform", "lorentzian"])
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(DomainError, match="unknown profile kind"):

@@ -20,19 +20,20 @@ from scipy import integrate
 from scipy.special import erfcx, sici
 
 import holeburn.storage
+from holeburn.cli import Scenario
 from holeburn.errors import ConfigurationError, DomainError, NumericsError
 from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
 from holeburn.propagation import (PulseSpec, confinement_report,
                                   transmitted_gaussian)
-from holeburn.storage import (KERNEL_RANGE, RetrievalResult, StorageSchedule,
-                              _deficit_kernel, _established_kernel,
-                              _gl_interval, _reduced, _series_derivatives,
-                              appendix_series_field,
+from holeburn.storage import (KERNEL_RANGE, MAX_HOLD, RetrievalResult,
+                              StorageSchedule, _established_kernel,
+                              _gl_interval, _memory_weight, _reduced,
+                              _series_derivatives, appendix_series_field,
                               bandwidth_reduction_factor, default_schedule,
                               efficiency, established_signal, kappa,
                               kappa_finite_bandwidth, kappa_quadrature,
                               restored_field_full, retrieval_grid, retrieve,
-                              revival_envelope)
+                              revival_envelope, revival_validity)
 
 SQRT_PI = math.sqrt(math.pi)
 GAUSSIAN = HoleProfile.gaussian()
@@ -55,7 +56,8 @@ def reference_restored_field_full(t, pulse, schedule, profile, params,
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
-    kern = _deficit_kernel(profile)
+    # the hole's K (its memory weight at gamma = 0), damped below on its own
+    kern = _memory_weight(profile, 0.0)
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -172,6 +174,35 @@ class TestStorageSchedule:
     def test_infinite_bandwidth_default(self):
         assert StorageSchedule(t_pi1=0.0, t_pi2=1.0).infinite_bandwidth
 
+    def test_hold_bound(self):
+        # a hold up to MAX_HOLD is taken; a longer one, whose absolute
+        # retrieval times would round the restored field, is refused
+        # naming the hold
+        assert StorageSchedule(t_pi1=2.0, t_pi2=2.0 + MAX_HOLD).t_pi2 == (
+            2.0 + MAX_HOLD)
+        for t_pi2 in (np.nextafter(2.0 + MAX_HOLD, math.inf), 1e308,
+                      math.inf):
+            with pytest.raises(ConfigurationError,
+                               match=r"hold t_pi2 - t_pi1 must not exceed"):
+                StorageSchedule(t_pi1=2.0, t_pi2=t_pi2)
+
+    @pytest.mark.parametrize("method", ["full_quadrature", "revival",
+                                        "established", "series"])
+    def test_longest_hold_keeps_the_restored_field(self, method):
+        # without Raman decoherence the hold does not change the restored
+        # field: at MAX_HOLD every route's waveform stays within 1e-13 of
+        # its peak, and eta within 1e-12 relative, of the default hold's
+        params = MediumParams.reduced(9.0)
+        pulse, schedule = default_schedule(params)
+        longest = StorageSchedule(t_pi1=schedule.t_pi1,
+                                  t_pi2=schedule.t_pi1 + MAX_HOLD)
+        ref = retrieve(pulse, schedule, params, method=method)
+        got = retrieve(pulse, longest, params, method=method)
+        peak = np.max(np.abs(ref.envelope.samples))
+        assert np.max(np.abs(got.envelope.samples
+                             - ref.envelope.samples)) <= 1e-13 * peak
+        assert got.efficiency == pytest.approx(ref.efficiency, rel=1e-12)
+
     def test_default_schedule(self):
         params = MediumParams.reduced(100.0)
         pulse, schedule = default_schedule(params)
@@ -189,6 +220,51 @@ class TestStorageSchedule:
             PulseSpec(duration=1.0, center_time=2.0)
         with pytest.raises(TypeError):
             transmitted_gaussian(1.0, 0.0, 1.0, params, center_time=2.0)
+
+
+def test_every_reader_of_the_medium_follows_reduced(monkeypatch):
+    # _reduced is the one place the storage medium is read: doubling v
+    # (and a, v/c) there halves the transit time and doubles the revival
+    # prefactor in every schedule, factor, indicator and grid, the CLI's
+    # write instant included
+    params = MediumParams.reduced(25.0)
+    pulse, schedule = default_schedule(params)
+    x = np.array([0.5, 3.0])
+    t = schedule.t_pi2 + np.array([1.0, 40.0])
+    scenario = Scenario(kind="store", alpha0_L=25.0, b=0.6, method="revival")
+
+    def readings():
+        return {
+            "default_schedule": default_schedule(params)[1].t_pi1,
+            "kappa_quadrature": kappa_quadrature(x, GAUSSIAN, params),
+            "kappa_finite_bandwidth": kappa_finite_bandwidth(
+                x, 5.0, GAUSSIAN, params),
+            "revival_validity": revival_validity(t, pulse, schedule, params),
+            "retrieval_grid": retrieval_grid(pulse, schedule, params)[-1],
+            "transit_time": holeburn.storage.transit_time(params),
+            "cli_t_pi1": scenario.panels()[0][0].schedule.t_pi1,
+        }
+
+    real = holeburn.storage._reduced
+    _, a, rho, _ = real(params)
+    before = readings()
+    monkeypatch.setattr(holeburn.storage, "_reduced", lambda p: tuple(
+        f * r for f, r in zip((2.0, 2.0, 0.5, 2.0), real(p))))
+    after = readings()
+    for name in ("default_schedule", "transit_time", "cli_t_pi1"):
+        assert after[name] == 0.5 * before[name], name
+    for name in ("kappa_quadrature", "kappa_finite_bandwidth"):
+        np.testing.assert_allclose(after[name], 2.0 * before[name],
+                                   rtol=1e-15, err_msg=name)
+    # y = 1 lies inside the transit, y = 40 past it
+    np.testing.assert_allclose(after["revival_validity"],
+                               before["revival_validity"] * [1.0, 0.5],
+                               rtol=1e-15)
+    span = (0.5 * rho + 5.0 * math.sqrt(2.0 * a * rho)
+            + 2.0 * pulse.duration + 10.0)
+    assert after["retrieval_grid"] == pytest.approx(
+        schedule.t_pi2 + 511 * span / 512, rel=1e-15)
+    assert before["transit_time"] == rho
 
 
 class TestKappa:
@@ -629,8 +705,8 @@ class TestRestoredFieldFull:
         assert np.max(np.abs(tab - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("gamma, tabulated", [
-        (0.0, False), (0.05, False), (0.0, True)],
-        ids=["gaussian", "gaussian-lossy", "tabulated"])
+        (0.0, False), (0.05, False), (0.0, True), (0.05, True)],
+        ids=["gaussian", "gaussian-lossy", "tabulated", "tabulated-lossy"])
     def test_factorized_matches_unfactorized(self, gamma, tabulated):
         # y straddles KERNEL_RANGE, where the q-nodes stop moving and the
         # contracted M is built once; the array call visits late, early,
@@ -820,7 +896,7 @@ class TestRestoredFieldFullHalves:
             pass
 
         caller = threading.current_thread()
-        gaussian = _deficit_kernel(HoleProfile.gaussian())
+        gaussian = _memory_weight(HoleProfile.gaussian(), 0.0)
 
         def kernel(s):
             if threading.current_thread() is not caller:
@@ -828,8 +904,8 @@ class TestRestoredFieldFullHalves:
             return gaussian(s)
 
         hooked = []
-        monkeypatch.setattr(holeburn.storage, "_deficit_kernel",
-                            lambda profile: kernel)
+        monkeypatch.setattr(holeburn.storage, "_memory_weight",
+                            lambda profile, gamma: kernel)
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         t = schedule.t_pi2 + np.array([3.0, 20.0, 7.5, 40.0])
@@ -850,7 +926,7 @@ def test_tabulated_kernel_memory_bound():
     sigma = np.linspace(0.0, 28.0, 3000)
     tracemalloc.start()
     try:
-        kern = _deficit_kernel(tabulated_gaussian_hole())
+        kern = _memory_weight(tabulated_gaussian_hole(), 0.0)
         vals = kern(sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -873,13 +949,13 @@ class TestDeficitKernelSeries:
         prof = self.HOLES[hole]()
         sigma = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
         ref = reference_deficit_kernel(prof, sigma)
-        got = _deficit_kernel(prof)(sigma)
+        got = _memory_weight(prof, 0.0)(sigma)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wide_gaussian_matches_closed_form(self):
         s = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
         ref = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * s * s)
-        got = _deficit_kernel(wide_gaussian_hole())(s)
+        got = _memory_weight(wide_gaussian_hole(), 0.0)(s)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("width", [0.5, 2.0])
@@ -889,9 +965,9 @@ class TestDeficitKernelSeries:
         x = np.linspace(-6.0, 6.0, 121)
         prof = HoleProfile.tabulated(width * x, 1.0 - np.exp(-x * x))
         s = np.linspace(0.0, 14.0, 57)
-        one = width * _deficit_kernel(tabulated_gaussian_hole(121, 6.0))(
-            width * s)
-        got = _deficit_kernel(prof)(s)
+        one = width * _memory_weight(tabulated_gaussian_hole(121, 6.0),
+                                     0.0)(width * s)
+        got = _memory_weight(prof, 0.0)(s)
         assert np.max(np.abs(got - one)) <= 1e-13 * np.max(np.abs(one))
         np.testing.assert_allclose(
             got, reference_deficit_kernel(prof, s),
@@ -900,7 +976,7 @@ class TestDeficitKernelSeries:
     def test_uniform_hole_has_zero_kernel(self):
         # the hole-free line g == 1, as a table of ones away from 0
         flat = HoleProfile.tabulated([1, 2, 3, 4], [1, 1, 1, 1])
-        kern = _deficit_kernel(flat)
+        kern = _memory_weight(flat, 0.0)
         assert np.all(kern(np.linspace(0.0, 28.0, 29)) == 0.0)
         params = MediumParams.reduced(10.0)
         assert np.all(kappa_quadrature([0.5, 3.0], flat, params) == 0.0)
@@ -910,7 +986,7 @@ class TestDeficitKernelSeries:
         hole = wide_gaussian_hole()
         monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 64)
         with pytest.raises(NumericsError):
-            _deficit_kernel(hole)
+            _memory_weight(hole, 0.0)
         with pytest.raises(NumericsError):
             kappa_quadrature(1.0, hole, MediumParams.reduced(10.0))
         monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 128)
@@ -992,6 +1068,17 @@ class TestAppendixSeries:
 
 
 class TestRetrieve:
+    def test_truncated_tail_refused(self, monkeypatch):
+        # a waveform still at full height at the grid's end is refused, not
+        # integrated as if it had ended there
+        params, pulse, schedule = reduced_setup(25.0, 10.0)
+        monkeypatch.setattr(holeburn.storage, "restored_field_full",
+                            lambda t, *args, **kwargs: np.ones_like(t))
+        with pytest.raises(ConfigurationError,
+                           match=r"retrieval grid truncates the restored "
+                                 r"waveform \(tail fraction 1\.56e-02\)"):
+            retrieve(pulse, schedule, params)
+
     def test_result_contract(self):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         result = retrieve(pulse, schedule, params, method="established")
