@@ -95,8 +95,9 @@ class HoleProfile:
     samples interpolated by a cubic spline, with g == 1 assumed beyond the
     sampled range, so a table of ones away from 0, e.g.
     ``tabulated([1, 2, 3, 4], [1, 1, 1, 1])``, is the hole-free line
-    g == 1.  The storage routes take a HoleProfile only; the oracle, which
-    only evaluates g, also takes a bare callable g(Delta).
+    g == 1.  The susceptibility, absorption and group-velocity routines
+    take either kind; the oracle, which only evaluates g, also takes a bare
+    callable g(Delta).  The storage routes take the Gaussian hole only.
 
     Profiles compare and hash by identity: fields compared as a tuple would
     put a table's arrays in a truth test.

@@ -21,7 +21,8 @@ with t_w, t_r the write/read instants.  For the Gaussian hole
 a = sqrt(pi) (1 - v/c).  These come from ``_reduced`` (rho also from
 ``transit_time``), and the memory the read pulse recalls, the hole's
 deficit spectrum K decayed over the delay s, W(s) = K(s) e^{-gamma s},
-from ``_memory_weight``.
+from ``_memory_weight``.  The routes take the Gaussian hole only; the three
+that accept a ``profile`` refuse any other before any work.
 """
 
 import math
@@ -43,12 +44,14 @@ from .special import SQRT_PI, erf, erfc, erfcx
 # weight is < 1e-21 and the (p, q) quadrature can be truncated.
 KERNEL_RANGE = 14.0
 
-# The deficit kernel's Chebyshev series spans the reduced delays [0,
-# SIGMA_MAX], where the revival-factor integral is cut (the Gaussian kernel
-# is e^-225 of its peak there).  A series is resolved once its last 8
-# coefficients fall below _SERIES_TOL of the largest; the tabulated
-# transform's rounding noise sits near 1e-14.
+# The memory weight's Chebyshev series spans the reduced delays [0,
+# min(SIGMA_MAX, DECAY_REACH / gamma)], where the revival-factor integral is
+# cut: past SIGMA_MAX the Gaussian hole's kernel is e^-225 of its peak, and
+# past DECAY_REACH / gamma the dipole decay e^{-gamma s} is below e^-60.  A
+# series is resolved once its last 8 coefficients fall below _SERIES_TOL of
+# the largest; the cosine sums' rounding levels them off near 1e-14.
 SIGMA_MAX = 30.0
+DECAY_REACH = 60.0
 _SERIES_TOL = 1e-13
 _MAX_SERIES_DEGREE = 1024
 
@@ -65,6 +68,9 @@ U_NODE_REACH = 50.0
 # the entries of M lie above 1e-29 (alpha0 L 1 to 1000, b 0.3 to 1) every
 # product stays a normal number.
 _EXP_FLOOR = -300.0
+
+# The one hole the storage routes model.
+_GAUSSIAN = HoleProfile.gaussian()
 
 # Largest conversion bandwidth a scenario may ask for, in hole widths.  The
 # finite-bandwidth rule needs nodes in proportion to delta1 times the
@@ -200,44 +206,39 @@ def kappa(x, v_over_c=0.0):
     return val if val.ndim else float(val)
 
 
-def _chebyshev(func):
-    """Chebyshev interpolant of func on [0, SIGMA_MAX], its degree doubled
-    from 32 until resolved (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8).  c_k = (2 - [k = 0]) / n sum_j f(x_j)
-    cos(k t_j) at x_j = cos t_j, t_j = pi (j + 1/2) / n is exact to rounding
+def _chebyshev(func, span):
+    """Chebyshev interpolant of func on [0, span], its degree doubled from
+    32 until resolved (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 8).  c_k = (2 - [k = 0]) / n sum_j f(x_j) cos(k t_j) at
+    x_j = cos t_j, t_j = pi (j + 1/2) / n is exact to rounding
     (Chebyshev.interpolate's recurrence loses ~1e-12 at the ends)."""
     deg = 32
     while deg <= _MAX_SERIES_DEGREE:
         t = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
         coef = np.cos(np.outer(np.arange(deg + 1), t)) @ func(
-            0.5 * SIGMA_MAX * (1.0 + np.cos(t))) * (2.0 / (deg + 1))
+            0.5 * span * (1.0 + np.cos(t))) * (2.0 / (deg + 1))
         coef[0] *= 0.5
         if np.max(np.abs(coef[-8:])) <= _SERIES_TOL * np.max(np.abs(coef)):
-            return Chebyshev(coef, domain=[0.0, SIGMA_MAX])
+            return Chebyshev(coef, domain=[0.0, span])
         deg *= 2
     raise NumericsError("memory weight is not resolved by a Chebyshev "
                         f"series of degree {_MAX_SERIES_DEGREE}")
 
 
-def _memory_weight(profile, gamma):
-    """W(s) = K(s) e^{-gamma s} on [0, SIGMA_MAX]: the stored-dipole sum
-    K(s) = integral dDelta (1 - g) e^{i Delta s}, decayed over the delay s.
+def _memory_weight(gamma):
+    """W(s) = K(s) e^{-gamma s} = sqrt(pi) exp((-s/4 - gamma) s): the
+    Gaussian hole's stored-dipole sum K(s) = integral dDelta (1 - g)
+    e^{i Delta s}, decayed over the delay s (at gamma = 0 the bits of
+    -s^2/4)."""
+    return lambda s: SQRT_PI * np.exp((-0.25 * np.asarray(s) - gamma) * s)
 
-    Gaussian hole: sqrt(pi) exp((-s/4 - gamma) s), at gamma = 0 the bits of
-    -s^2/4.  A tabulated hole: e^{-gamma s} times the Chebyshev series of
-    the trapezoid sum over 4097 detunings u of the sampled support,
-    sum_u w_u (1 - g) cos(s u) (its real part: an asymmetric hole's tiny
-    imaginary part is dropped); a series of W would keep its rounding noise
-    past a large gamma's decay.
-    """
-    if profile.kind == "gaussian":
-        return lambda s: SQRT_PI * np.exp((-0.25 * np.asarray(s) - gamma) * s)
-    d = profile.detuning_samples
-    u, du = np.linspace(d[0], d[-1], 4097, retstep=True)
-    hw = profile.deficit(u) * du
-    hw[[0, -1]] *= 0.5
-    kern = _chebyshev(lambda s: np.cos(np.outer(s, u)) @ hw)
-    return lambda s: kern(s) * np.exp(-gamma * s)
+
+def _refuse_other_holes(profile):
+    """ConfigurationError unless ``profile`` is the Gaussian hole."""
+    if getattr(profile, "kind", None) != "gaussian":
+        raise ConfigurationError(
+            "the storage routes take the Gaussian hole only "
+            f"(HoleProfile.gaussian()), got {profile!r}")
 
 
 def _revival_b(x):
@@ -257,18 +258,23 @@ def kappa_quadrature(x, profile, params: MediumParams):
     kappa = (v / 2 pi) * integral_0^inf min(s, b) W(s) ds
     with b = 2 x and W the memory weight (``_memory_weight``); min(s, b) is
     the area of the tau + tau' = s strip inside [0, inf) x [0, b].  Cut at
-    SIGMA_MAX, with m = min(b, SIGMA_MAX):
+    S = min(SIGMA_MAX, DECAY_REACH / gamma_ab), with m = min(b, S):
 
-        kappa = (v / 2 pi) [S1(m) + b (S0(SIGMA_MAX) - S0(m))],
+        kappa = (v / 2 pi) [S1(m) + b (S0(S) - S0(m))],
 
-    S0 and S1 the integrals from 0 of the Chebyshev series of W and of
-    s W.  ``x`` may be an array.
+    S0 and S1 the integrals from 0 of the Chebyshev series of W on [0, S]
+    and of s W.  ``x`` may be an array.  ``profile`` must be the Gaussian
+    hole.
     """
+    _refuse_other_holes(profile)
     b = _revival_b(x)
-    w = _chebyshev(_memory_weight(profile, params.gamma_ab))
+    gamma = params.gamma_ab
+    span = (SIGMA_MAX if gamma * SIGMA_MAX <= DECAY_REACH
+            else DECAY_REACH / gamma)
+    w = _chebyshev(_memory_weight(gamma), span)
     s0, s1 = w.integ(), (w * Chebyshev.identity(w.domain)).integ()
-    m = np.minimum(b, SIGMA_MAX)
-    val = s1(m) - s1(0.0) + b * (s0(SIGMA_MAX) - s0(m))
+    m = np.minimum(b, span)
+    val = s1(m) - s1(0.0) + b * (s0(span) - s0(m))
     out = _reduced(params)[0] / (2.0 * np.pi) * val
     return out if out.ndim else float(out)
 
@@ -286,13 +292,12 @@ def bandwidth_reduction_factor(y):
     return val if val.ndim else float(val)
 
 
-def _band_panels(delta1, gamma, g):
+def _band_panels(delta1, gamma):
     """Panel ends of the finite-bandwidth rule on [-delta1, delta1].
 
-    The integrand is analytic on each panel.  The band is split at 0, at
-    the knots of a tabulated hole, and at +-gamma 4^k (k >= 0), so that a
-    panel near 0 stays about its own length away from the poles of the
-    bracket at Delta = +-i gamma.
+    The integrand is analytic on each panel.  The band is split at 0 and
+    at +-gamma 4^k (k >= 0), so that a panel near 0 stays about its own
+    length away from the poles of the bracket at Delta = +-i gamma.
     """
     ends = [0.0, delta1]
     step = gamma
@@ -300,8 +305,6 @@ def _band_panels(delta1, gamma, g):
         ends.append(step)
         step *= 4.0
     ends = np.concatenate([np.negative(ends), ends])
-    if g.kind == "tabulated":
-        ends = np.append(ends, g.detuning_samples)
     return np.unique(np.clip(ends, -delta1, delta1))
 
 
@@ -316,26 +319,28 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     ringing superposed on the plateau.
 
     ``x`` may be an array (a float is returned for a scalar).  Every
-    sample shares one Gauss-Legendre rule per panel (``_band_panels``; for
-    the Gaussian hole at gamma_ab = 0 the two half bands [-delta1, 0] and
-    [0, delta1]), with n = 40 + 0.7 (panel length) b_max nodes, b_max the
-    largest b of the call: n keeps about four nodes per period of
-    e^{i Delta b_max}.  g is evaluated at the nodes once, and the integral
-    for all b is one (n_b x n) @ (g w) product per panel, taken in row
-    blocks of at most ``_RULE_BLOCK`` entries.  A panel rule of more than
+    sample shares one Gauss-Legendre rule per panel (``_band_panels``; at
+    gamma_ab = 0 the two half bands [-delta1, 0] and [0, delta1]), with n =
+    40 + 0.7 (panel length) b_max nodes, b_max the largest b of the call:
+    n keeps about four nodes per period of e^{i Delta b_max}.  g is
+    evaluated at the nodes once, and the integral for all b is one
+    (n_b x n) @ (g w) product per panel, taken in row blocks of at most
+    ``_RULE_BLOCK`` entries.  A panel rule of more than
     ``MAX_RULE_NODES`` nodes is refused before anything is built.
 
     At gamma_ab = 0 the bracket's part b gamma / (gamma^2 + Delta^2) is
-    pi b delta(Delta), which no node rule sees; it is added as pi b g(0)
-    (zero for the Gaussian hole).  This gamma = 0 rule also serves where
-    gamma_ab^2 is not a normal float: D^2 would underflow at |Delta| ~ gamma.
+    pi b delta(Delta), which no node rule sees; it weighs g(0), zero for
+    the Gaussian hole, the only ``profile`` taken.  This gamma = 0 rule also
+    serves where gamma_ab^2 is not a normal float: D^2 would underflow at
+    |Delta| ~ gamma.
     """
+    _refuse_other_holes(profile)
     b = _revival_b(x).ravel()
     gamma = params.gamma_ab
     if gamma * gamma < np.finfo(float).tiny:
         gamma = 0.0
     b_max = b.max(initial=0.0)
-    ends = _band_panels(delta1, gamma, profile)
+    ends = _band_panels(delta1, gamma)
     # float counts: one that overflows is refused, not an OverflowError
     counts = 40.0 + np.ceil(0.7 * np.diff(ends) * b_max)
     if counts.max() > MAX_RULE_NODES:
@@ -352,8 +357,6 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
         for start in range(0, b.size, rows):
             bracket = -np.expm1(-b[start:start + rows, None] * dc) / (dc * dc)
             val[start:start + rows] -= bracket.real @ gw
-    if gamma == 0.0:
-        val -= np.pi * b * float(profile(0.0))
     if not np.all(np.isfinite(val)):
         raise NumericsError("finite-bandwidth revival factor is not finite")
     out = _reduced(params)[0] / (2.0 * np.pi) * val.reshape(np.shape(x))
@@ -365,17 +368,16 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
 # ---------------------------------------------------------------------------
 
 def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
-                     params: MediumParams, profile=HoleProfile.gaussian()):
+                     params: MediumParams):
     """Early-time restored field: frozen slowed pulse times the revival factor.
 
     A(L, t) = A_in(L - v (t - t_pi2), t_pi1) * kappa[(t - t_pi2) / 2];
     zero before the read instant and once the readout depth v (t - t_pi2)
     exceeds the slab.
 
-    kappa is the closed form for the Gaussian hole at infinite bandwidth
-    and gamma_ab = 0.  A finite conversion band takes
-    ``kappa_finite_bandwidth``, and any other case ``kappa_quadrature``,
-    each in one call for all in-depth samples.
+    kappa is the closed form at infinite bandwidth and gamma_ab = 0.  A
+    finite conversion band takes ``kappa_finite_bandwidth``, and gamma_ab >
+    0 ``kappa_quadrature``, each in one call for all in-depth samples.
     """
     v, a, rho, vc = _reduced(params)
     t = np.asarray(t, dtype=float)
@@ -396,11 +398,11 @@ def revival_envelope(t, pulse: PulseSpec, schedule: StorageSchedule,
     kap = np.zeros(np.shape(xs))
     if not schedule.infinite_bandwidth:
         kap[in_depth] = kappa_finite_bandwidth(
-            xs[in_depth], schedule.delta1, profile, params)
-    elif params.gamma_ab == 0.0 and profile.kind == "gaussian":
+            xs[in_depth], schedule.delta1, _GAUSSIAN, params)
+    elif params.gamma_ab == 0.0:
         kap = kappa(np.where(in_depth, xs, 0.0), v_over_c=vc)
     else:
-        kap[in_depth] = kappa_quadrature(xs[in_depth], profile, params)
+        kap[in_depth] = kappa_quadrature(xs[in_depth], _GAUSSIAN, params)
     out = frozen * kap
     return out if np.ndim(t) else float(out)
 
@@ -489,9 +491,9 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     A(L, t) = (a / 2 pi) * integral_0^inf dp integral_0^y dq
               W(p + q) R(x - p, y - q)
 
-    where W = K e^{-gamma s} is the memory weight of the hole
-    (``_memory_weight``) and R the established kernel.  Both time
-    integrals are truncated at KERNEL_RANGE, each on
+    where W = K e^{-gamma s} is the memory weight of the Gaussian hole
+    (``_memory_weight``), the only ``profile`` taken, and R the established
+    kernel.  Both time integrals are truncated at KERNEL_RANGE, each on
     n_pq = 48 refine nodes, and R takes n_u = 200 refine u-nodes.  No
     finite conversion band: revival_envelope models the cutoff.
 
@@ -530,12 +532,13 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
+    _refuse_other_holes(profile)
     check_retrieval_args(refine=refine, delta1=schedule.delta1)
     n_pq, n_u = 48 * refine, 200 * refine
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
-    memory = _memory_weight(profile, params.gamma_ab)
+    memory = _memory_weight(params.gamma_ab)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     y = t_arr.ravel() - schedule.t_pi2
     sums = np.zeros(y.shape, dtype=float)
@@ -679,7 +682,7 @@ def appendix_series_field(t, pulse: PulseSpec, schedule: StorageSchedule,
     _, a, rho, _ = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
-    memory = _memory_weight(HoleProfile.gaussian(), params.gamma_ab)
+    memory = _memory_weight(params.gamma_ab)
     beta = 0.5 * a
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
@@ -712,13 +715,11 @@ METHODS = ("full_quadrature", "established", "revival", "series")
 
 
 def check_retrieval_args(*, method="full_quadrature", series_order=2,
-                         n_time=512, refine=1, delta1=math.inf,
-                         profile=HoleProfile.gaussian()):
+                         n_time=512, refine=1, delta1=math.inf):
     """Raise one ConfigurationError naming each argument ``retrieve`` would
     refuse; ``retrieve`` calls it before any work, and each route and
     ``retrieval_grid`` for its own arguments (the defaults pass).  Only
-    revival models a finite conversion band ``delta1``, and only full
-    quadrature and revival take a ``profile`` other than the Gaussian hole."""
+    revival models a finite conversion band ``delta1``."""
     bad = []
     if method not in METHODS:
         bad.append(f"method must be one of {METHODS}, got {method!r}")
@@ -726,9 +727,6 @@ def check_retrieval_args(*, method="full_quadrature", series_order=2,
         bad.append(f"the {method} route assumes infinite conversion "
                    f"bandwidth, got delta1 = {delta1:g}; only revival "
                    "models a finite band")
-    if method in ("established", "series") and profile.kind != "gaussian":
-        bad.append(f"the {method} route is built for the Gaussian hole "
-                   "only; use full_quadrature or revival for another hole")
     if type(series_order) is not int or not 0 <= series_order <= 6:
         bad.append(f"series_order must be an integer in 0..6, got "
                    f"{series_order!r}")
@@ -753,8 +751,8 @@ def retrieval_grid(pulse: PulseSpec, schedule: StorageSchedule,
 
 
 def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
-             profile=HoleProfile.gaussian(), method="full_quadrature",
-             series_order=2, n_time=512, refine=1) -> RetrievalResult:
+             method="full_quadrature", series_order=2, n_time=512,
+             refine=1) -> RetrievalResult:
     """Compute the restored waveform on an auto grid and wrap it up.
 
     ``refine`` scales the route's quadrature node counts; any but an int
@@ -767,21 +765,20 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     sidecar holds.  A restored energy that is not finite and positive, or
     a validity indicator that is not finite, raises NumericsError: a
     degenerate pulse duration or opacity is never reported as eta = 0.
-    ``profile`` is the hole the route computes with.  What
-    ``check_retrieval_args`` refuses, a finite band or a hole a method
-    does not model included, raises ConfigurationError before any work.
+    Every route computes with the Gaussian hole.  What
+    ``check_retrieval_args`` refuses, a finite band included, raises
+    ConfigurationError before any work.
     """
     check_retrieval_args(method=method, series_order=series_order,
-                         n_time=n_time, refine=refine, delta1=schedule.delta1,
-                         profile=profile)
+                         n_time=n_time, refine=refine, delta1=schedule.delta1)
     t = retrieval_grid(pulse, schedule, params, n_time=n_time)
     if method == "full_quadrature":
-        amp = restored_field_full(t, pulse, schedule, profile, params,
+        amp = restored_field_full(t, pulse, schedule, _GAUSSIAN, params,
                                   refine=refine)
     elif method == "established":
         amp = established_signal(t, pulse, schedule, params, refine=refine)
     elif method == "revival":
-        amp = revival_envelope(t, pulse, schedule, params, profile=profile)
+        amp = revival_envelope(t, pulse, schedule, params)
     else:
         amp = appendix_series_field(t, pulse, schedule, params,
                                     order=series_order, refine=refine)
@@ -837,9 +834,9 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
 
 
 def efficiency(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
-               method="full_quadrature", profile=HoleProfile.gaussian(),
-               series_order=2, n_time=512, refine=1) -> float:
+               method="full_quadrature", series_order=2, n_time=512,
+               refine=1) -> float:
     """Recovery efficiency: restored over incoming pulse energy."""
-    return retrieve(pulse, schedule, params, profile=profile, method=method,
+    return retrieve(pulse, schedule, params, method=method,
                     series_order=series_order, n_time=n_time,
                     refine=refine).efficiency

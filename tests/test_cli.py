@@ -286,6 +286,24 @@ class TestStore:
         if method == "full_quadrature":
             assert side["eta"] == pytest.approx(0.4294, abs=1e-4)
 
+    @pytest.mark.parametrize("gamma", [3e3, 1e4])
+    def test_revival_at_large_linewidth(self, tmp_path, gamma):
+        # the revival factor's memory weight lives on delays below
+        # 60 / gamma; fitted on [0, 30], its series was refused (exit 3)
+        doc = {"b": 0.6, "gamma_over_delta0": gamma, "method": "revival"}
+        for kind, opacity in (("store", {"alpha0_L": 25.0}),
+                              ("sweep-efficiency",
+                               {"alpha0_L_values": [25.0]})):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"kind": kind, **doc, **opacity}))
+            assert main([kind, "--scenario", str(path),
+                         "--out", str(tmp_path)]) == 0
+        side = json.loads(
+            (tmp_path / "store_aL25_restored.csv.json").read_text())
+        table = np.loadtxt(tmp_path / "efficiency.csv", delimiter=",")
+        assert 0.0 < side["eta"] < 1e-14
+        assert side["eta"] == pytest.approx(table[3], rel=1e-12)
+
     @pytest.mark.parametrize("method", ["established", "series",
                                         "full_quadrature"])
     def test_finite_band_refused(self, tmp_path, capsys, method):

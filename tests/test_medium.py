@@ -425,16 +425,14 @@ class TestInverseGroupVelocity:
 
 def lazy_path_values():
     """Every call that imports scipy.integrate or scipy.interpolate on first
-    use, as a list of floats: the adaptive quadratures import the first, the
-    tabulated hole of ``kappa_quadrature`` the second (the revival factor
-    itself integrates a Chebyshev series).  Self-contained: its source is
-    also run in a fresh interpreter."""
+    use, as a list of floats: the adaptive quadratures import the first, a
+    tabulated hole's spline the second.  Self-contained: its source is also
+    run in a fresh interpreter."""
     import numpy as np
 
     from holeburn.medium import (HoleProfile, MediumParams,
                                  absorption_coefficient, chi_quadrature,
                                  inverse_group_velocity)
-    from holeburn.storage import kappa_quadrature
 
     narrow = MediumParams.reduced(25.0)
     lossy = MediumParams.reduced(25.0, gamma_over_delta0=0.05)
@@ -447,7 +445,7 @@ def lazy_path_values():
         values += [chi.real, chi.imag]
     values.append(absorption_coefficient(0.3, gaussian, lossy))
     values.append(inverse_group_velocity(gaussian, lossy))
-    values.append(kappa_quadrature(1.0, tabulated, narrow))
+    values.append(absorption_coefficient(0.3, tabulated, lossy))
     return values
 
 

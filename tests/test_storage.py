@@ -10,14 +10,13 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfcx, sici
+from scipy.special import erfcx
 
 import holeburn.storage
 from holeburn.cli import Scenario
@@ -49,15 +48,15 @@ def reduced_setup(alpha0_L, delta0_T, hold=10.0):
     return params, pulse, schedule
 
 
-def reference_restored_field_full(t, pulse, schedule, profile, params,
-                                  n_pq=48, n_u=200):
+def reference_restored_field_full(t, pulse, schedule, params, n_pq=48,
+                                  n_u=200):
     """Unfactorized restored field: the established kernel evaluated on the
     full (p, q) grid at every time sample, then the weighted double sum."""
     v, a, rho, vc = _reduced(params)
     dT = pulse.duration
     x = schedule.t_pi1
     # the hole's K (its memory weight at gamma = 0), damped below on its own
-    kern = _memory_weight(profile, 0.0)
+    kern = _memory_weight(0.0)
 
     p, wp = _gl_interval(n_pq, 0.0, KERNEL_RANGE)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -78,55 +77,28 @@ def reference_restored_field_full(t, pulse, schedule, profile, params,
     return out if np.ndim(t) else float(out[0])
 
 
-def reference_kappa_finite_bandwidth(x, delta1, profile, params, knots=()):
-    """Per-sample adaptive quadrature of the finite-bandwidth revival factor
-    over [-delta1, delta1], split at Delta = 0 and at the in-band ``knots``.
-
-    Without knots this is the finite-bandwidth route as it stood before the
-    node rule.  A tabulated hole needs its spline knots: across them the
-    integrand is only twice differentiable, and the unsplit quadrature is
-    off by up to 1e-8 of peak."""
+def reference_kappa_finite_bandwidth(x, delta1, params):
+    """Per-sample adaptive quadrature of the Gaussian hole's finite-bandwidth
+    revival factor over [-delta1, delta1], split at Delta = 0: the
+    finite-bandwidth route as it stood before the node rule."""
     x = float(x)
     if x == 0.0:
         return 0.0
-    g = HoleProfile.gaussian() if profile is None else profile
     gamma = params.gamma_ab
     v = slow_light_velocity(params)
     b = 2.0 * x
 
     def integrand(delta):
         if delta == 0.0 and gamma == 0.0:
-            return float(g(0.0)) * 0.5 * b * b
+            return 0.0  # g(0) b^2 / 2, and g(0) = 0
         dc = complex(gamma, -delta)
-        return -float(g(delta)) * ((1.0 - np.exp(-dc * b)) / dc ** 2).real
+        return -float(GAUSSIAN(delta)) * ((1.0 - np.exp(-dc * b))
+                                          / dc ** 2).real
 
-    points = [0.0] + [k for k in knots if 0.0 < abs(k) < delta1]
-    val, err = integrate.quad(integrand, -delta1, delta1, points=points,
-                              limit=300 + len(points), epsabs=1e-12,
-                              epsrel=1e-10)
+    val, err = integrate.quad(integrand, -delta1, delta1, points=[0.0],
+                              limit=301, epsabs=1e-12, epsrel=1e-10)
     assert err <= 1e-7
     return v / (2.0 * np.pi) * val
-
-
-def tabulated(g, reach, knots):
-    """The hole g(Delta), given as a callable, tabulated on ``knots``
-    detunings of [-reach, reach]."""
-    x = np.linspace(-reach, reach, knots)
-    return HoleProfile.tabulated(x, g(x))
-
-
-def lorentzian_hole():
-    """A Lorentzian-shaped hole g = u^2 / (1 + u^2), tabulated on [-8, 8]:
-    its deficit 1/(1 + u^2) is 1/65 at the sampled edge."""
-    return tabulated(lambda u: u * u / (1.0 + u * u), 8.0, 161)
-
-
-def wide_gaussian_hole():
-    """The hole g = 1 - exp(-u^2/2), whose deficit kernel is sqrt(2 pi)
-    exp(-s^2/2).  Its 4097 knots on [-8, 8] are the detunings the kernel's
-    trapezoid sum samples, so the spline adds no interpolation error there,
-    and its deficit at the sampled edge is e^-32."""
-    return tabulated(lambda u: 1.0 - np.exp(-0.5 * u * u), 8.0, 4097)
 
 
 def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
@@ -139,24 +111,6 @@ def in_depth_x(alpha0_L, delta0_T, gamma=0.0, n_time=512):
     v = slow_light_velocity(params)
     keep = (elapsed > 0) & (params.length - v * elapsed >= 0.0)
     return params, 0.5 * elapsed[keep]
-
-
-def tabulated_gaussian_hole(knots=321, reach=8.0):
-    return tabulated(lambda u: 1.0 - np.exp(-u * u), reach, knots)
-
-
-def step_edged_hole():
-    """A tabulated hole whose deficit 1 - g jumps at the sampled edge."""
-    x = np.linspace(-3.0, 3.0, 61)
-    return HoleProfile.tabulated(x, np.where(np.abs(x) < 1.5, 0.0, 1.0))
-
-
-def reference_deficit_kernel(profile, s):
-    """Direct trapezoid transform of 1 - g on 4097 detunings of the sampled
-    support (the defining sum, evaluated at every delay s)."""
-    u = np.linspace(*profile.detuning_samples[[0, -1]], 4097)
-    h = 1.0 - np.asarray(profile(u), dtype=float)
-    return np.trapezoid(np.cos(np.outer(s, u)) * h, u, axis=-1)
 
 
 class TestStorageSchedule:
@@ -311,7 +265,7 @@ class TestKappa:
         grid = np.array([[0.0, 0.1, 0.5], [1.0, 2.0, 5.0]])
         arr = kappa_quadrature(grid, prof, params)
         assert arr.shape == grid.shape and arr[0, 0] == 0.0
-        np.testing.assert_allclose(arr, kappa(grid), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(arr, kappa(grid), rtol=0, atol=1e-12)
         for x, val in zip(grid.ravel(), arr.ravel()):
             one = kappa_quadrature(x, prof, params)
             assert isinstance(one, float)
@@ -325,15 +279,6 @@ class TestKappa:
         with pytest.raises(DomainError, match="got x = "):
             kappa_quadrature(x, HoleProfile.gaussian(),
                              MediumParams.reduced(10.0))
-
-    def test_quadrature_tabulated_hole(self):
-        # the tabulated Gaussian hole against the analytic one
-        params = MediumParams.reduced(10.0)
-        xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-        tab = kappa_quadrature(xs, tabulated_gaussian_hole(), params)
-        ref = kappa_quadrature(xs, HoleProfile.gaussian(), params)
-        assert np.max(np.abs(tab - ref)) <= 1e-5 * np.max(np.abs(ref))
-        np.testing.assert_allclose(ref, kappa(xs), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("v_over_c", [0.0, 0.3])
     @pytest.mark.parametrize("gamma", [0.009, 0.05, 0.2])
@@ -354,6 +299,32 @@ class TestKappa:
             i1 + b * SQRT_PI * e * erfcx(0.5 * b + gamma))
         got = kappa_quadrature(xs, HoleProfile.gaussian(), params)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gamma", [30.0, 1e3, 1e4])
+    def test_quadrature_at_large_gamma(self, gamma):
+        # W = sqrt(pi) e^{-s^2/4 - gamma s} lives on s < 60 / gamma, where
+        # its series is fitted: fitted on [0, SIGMA_MAX], kappa was off by
+        # 2e-12 relative at gamma 30 and 5e-11 at 1e3, and from 3e3 on the
+        # series was refused.  The reference is adaptive quadrature of
+        # (v / 2 pi) integral min(s, b) W(s) ds, split at b and cut at
+        # 60 / gamma (the closed form above cancels in I1 at this gamma)
+        params = MediumParams.reduced(25.0, gamma)
+        xs = np.array([0.3, 1.0, 4.0, 20.0])
+        cut = 60.0 / gamma
+        v = slow_light_velocity(params)
+
+        def ref(b):
+            def f(s):
+                return min(s, b) * SQRT_PI * math.exp(-0.25 * s * s
+                                                      - gamma * s)
+            parts = [(0.0, min(b, cut))] + ([(b, cut)] if b < cut else [])
+            return v / (2.0 * np.pi) * sum(
+                integrate.quad(f, lo, hi, epsabs=0.0, epsrel=2e-14,
+                               limit=200)[0] for lo, hi in parts)
+
+        got = kappa_quadrature(xs, HoleProfile.gaussian(), params)
+        np.testing.assert_allclose(got, [ref(2.0 * x) for x in xs],
+                                   rtol=1e-13, atol=0)
 
 
 class TestBandwidthReduction:
@@ -393,12 +364,7 @@ class TestBandwidthReduction:
 class TestKappaFiniteBandwidth:
     PROFILES = {"gaussian": (0.0, HoleProfile.gaussian),
                 "gaussian-lossy": (0.05, HoleProfile.gaussian),
-                "gaussian-narrow-line": (1e-3, HoleProfile.gaussian),
-                "tabulated": (0.0, tabulated_gaussian_hole),
-                # a hole given as a function g and tabulated; the band rule
-                # integrates g on [-delta1, delta1] only, so the
-                # Lorentzian's slow tail is no cut here
-                "callable": (0.0, lorentzian_hole)}
+                "gaussian-narrow-line": (1e-3, HoleProfile.gaussian)}
 
     @pytest.mark.parametrize("delta1", [1.5, 5.0, 6.0])
     @pytest.mark.parametrize("alpha0_L, delta0_T", [(25.0, 10.0),
@@ -410,9 +376,7 @@ class TestKappaFiniteBandwidth:
         prof = make()
         # a 128-sample grid: the same b range, a quarter of the quad calls
         params, x = in_depth_x(alpha0_L, delta0_T, gamma, n_time=128)
-        knots = () if prof.kind == "gaussian" else prof.detuning_samples
-        ref = np.array([reference_kappa_finite_bandwidth(xv, delta1, prof,
-                                                         params, knots)
+        ref = np.array([reference_kappa_finite_bandwidth(xv, delta1, params)
                         for xv in x])
         peak = np.max(np.abs(ref))
         assert peak > 0.5
@@ -511,24 +475,17 @@ class TestKappaFiniteBandwidth:
         np.testing.assert_allclose(zero, [0.80220017, 0.88057537], atol=1e-8)
 
     def test_zero_linewidth_hole_floor(self):
-        # at gamma = 0 the bracket's pi b delta(Delta) part weighs g(0);
-        # at gamma / delta0 = 1e-9 the node rule integrates it itself.  The
-        # hole-free line g == 1 has g(0) = 1 and the closed form
-        # (v / 2 pi) [2 b Si(b delta1) - 2 (1 - cos b delta1) / delta1 - pi b]
-        flat = HoleProfile.tabulated([1, 2, 3, 4], [1, 1, 1, 1])
+        # at gamma = 0 the bracket's pi b delta(Delta) part weighs the hole's
+        # floor g(0), which no node rule sees; the Gaussian hole has none,
+        # so the gamma = 0 rule matches gamma / delta0 = 1e-9, where the
+        # node rule integrates that part itself
+        assert GAUSSIAN(0.0) == 0.0
         x = np.array([1.0, 2.0, 4.0])
-        params = MediumParams.reduced(10.0)
-        zero = kappa_finite_bandwidth(x, 5.0, flat, params)
-        tiny = kappa_finite_bandwidth(x, 5.0, flat,
+        zero = kappa_finite_bandwidth(x, 5.0, GAUSSIAN,
+                                      MediumParams.reduced(10.0))
+        tiny = kappa_finite_bandwidth(x, 5.0, GAUSSIAN,
                                       MediumParams.reduced(10.0, 1e-9))
         np.testing.assert_allclose(zero, tiny, rtol=1e-7)
-        b = 2.0 * x
-        closed = slow_light_velocity(params) / (2.0 * np.pi) * (
-            2.0 * b * sici(5.0 * b)[0] - 2.0 * (1.0 - np.cos(5.0 * b)) / 5.0
-            - np.pi * b)
-        np.testing.assert_allclose(zero, closed, rtol=0, atol=1e-12)
-        # the Gaussian hole has no floor, so its results do not move
-        assert HoleProfile.gaussian()(0.0) == 0.0
 
 
 class TestRevivalEnvelope:
@@ -558,28 +515,26 @@ class TestRevivalEnvelope:
                                   delta1=5.0)
         t = schedule.t_pi2 + np.linspace(16.0, 24.0, 33)
         full = revival_envelope(t, pulse, schedule, params)
-        cut = revival_envelope(t, pulse, clipped, params,
-                               profile=HoleProfile.gaussian())
+        cut = revival_envelope(t, pulse, clipped, params)
         ratio = cut / full
         assert np.mean(ratio) == pytest.approx(0.887162, rel=0.02)
         # ringing: the deviation from the smooth plateau changes sign
         assert np.sum(np.diff(np.sign(ratio - np.mean(ratio))) != 0) >= 3
 
 
-    def test_non_gaussian_hole(self):
-        # any hole but the Gaussian one at infinite bandwidth takes
-        # kappa_quadrature
-        params, pulse, schedule = reduced_setup(25.0, 10.0)
-        hole = wide_gaussian_hole()
-        result = retrieve(pulse, schedule, params, profile=hole,
-                          method="revival")
+    def test_lossy_line_takes_kappa_quadrature(self):
+        # at infinite bandwidth and gamma > 0 the revival factor is
+        # kappa_quadrature's
+        _, pulse, schedule = reduced_setup(25.0, 10.0)
+        params = MediumParams.reduced(25.0, 0.05)
+        result = retrieve(pulse, schedule, params, method="revival")
         assert 0.0 < result.efficiency < 1.0
         v = slow_light_velocity(params)
         t = schedule.t_pi2 + np.array([1.0, 4.0])
         frozen = transmitted_gaussian(params.length - v * (t - schedule.t_pi2),
                                       schedule.t_pi1, pulse.duration, params)
-        kap = kappa_quadrature(0.5 * (t - schedule.t_pi2), hole, params)
-        got = revival_envelope(t, pulse, schedule, params, profile=hole)
+        kap = kappa_quadrature(0.5 * (t - schedule.t_pi2), GAUSSIAN, params)
+        got = revival_envelope(t, pulse, schedule, params)
         np.testing.assert_allclose(got, frozen * kap, rtol=1e-14)
 
     def test_finite_bandwidth_one_kernel_call(self, monkeypatch):
@@ -681,33 +636,9 @@ class TestRestoredFieldFull:
                                     prof, params)
             assert b == pytest.approx(a, rel=1e-10)
 
-    def test_matches_tabulated_profile(self):
-        # the analytic gaussian kernel and the tabulated cosine-transform
-        # kernel describe the same hole
-        params, pulse, schedule = reduced_setup(25.0, 10.0)
-        tab = tabulated_gaussian_hole()
-        t = schedule.t_pi2 + 5.0
-        a = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
-                                params)
-        b = restored_field_full(t, pulse, schedule, tab, params)
-        assert b == pytest.approx(a, rel=1e-3)
-
-    def test_tabulated_hole_on_retrieval_grid(self):
-        # the tabulated Gaussian hole against the analytic one on every
-        # 8th sample of a retrieval grid
-        params = MediumParams.reduced(25.0)
-        pulse, schedule = default_schedule(params)
-        t = retrieval_grid(pulse, schedule, params)[::8]
-        ref = restored_field_full(t, pulse, schedule, HoleProfile.gaussian(),
-                                  params)
-        tab = restored_field_full(t, pulse, schedule,
-                                  tabulated_gaussian_hole(), params)
-        assert np.max(np.abs(tab - ref)) <= 1e-5 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("gamma, tabulated", [
-        (0.0, False), (0.05, False), (0.0, True), (0.05, True)],
-        ids=["gaussian", "gaussian-lossy", "tabulated", "tabulated-lossy"])
-    def test_factorized_matches_unfactorized(self, gamma, tabulated):
+    @pytest.mark.parametrize("gamma", [0.0, 0.05],
+                             ids=["gaussian", "gaussian-lossy"])
+    def test_factorized_matches_unfactorized(self, gamma):
         # y straddles KERNEL_RANGE, where the q-nodes stop moving and the
         # contracted M is built once; the array call visits late, early,
         # late samples so a stale M would show
@@ -715,10 +646,10 @@ class TestRestoredFieldFull:
         pulse = PulseSpec(duration=10.0)
         t_pi1 = params.length / (2.0 * slow_light_velocity(params))
         schedule = StorageSchedule(t_pi1=t_pi1, t_pi2=t_pi1 + 10.0)
-        prof = tabulated_gaussian_hole() if tabulated else HoleProfile.gaussian()
+        prof = HoleProfile.gaussian()
         y = np.array([40.0, 0.5, 14.1, 7.0, 14.0, 13.9])
         t = schedule.t_pi2 + y
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        ref = reference_restored_field_full(t, pulse, schedule, params)
         peak = np.max(np.abs(ref))
         assert peak > 0.0
         arr = restored_field_full(t, pulse, schedule, prof, params)
@@ -735,7 +666,7 @@ class TestRestoredFieldFull:
         pulse, schedule = default_schedule(params)
         prof = HoleProfile.gaussian()
         t = retrieval_grid(pulse, schedule, params)[::8]
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        ref = reference_restored_field_full(t, pulse, schedule, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the same samples in descending order
@@ -756,7 +687,7 @@ class TestRestoredFieldFull:
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         prof = HoleProfile.gaussian()
         t = schedule.t_pi2 + np.array(y)
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        ref = reference_restored_field_full(t, pulse, schedule, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
         assert arr.shape == t.shape
         np.testing.assert_allclose(arr, ref, rtol=0.0,
@@ -774,7 +705,7 @@ class TestRestoredFieldFull:
         t = retrieval_grid(pulse, schedule, params)
         t = t[t - schedule.t_pi2 < KERNEL_RANGE]
         assert t.size == 169
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        ref = reference_restored_field_full(t, pulse, schedule, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -789,7 +720,7 @@ class TestRestoredFieldFull:
         y = np.empty(2 * n_early + 1)
         y[0::2], y[1::2] = late, early
         t = schedule.t_pi2 + y
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
+        ref = reference_restored_field_full(t, pulse, schedule, params)
         arr = restored_field_full(t, pulse, schedule, prof, params)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -798,21 +729,10 @@ class TestRestoredFieldFull:
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         prof = HoleProfile.gaussian()
         t = schedule.t_pi2 + np.array([0.4, 20.0, 6.5, 13.9, 30.0, 2.0])
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params,
+        ref = reference_restored_field_full(t, pulse, schedule, params,
                                             n_pq=96, n_u=400)
         arr = restored_field_full(t, pulse, schedule, prof, params, refine=2)
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_tabulated_hole_two_blocks(self):
-        # the tabulated kernel is called once per block of weights
-        params, pulse, schedule = reduced_setup(25.0, 10.0)
-        prof = tabulated_gaussian_hole()
-        y = np.append(np.linspace(0.5, 13.5, self.BLOCK + 1), 20.0)
-        t = schedule.t_pi2 + y
-        ref = reference_restored_field_full(t, pulse, schedule, prof, params)
-        arr = restored_field_full(t, pulse, schedule, prof, params)
-        assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
-
 
 class TestRestoredFieldFullHalves:
     """The early blocks run on one helper thread while the calling thread
@@ -896,7 +816,7 @@ class TestRestoredFieldFullHalves:
             pass
 
         caller = threading.current_thread()
-        gaussian = _memory_weight(HoleProfile.gaussian(), 0.0)
+        gaussian = _memory_weight(0.0)
 
         def kernel(s):
             if threading.current_thread() is not caller:
@@ -905,7 +825,7 @@ class TestRestoredFieldFullHalves:
 
         hooked = []
         monkeypatch.setattr(holeburn.storage, "_memory_weight",
-                            lambda profile, gamma: kernel)
+                            lambda gamma: kernel)
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         params, pulse, schedule = reduced_setup(25.0, 10.0)
         t = schedule.t_pi2 + np.array([3.0, 20.0, 7.5, 40.0])
@@ -918,80 +838,15 @@ class TestRestoredFieldFullHalves:
         assert hooked == []
 
 
-def test_tabulated_kernel_memory_bound():
-    # the cosine table is built at the Chebyshev points only (at most
-    # 129 x 4097 here), never at the sigma values asked for, so building
-    # the kernel and evaluating it at 3000 sigma values stays small; each
-    # value of an array call is the number a scalar call gives
-    sigma = np.linspace(0.0, 28.0, 3000)
-    tracemalloc.start()
-    try:
-        kern = _memory_weight(tabulated_gaussian_hole(), 0.0)
-        vals = kern(sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-    picks = [0, 254, 255, 256, 1500, 2999]
-    assert vals[picks].tolist() == [kern(sigma[i]) for i in picks]
-
-
 class TestDeficitKernelSeries:
-    HOLES = {"tabulated-121": lambda: tabulated_gaussian_hole(121, 6.0),
-             "step-edged": step_edged_hole,
-             # a hole given as a function g and tabulated
-             "callable": wide_gaussian_hole}
-
-    @pytest.mark.parametrize("hole", sorted(HOLES))
-    def test_matches_direct_transform(self, hole):
-        # the series against the defining trapezoid sum over the whole
-        # reach [0, SIGMA_MAX]
-        prof = self.HOLES[hole]()
-        sigma = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
-        ref = reference_deficit_kernel(prof, sigma)
-        got = _memory_weight(prof, 0.0)(sigma)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_wide_gaussian_matches_closed_form(self):
-        s = np.linspace(0.0, holeburn.storage.SIGMA_MAX, 3001)
-        ref = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * s * s)
-        got = _memory_weight(wide_gaussian_hole(), 0.0)(s)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("width", [0.5, 2.0])
-    def test_reduced_delay_scaling(self, width):
-        # a hole w times wider, tabulated at w times the detunings, has the
-        # kernel w K(w s)
-        x = np.linspace(-6.0, 6.0, 121)
-        prof = HoleProfile.tabulated(width * x, 1.0 - np.exp(-x * x))
-        s = np.linspace(0.0, 14.0, 57)
-        one = width * _memory_weight(tabulated_gaussian_hole(121, 6.0),
-                                     0.0)(width * s)
-        got = _memory_weight(prof, 0.0)(s)
-        assert np.max(np.abs(got - one)) <= 1e-13 * np.max(np.abs(one))
-        np.testing.assert_allclose(
-            got, reference_deficit_kernel(prof, s),
-            rtol=0, atol=1e-12 * np.max(np.abs(one)))
-
-    def test_uniform_hole_has_zero_kernel(self):
-        # the hole-free line g == 1, as a table of ones away from 0
-        flat = HoleProfile.tabulated([1, 2, 3, 4], [1, 1, 1, 1])
-        kern = _memory_weight(flat, 0.0)
-        assert np.all(kern(np.linspace(0.0, 28.0, 29)) == 0.0)
-        params = MediumParams.reduced(10.0)
-        assert np.all(kappa_quadrature([0.5, 3.0], flat, params) == 0.0)
-
     def test_degree_cap(self, monkeypatch):
-        # the wide Gaussian hole's kernel needs degree 128
-        hole = wide_gaussian_hole()
+        # the Gaussian hole's memory weight needs degree 128 at gamma = 0
+        params = MediumParams.reduced(10.0)
         monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 64)
-        with pytest.raises(NumericsError):
-            _memory_weight(hole, 0.0)
-        with pytest.raises(NumericsError):
-            kappa_quadrature(1.0, hole, MediumParams.reduced(10.0))
+        with pytest.raises(NumericsError, match="degree 64"):
+            kappa_quadrature(1.0, GAUSSIAN, params)
         monkeypatch.setattr(holeburn.storage, "_MAX_SERIES_DEGREE", 128)
-        assert math.isfinite(kappa_quadrature(1.0, hole,
-                                              MediumParams.reduced(10.0)))
+        assert math.isfinite(kappa_quadrature(1.0, GAUSSIAN, params))
 
 
 class TestAppendixSeries:
@@ -1127,27 +982,45 @@ class TestRetrieve:
         assert len(lines) == len(expected)
         assert all(part in line for part, line in zip(expected, lines))
 
-    def test_gaussian_only_routes_refuse_other_holes(self):
-        # established and series take no hole, and once returned their
-        # Gaussian-hole eta (0.5414 and 0.5302) for this flat-bottom hole;
-        # full quadrature and revival take it, and read 0.2748 and 0.3568
+    def test_gaussian_only_routes_refuse_other_holes(self, monkeypatch):
+        # every route models the Gaussian hole only: the three that take a
+        # profile refuse any other before any work, where a table once
+        # gave its own K with the Gaussian hole's v, dispersion and frozen
+        # field, and the others take no profile at all
         x = np.linspace(-6.0, 6.0, 121)
         flat = HoleProfile.tabulated(x, 1.0 - np.exp(-x ** 4))
         params = MediumParams.reduced(25.0)
         pulse, schedule = default_schedule(params)
+        t = schedule.t_pi2 + np.array([3.0, 20.0])
 
-        def eta(method, hole):
-            return retrieve(pulse, schedule, params, profile=hole,
-                            method=method).efficiency
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done for a refused hole")
 
-        for method in ("established", "series"):
-            with pytest.raises(ConfigurationError, match="Gaussian hole"):
-                eta(method, flat)
-            # the default hole is the Gaussian one
-            assert eta(method, GAUSSIAN) == retrieve(
-                pulse, schedule, params, method=method).efficiency
-        assert eta("full_quadrature", flat) == pytest.approx(0.2748, abs=1e-4)
-        assert eta("revival", flat) == pytest.approx(0.3568, abs=1e-4)
+        for name in ("_gl", "_chebyshev", "_memory_weight", "_reduced",
+                     "_revival_b", "check_retrieval_args"):
+            monkeypatch.setattr(holeburn.storage, name, unreachable)
+        routes = {
+            "restored_field_full": lambda hole: restored_field_full(
+                t, pulse, schedule, hole, params),
+            "kappa_quadrature": lambda hole: kappa_quadrature(
+                [0.5, 1.0], hole, params),
+            "kappa_finite_bandwidth": lambda hole: kappa_finite_bandwidth(
+                [0.5, 1.0], 5.0, hole, params),
+        }
+        for name, route in routes.items():
+            # a table, and a bare callable g
+            for hole in (flat, lambda delta: 1.0 - np.exp(-delta ** 4)):
+                with pytest.raises(ConfigurationError,
+                                   match=r"the Gaussian hole only"):
+                    route(hole)
+        monkeypatch.undo()
+        for route in (retrieve, efficiency):
+            with pytest.raises(TypeError, match="profile"):
+                route(pulse, schedule, params, profile=GAUSSIAN)
+        with pytest.raises(TypeError, match="profile"):
+            revival_envelope(t, pulse, schedule, params, profile=GAUSSIAN)
+        with pytest.raises(TypeError, match="profile"):
+            holeburn.storage.check_retrieval_args(profile=GAUSSIAN)
 
     def test_unknown_method(self):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
@@ -1251,21 +1124,21 @@ def test_gl_keeps_every_rule_size():
     assert after.hits == before.hits + len(sizes)
 
 
-def test_tabulated_hole_leaves_integrate_unloaded(fresh_python):
-    # the revival factor and the full quadrature integrate the kernel's
-    # Chebyshev series: scipy.integrate is never imported for them
+def test_lossy_storage_routes_leave_integrate_unloaded(fresh_python):
+    # at gamma > 0 the revival factor integrates the Chebyshev series of
+    # the memory weight, and the full quadrature evaluates the weight on
+    # its nodes: scipy.integrate is never imported for them
     code = """
 import sys
 import numpy as np
 from holeburn.medium import HoleProfile, MediumParams
 from holeburn.storage import (default_schedule, kappa_quadrature,
                               restored_field_full, retrieve)
-x = np.linspace(-6.0, 6.0, 121)
-hole = HoleProfile.tabulated(x, 1.0 - np.exp(-x * x))
-params = MediumParams.reduced(25.0)
+hole = HoleProfile.gaussian()
+params = MediumParams.reduced(25.0, 0.05)
 pulse, schedule = default_schedule(params)
 kappa_quadrature([0.5, 1.0], hole, params)
-retrieve(pulse, schedule, params, profile=hole, method="revival")
+retrieve(pulse, schedule, params, method="revival")
 restored_field_full(schedule.t_pi2 + np.array([3.0, 20.0]), pulse, schedule,
                     hole, params)
 sys.exit("scipy.integrate" in sys.modules)
