@@ -60,6 +60,14 @@ _MAX_SERIES_DEGREE = 1024
 # (about 2e-22, under the KERNEL_RANGE truncation) are skipped.
 U_NODE_REACH = 50.0
 
+# Largest gamma / delta0, per refine^2, at which the (p, q) rule of full
+# quadrature and of the derivative series resolves the memory decay
+# e^{-gamma s}: the Gauss-Legendre nodes nearest s = 0 lie ~1/n^2 apart.
+# Above it eta moves by more than 1e-6 relative against refine 4 or 8;
+# bisected at 37.1 to 39.0 per refine^2 (refine 1 to 4, alpha0 L 9 to 400,
+# b 0.3 to 1.2).  retrieve warns above it.
+DECAY_RESOLVED = 37.0
+
 # Floor of the Gaussian-factor exponents of the early samples in
 # restored_field_full.  numpy's exp runs up to ~100x slower on a lane whose
 # result is subnormal or zero, and a dot product ~25x slower on a product
@@ -523,12 +531,16 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     to the contiguous run of samples with s2 + q_first - h < y < s2 +
     q_last + h, where h^2 = U_NODE_REACH * 2 a s2.  Every factor left out
     is below e^{-U_NODE_REACH}, about 2e-22, under the 1e-21 at which
-    KERNEL_RANGE already truncates the kernel.
+    KERNEL_RANGE already truncates the kernel.  The differences y - q are
+    taken once per call; each u-node subtracts its scalar s2 from its run
+    of them into one reused buffer, so its exponent is ((y - q) - s2)^2.
 
-    When a call has both early and late samples, one helper thread runs
-    the early blocks while the calling thread runs the u-node loop; numpy
-    releases the interpreter lock inside both.  Each half keeps its
-    operation order and writes only its own samples, so the result is
+    When a call has both early and late samples, both threads draw early
+    block starts from one iterator: a helper thread starts on the blocks
+    while the calling thread runs the u-node loop, then takes the blocks
+    the helper has not; numpy releases the interpreter lock inside both.
+    A block keeps its operation order whichever thread takes it, and every
+    block and the late half write only their own samples, so the result is
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
@@ -560,9 +572,12 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
 
         early = np.flatnonzero((y > 0) & (y < KERNEL_RANGE))
         block = max(1, 2 ** 16 // (n_pq * n_u))
+        # one iterator of block starts, drawn from by both threads; under
+        # the interpreter lock each next() hands out a start exactly once
+        starts = iter(range(0, early.size, block))
 
         def early_half():
-            for start in range(0, early.size, block):
+            for start in starts:
                 idx = early[start:start + block]
                 q, m = contract(y[idx])
                 g = (s2 - y[idx, None])[:, None, :] + q[:, :, None]
@@ -580,15 +595,16 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
         def late_half():
             y_late = y[late]
             (q,), (m,) = contract(np.array([KERNEL_RANGE]))
-            sq = s2[:, None] + q
+            yq = y_late[:, None] - q
+            buf = np.empty_like(yq)
             m_rows = np.ascontiguousarray(m.T)
             h = np.sqrt(U_NODE_REACH * 2.0 * a * s2)
-            lo = np.searchsorted(y_late, sq[:, 0] - h, side="right")
-            hi = np.searchsorted(y_late, sq[:, -1] + h, side="left")
+            lo = np.searchsorted(y_late, s2 + q[0] - h, side="right")
+            hi = np.searchsorted(y_late, s2 + q[-1] + h, side="left")
             acc = np.zeros(late.size, dtype=float)
             for j, (i0, i1) in enumerate(zip(lo.tolist(), hi.tolist())):
                 if i1 > i0:
-                    d = y_late[i0:i1, None] - sq[j]
+                    d = np.subtract(yq[i0:i1], s2[j], out=buf[:i1 - i0])
                     np.square(d, out=d)
                     d *= neg_inv[j]
                     np.exp(d, out=d)
@@ -616,6 +632,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
             helper.start()
             try:
                 late_half()
+                early_half()  # the blocks the helper has not taken
             finally:
                 helper.join()
             if caught:
@@ -761,8 +778,10 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     The regime is reported, not enforced, as the figure panels mix
     regimes: ``validity`` holds the four indicators (the
     margins are those of ``propagation.confinement_report``) and
-    ``warnings`` one line per indicator out of regime, the lines a CLI
-    sidecar holds.  A restored energy that is not finite and positive, or
+    ``warnings`` one line per indicator out of regime, and one where the
+    (p, q) rule of full quadrature or the series does not resolve the
+    memory decay (gamma/delta0 above DECAY_RESOLVED refine^2): the lines a
+    CLI sidecar holds.  A restored energy that is not finite and positive, or
     a validity indicator that is not finite, raises NumericsError: a
     degenerate pulse duration or opacity is never reported as eta = 0.
     Every route computes with the Gaussian hole.  What
@@ -828,6 +847,11 @@ def retrieve(pulse: PulseSpec, schedule: StorageSchedule, params: MediumParams,
     if temporal < 1.0:
         warnings.append("pulse not confined inside the slab "
                         "(delta0 T above alpha0 L)")
+    if (method in ("full_quadrature", "series")
+            and params.gamma_ab > DECAY_RESOLVED * refine ** 2):
+        warnings.append("memory decay not resolved by the (p, q) rule "
+                        f"(gamma/delta0 above {DECAY_RESOLVED:g} refine^2); "
+                        "raise refine")
     label = f"series({series_order})" if method == "series" else method
     return RetrievalResult(envelope=env, efficiency=eta, method=label,
                            validity=validity, warnings=tuple(warnings))

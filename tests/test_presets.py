@@ -12,7 +12,8 @@ from the current code:
 
     PYTHONPATH=src python tests/test_presets.py
 
-A change that moves a pinned value rewrites the file and says so.
+Before rewriting it prints each pin that moved, one line each: the file,
+old -> new, and for a number its relative shift.
 """
 
 import contextlib
@@ -83,9 +84,57 @@ def test_preset_outputs_pinned(name, workers, tmp_path):
                 f"{fname}: {key} {validity[key]!r} != {val!r}"
 
 
+def _flat(pin):
+    """A file's pin as {key: value}: its sha256, or eta and each validity."""
+    if isinstance(pin, str):
+        return {"sha256": pin}
+    flat = {key: val for key, val in pin.items() if key != "validity"}
+    flat.update(pin.get("validity", {}))
+    return flat
+
+
+def moved(ref, got):
+    """One line per pin of ``got`` that differs from ``ref``: the file,
+    old -> new, and for a number its relative shift."""
+    lines = []
+    for name in sorted(set(ref) | set(got)):
+        old, new = ref.get(name, {}), got.get(name, {})
+        for fname in sorted(set(old) | set(new)):
+            if fname not in new or fname not in old:
+                lines.append(f"{name}/{fname}: "
+                             + ("removed" if fname in old else "added"))
+                continue
+            was, now = _flat(old[fname]), _flat(new[fname])
+            for key in sorted(set(was) | set(now)):
+                a, b = was.get(key), now.get(key)
+                if a == b and type(a) is type(b):
+                    continue
+                line = f"{name}/{fname}: {key} {a!r} -> {b!r}"
+                if (isinstance(a, float) and isinstance(b, float)
+                        and a != 0.0):
+                    line += f" (relative {abs(b - a) / abs(a):.1e})"
+                lines.append(line)
+    return lines
+
+
+def test_moved_names_each_shifted_pin():
+    ref = {"fig5": {"a.csv": "00", "a.csv.json": {
+        "eta": 0.5, "validity": {"ok": True, "fraction": 2.0}}}}
+    got = {"fig5": {"a.csv": "11", "b.csv": "22", "a.csv.json": {
+        "eta": 0.5, "validity": {"ok": True, "fraction": 2.5}}}}
+    assert moved(ref, got) == [
+        "fig5/a.csv: sha256 '00' -> '11'",
+        "fig5/a.csv.json: fraction 2.0 -> 2.5 (relative 2.5e-01)",
+        "fig5/b.csv: added"]
+    assert moved(ref, ref) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pins = {name: run_preset(name, tmp) for name in sorted(PRESETS)}
+    if os.path.exists(PINS):
+        with open(PINS) as fh:
+            print("\n".join(moved(json.load(fh), pins)) or "no pin moved")
     with open(PINS, "w") as fh:
         fh.write(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(PINS)

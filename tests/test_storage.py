@@ -658,11 +658,18 @@ class TestRestoredFieldFull:
         assert np.max(np.abs(arr - ref)) <= 1e-13 * peak
         assert np.max(np.abs(scalars - ref)) <= 1e-13 * peak
 
-    @pytest.mark.parametrize("alpha0_L", [9.0, 100.0])
-    def test_retrieval_grid_matches_unfactorized(self, alpha0_L):
+    @pytest.mark.parametrize("alpha0_L, gamma, v_over_c", [
+        pytest.param(alpha0_L, gamma, v_over_c,
+                     id=f"{alpha0_L}" + (f"-gamma{gamma}" if gamma else "")
+                     + (f"-vc{v_over_c}" if v_over_c else ""))
+        for alpha0_L in (9.0, 100.0)
+        for gamma, v_over_c in ((0.0, 0.0), (0.05, 0.0), (0.0, 0.3))])
+    def test_retrieval_grid_matches_unfactorized(self, alpha0_L, gamma,
+                                                 v_over_c):
         # every 8th sample of the grid a retrieval uses: the late u-node
-        # loop skips only factors below e^-U_NODE_REACH
-        params = MediumParams.reduced(alpha0_L)
+        # loop skips only factors below e^-U_NODE_REACH; a decay and a
+        # finite c move the memory weight and the u-nodes
+        params = MediumParams.reduced(alpha0_L, gamma, v_over_c)
         pulse, schedule = default_schedule(params)
         prof = HoleProfile.gaussian()
         t = retrieval_grid(pulse, schedule, params)[::8]
@@ -735,21 +742,39 @@ class TestRestoredFieldFull:
         assert np.max(np.abs(arr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 class TestRestoredFieldFullHalves:
-    """The early blocks run on one helper thread while the calling thread
-    runs the late u-node loop; a call with only one half starts none."""
+    """One helper thread starts on the early blocks while the calling
+    thread runs the late u-node loop and then takes the early blocks the
+    helper has not; both draw block starts from one iterator.  A call with
+    only one half starts no thread.  Whichever thread takes a block, the
+    result is bit-identical to the early-only and late-only calls."""
 
-    @pytest.fixture
-    def started(self, monkeypatch):
+    @staticmethod
+    def count_threads(monkeypatch, order="free"):
+        """Started helpers, with the helper run ``order``: "free" as it
+        comes, "caller" only once the caller joins it (the caller takes
+        every block), "helper" to its end inside ``start`` (it does)."""
         threads = []
 
         class CountingThread(threading.Thread):
             def start(self):
                 threads.append(self)
-                super().start()
+                if order != "caller":
+                    super().start()
+                if order == "helper":
+                    super().join()
+
+            def join(self, timeout=None):
+                if order == "caller":
+                    super().start()
+                super().join(timeout)
 
         monkeypatch.setattr(holeburn.storage, "threading",
                             SimpleNamespace(Thread=CountingThread))
         return threads
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        return self.count_threads(monkeypatch)
 
     @pytest.mark.parametrize("alpha0_L", [9.0, 100.0])
     def test_split_is_bit_identical(self, alpha0_L, started):
@@ -766,6 +791,40 @@ class TestRestoredFieldFullHalves:
         assert threading.active_count() == before
         alone = restored_field_full(t[early], pulse, schedule, prof, params)
         rest = restored_field_full(t[~early], pulse, schedule, prof, params)
+        assert len(started) == 1
+        assert np.array_equal(whole[early], alone)
+        assert np.array_equal(whole[~early], rest)
+
+    @pytest.mark.parametrize("order", ["caller", "helper"])
+    def test_one_thread_takes_every_early_block(self, order, monkeypatch):
+        # 169 early samples at alpha0 L = 9, 29 blocks: the memory weight
+        # is built once per block and once for the late half
+        started = self.count_threads(monkeypatch, order)
+        callers = []
+        gaussian = _memory_weight(0.0)
+
+        def kernel(s):
+            callers.append(threading.current_thread())
+            return gaussian(s)
+
+        monkeypatch.setattr(holeburn.storage, "_memory_weight",
+                            lambda gamma: kernel)
+        params = MediumParams.reduced(9.0)
+        pulse, schedule = default_schedule(params)
+        t = retrieval_grid(pulse, schedule, params)
+        early = (t - schedule.t_pi2 > 0) & (t - schedule.t_pi2 < KERNEL_RANGE)
+        n_blocks = -(-int(early.sum()) // TestRestoredFieldFull.BLOCK)
+        before = threading.active_count()
+        whole = restored_field_full(t, pulse, schedule, GAUSSIAN, params)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+        by_caller = callers.count(threading.current_thread())
+        assert by_caller == (1 + n_blocks if order == "caller" else 1)
+        assert len(callers) == 1 + n_blocks
+        alone = restored_field_full(t[early], pulse, schedule, GAUSSIAN,
+                                    params)
+        rest = restored_field_full(t[~early], pulse, schedule, GAUSSIAN,
+                                   params)
         assert len(started) == 1
         assert np.array_equal(whole[early], alone)
         assert np.array_equal(whole[~early], rest)
@@ -809,9 +868,11 @@ class TestRestoredFieldFullHalves:
                                 params)
         assert len(started) == 1
 
-    def test_early_half_exception_reaches_caller(self, monkeypatch, started):
+    def test_early_half_exception_reaches_caller(self, monkeypatch):
         # the error is raised in the caller, not only printed through
-        # threading.excepthook
+        # threading.excepthook; the helper runs first, so it takes a block
+        started = self.count_threads(monkeypatch, "helper")
+
         class EarlyHalfError(RuntimeError):
             pass
 
@@ -981,6 +1042,23 @@ class TestRetrieve:
         assert isinstance(lines, tuple)
         assert len(lines) == len(expected)
         assert all(part in line for part, line in zip(expected, lines))
+
+    @pytest.mark.parametrize("method", ["full_quadrature", "series",
+                                        "revival", "established"])
+    @pytest.mark.parametrize("gamma, refine, unresolved", [
+        (100.0, 1, True), (100.0, 2, False), (30.0, 1, False)])
+    def test_warns_of_unresolved_memory_decay(self, method, gamma, refine,
+                                              unresolved):
+        # at alpha0 L 25 the (p, q) rule misses eta by 2.3% at gamma/delta0
+        # 100 and refine 1, by 1e-10 at refine 2 and by 8e-9 at gamma/delta0
+        # 30 (against refine 4); revival and established have no such rule
+        params = MediumParams.reduced(25.0, gamma)
+        pulse, schedule = default_schedule(params)
+        lines = retrieve(pulse, schedule, params, method=method,
+                         refine=refine).warnings
+        warned = [line for line in lines if "memory decay" in line]
+        assert len(warned) == (unresolved and method in ("full_quadrature",
+                                                         "series"))
 
     def test_gaussian_only_routes_refuse_other_holes(self, monkeypatch):
         # every route models the Gaussian hole only: the three that take a
