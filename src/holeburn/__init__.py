@@ -7,7 +7,7 @@ hole, converted to a long-lived state by a pair of control pulses, and
 later retrieved.  Modules:
 
 ``medium``
-    Medium parameters, hole profiles, and susceptibility models.
+    Medium parameters, the Gaussian hole, and susceptibility models.
 ``propagation``
     Sampled envelopes and spectral-domain pulse propagation.
 ``storage``

@@ -254,18 +254,18 @@ class Scenario:
                 bad.append(f"{name} must not exceed {cap}, got {val}")
             else:
                 retrieval[name] = val
-        # each panel's files are named by _num of its value: equal tags
-        # would overwrite one panel with the next
-        field = ("alpha0_L_values" if self.kind == "store" else
-                 "delta0_T_values" if self.kind == "transmit" else None)
-        seen = {}
-        for val in (getattr(self, field) if field else None) or ():
-            tag = _num(val)
-            if tag in seen:
-                bad.append(f"{field} {seen[tag]!r} and {val!r} share the "
-                           f"file tag {tag!r}")
-            else:
-                seen[tag] = val
+        # each panel's files, and each sweep point's sidecar entries, are
+        # keyed by _num of its value: equal tags would overwrite one with
+        # the next (a list the kind does not read was refused above)
+        for field in ("alpha0_L_values", "delta0_T_values"):
+            seen = {}
+            for val in getattr(self, field) or ():
+                tag = _num(val)
+                if tag in seen:
+                    bad.append(f"{field} {seen[tag]!r} and {val!r} share "
+                               f"the file tag {tag!r}")
+                else:
+                    seen[tag] = val
 
         refused = []
 
@@ -607,6 +607,9 @@ def run_sweep(scenario: Scenario, out_dir, workers=1, tol=None):
     """
     panels = sorted(scenario.validate(), key=lambda panel: panel.alpha0_L)
     jobs = [(scenario, panel, tol) for panel in panels]
+    # a fork pool starts all its workers on the first submit: no more
+    # workers than points
+    workers = min(workers, len(jobs))
     if workers > 1:
         # multiprocessing is loaded only when a pool is asked for
         from concurrent.futures import ProcessPoolExecutor

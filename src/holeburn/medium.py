@@ -8,8 +8,8 @@ chi = (alpha0 / k) * chi_hat:
 * ``chi_exact_gaussian``  -- closed form for the Gaussian hole at any
   homogeneous width (the Faddeeva function; the Dawson integral at
   gamma_ab = 0)
-* ``chi_quadrature``      -- adaptive quadrature for any hole profile and
-  any homogeneous width: one frequency per call, with plain-float real and
+* ``chi_quadrature``      -- adaptive quadrature of the same hole at any
+  homogeneous width: one frequency per call, with plain-float real and
   imaginary integrands (the imaginary one skipped at gamma_ab = 0)
 * ``chi_second_order``    -- second-order expansion around the hole center
 
@@ -22,18 +22,19 @@ hole has unit width and delta0 appears nowhere.  Lengths are in units of
 and alpha0 appears nowhere either.  A run is then fixed by the
 dimensionless groups (alpha0 L, delta0 T, gamma_ab/delta0, v/c).
 
-``scipy.integrate`` and ``scipy.interpolate`` are imported on first use:
-the first by ``_quad``, the package's one adaptive-quadrature helper, the
-second by a tabulated ``HoleProfile``.  The Gaussian-hole paths load neither.
+The hole is the Gaussian one, ``HoleProfile``; every routine here that
+takes a ``profile`` refuses anything else (``check_gaussian_hole``).
+``scipy.integrate`` is imported on first use, by ``_quad``, the package's
+one adaptive-quadrature helper; the closed-form paths never load it.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import ConfigurationError, DomainError, NumericsError
 from .special import SQRT_PI, dawson, erfcx, faddeeva
 
 _QUAD_LIMIT = 300
@@ -87,64 +88,25 @@ def slow_light_velocity(params: MediumParams) -> float:
     return 1.0 / (params.inv_c + 1.0 / SQRT_PI)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HoleProfile:
-    """Normalized inhomogeneous distribution g(Delta) in [0, 1].
+    """The spectral hole: g(Delta) = 1 - exp(-Delta^2), in [0, 1].
 
-    ``gaussian`` means g = 1 - exp(-Delta^2) exactly.  ``tabulated`` holds
-    samples interpolated by a cubic spline, with g == 1 assumed beyond the
-    sampled range, so a table of ones away from 0, e.g.
-    ``tabulated([1, 2, 3, 4], [1, 1, 1, 1])``, is the hole-free line
-    g == 1.  The susceptibility, absorption and group-velocity routines
-    take either kind; the oracle, which only evaluates g, also takes a bare
-    callable g(Delta).  The storage routes take the Gaussian hole only.
-
-    Profiles compare and hash by identity: fields compared as a tuple would
-    put a table's arrays in a truth test.
+    The paper burns one hole at the centre of the inhomogeneous band, and
+    every route models it as this Gaussian, so a profile has no fields.
+    The routines of ``medium`` and ``storage`` that take a ``profile`` take
+    this hole only (``check_gaussian_hole``); the oracle, which only
+    evaluates g, also takes a bare callable g(Delta).
     """
-
-    kind: str = "gaussian"
-    detuning_samples: np.ndarray | None = field(default=None, repr=False)
-    g_values: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "tabulated"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "tabulated":
-            d = np.asarray(self.detuning_samples, dtype=float)
-            g = np.asarray(self.g_values, dtype=float)
-            if d.ndim != 1 or d.shape != g.shape or d.size < 4:
-                raise DomainError("tabulated profile needs matching 1-d arrays, >= 4 points")
-            if not np.all(np.diff(d) > 0):
-                raise DomainError("detuning samples must be strictly increasing")
-            if not np.all((g >= -1e-12) & (g <= 1.0 + 1e-12)):
-                raise DomainError("g values must lie in [0, 1]")
-            object.__setattr__(self, "detuning_samples", d)
-            object.__setattr__(self, "g_values", np.clip(g, 0.0, 1.0))
-            from scipy.interpolate import CubicSpline
-
-            spline = CubicSpline(d, self.g_values, bc_type="natural")
-            object.__setattr__(self, "_spline", spline)
-            if d[0] < 0.0 < d[-1] and abs(float(spline(0.0))) > 1e-6:
-                raise DomainError("hole profile must satisfy g(0) = 0")
 
     @classmethod
     def gaussian(cls):
-        return cls(kind="gaussian")
-
-    @classmethod
-    def tabulated(cls, detunings, g_values):
-        return cls(kind="tabulated", detuning_samples=detunings, g_values=g_values)
+        return cls()
 
     def __call__(self, delta):
         """g at detuning ``delta``."""
         x = np.asarray(delta, dtype=float)
-        if self.kind == "gaussian":
-            out = 1.0 - np.exp(-x * x)
-        else:
-            out = np.clip(self._spline(x), 0.0, 1.0)
-            out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
-                           1.0, out)
+        out = 1.0 - np.exp(-x * x)
         return out if out.ndim else float(out)
 
     def deficit(self, delta):
@@ -152,22 +114,20 @@ class HoleProfile:
         return 1.0 - self(delta)
 
     def second_derivative(self, delta):
-        """d^2 g / d Delta^2 (spline for tabulated)."""
+        """d^2 g / d Delta^2."""
         x = np.asarray(delta, dtype=float)
-        if self.kind == "gaussian":
-            out = (2.0 - 4.0 * x * x) * np.exp(-x * x)
-        else:
-            out = self._spline(x, 2)
-            out = np.where((x < self.detuning_samples[0]) | (x > self.detuning_samples[-1]),
-                           0.0, out)
+        out = (2.0 - 4.0 * x * x) * np.exp(-x * x)
         return out if out.ndim else float(out)
 
 
-def _scalar_deficit(profile: HoleProfile):
-    """Plain-float 1 - g(u) for the quadrature integrands."""
-    if profile.kind == "gaussian":
-        return lambda u: math.exp(-u ** 2)
-    return lambda u: float(profile.deficit(u))
+def check_gaussian_hole(profile):
+    """ConfigurationError unless ``profile`` is a ``HoleProfile``: the one
+    refusal of every routine in ``medium`` and ``storage`` that takes a
+    profile, made once per call before any work."""
+    if not isinstance(profile, HoleProfile):
+        raise ConfigurationError(
+            "the susceptibility and storage routes take the Gaussian hole "
+            f"only (HoleProfile.gaussian()), got {profile!r}")
 
 
 def _quad(func, a, b, epsabs, epsrel, points=None):
@@ -177,15 +137,12 @@ def _quad(func, a, b, epsabs, epsrel, points=None):
     ``scipy.optimize`` it pulls in) is imported on the first call, so a run
     that never integrates adaptively never loads it.  ``IntegrationWarning``
     is silenced: every caller checks the returned error estimate instead.
-    The subinterval limit grows past ``_QUAD_LIMIT`` only for more than
-    half that many break ``points``, which QUADPACK needs it to exceed.
     """
     from scipy import integrate
 
-    limit = max(_QUAD_LIMIT, 2 * (0 if points is None else len(points)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(func, a, b, points=points, limit=limit,
+        return integrate.quad(func, a, b, points=points, limit=_QUAD_LIMIT,
                               epsabs=epsabs, epsrel=epsrel)
 
 
@@ -229,23 +186,24 @@ def chi_quadrature(omega_offset, profile, params: MediumParams, tol=1e-11):
     real and imaginary parts of N/(v + i gamma) are integrated separately
     as plain-float functions, N v/(v^2 + gamma^2) and -N gamma/(v^2 + gamma^2);
     the imaginary part vanishes identically at gamma = 0 and is not
-    integrated there.
+    integrated there.  ``profile`` must be the Gaussian hole, whose deficit
+    is exp(-u^2).
     """
+    check_gaussian_hole(profile)
     omega = float(omega_offset)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma, abs(omega))
 
-    deficit = _scalar_deficit(profile)
-    h_at = deficit(omega)
+    h_at = math.exp(-omega ** 2)
     gamma2 = gamma * gamma
 
     def real_part(u):
         v = u - omega
-        return (deficit(u) - h_at * math.exp(-v ** 2)) * v / (v * v + gamma2)
+        return (math.exp(-u ** 2) - h_at * math.exp(-v ** 2)) * v / (v * v + gamma2)
 
     def imag_part(u):
         v = u - omega
-        return -(deficit(u) - h_at * math.exp(-v ** 2)) * gamma / (v * v + gamma2)
+        return -(math.exp(-u ** 2) - h_at * math.exp(-v ** 2)) * gamma / (v * v + gamma2)
 
     a, b = omega - window, omega + window
     re, err = _quad(real_part, a, b, tol, tol, points=[omega])
@@ -263,34 +221,27 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
 
     alpha = integral g L dDelta + (Omega^2/2) integral g'' L dDelta
     with L the Lorentzian of half-width gamma_ab.  For gamma_ab = 0 the
-    Lorentzian collapses to a delta function at the hole center.  A
-    tabulated hole's spline knots are break points of both integrals: its
-    g'' jumps there.
+    Lorentzian collapses to a delta function at the hole center, where the
+    Gaussian hole, the only ``profile`` taken, has g = 0.
     """
+    check_gaussian_hole(profile)
     omega = float(omega_offset)
     gamma = params.gamma_ab
 
     if gamma == 0.0:
-        g0 = float(profile(0.0))
-        if g0 > 1e-9:
-            raise NumericsError(
-                "gamma_ab = 0 with a profile not vanishing at the hole center "
-                "makes the Lorentzian integral singular")
         term1 = 0.0
         term2 = float(profile.second_derivative(0.0))
     else:
         # substitution Delta = gamma tan(psi) turns the Lorentzian weight into
         # a flat measure: integral f L dDelta = (1/pi) integral f(gamma tan psi) dpsi
         half = np.pi / 2.0
-        knots = (np.arctan(profile.detuning_samples / gamma)
-                 if profile.kind == "tabulated" else None)
         deficit, e1 = _quad(
             lambda psi: profile.deficit(gamma * np.tan(psi)) / np.pi,
-            -half, half, 1e-12, 1e-10, points=knots)
+            -half, half, 1e-12, 1e-10)
         term1 = 1.0 - deficit
         term2, e2 = _quad(
             lambda psi: profile.second_derivative(gamma * np.tan(psi)) / np.pi,
-            -half, half, 1e-12, 1e-10, points=knots)
+            -half, half, 1e-12, 1e-10)
         if max(e1, e2) > 1e-7:
             raise NumericsError("absorption quadrature did not converge",
                                 residual=max(e1, e2))
@@ -299,6 +250,7 @@ def absorption_coefficient(omega_offset, profile, params: MediumParams):
 
 def inverse_group_velocity(profile, params: MediumParams):
     """1/v = 1/c + (1 / 2 pi) * integral g(Delta) Delta^2/(Delta^2+gamma^2)^2 dDelta."""
+    check_gaussian_hole(profile)
     gamma = params.gamma_ab
     window = 50.0 * max(1.0, gamma)
 
@@ -334,16 +286,15 @@ def quadrature_model(profile, params: MediumParams):
     """chi_hat(Omega) callable backed by adaptive quadrature.
 
     Calls :func:`chi_quadrature` at tolerance 1e-10 once per distinct
-    frequency of the array it is given (``np.unique``).  Uses the even/odd
-    symmetry chi_hat(-Omega) = -conj(chi_hat(Omega)) valid for symmetric
-    profiles to halve the work on symmetric grids.
+    |frequency| of the array it is given (``np.unique``): the Gaussian hole
+    is even, so chi_hat(-Omega) = -conj(chi_hat(Omega)) halves the work on
+    symmetric grids.
     """
-    symmetric = profile.kind == "gaussian"
+    check_gaussian_hole(profile)
 
     def model(omega):
         om = np.asarray(omega, dtype=float)
-        keys, inverse = np.unique(np.abs(om) if symmetric else om,
-                                  return_inverse=True)
+        keys, inverse = np.unique(np.abs(om), return_inverse=True)
         vals = np.empty(keys.shape, dtype=complex)
         for i, key in enumerate(keys):
             val = chi_quadrature(key, profile, params, tol=1e-10)
@@ -351,8 +302,7 @@ def quadrature_model(profile, params: MediumParams):
             # attenuation exp(-z / 2) of the far wings
             vals[i] = complex(val.real, max(val.imag, -1.0))
         out = vals[inverse].reshape(om.shape)
-        if symmetric:
-            out = np.where(om < 0, -np.conj(out), out)
+        out = np.where(om < 0, -np.conj(out), out)
         return out if np.ndim(omega) else complex(out)
 
     return model

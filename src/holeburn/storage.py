@@ -22,7 +22,8 @@ a = sqrt(pi) (1 - v/c).  These come from ``_reduced`` (rho also from
 ``transit_time``), and the memory the read pulse recalls, the hole's
 deficit spectrum K decayed over the delay s, W(s) = K(s) e^{-gamma s},
 from ``_memory_weight``.  The routes take the Gaussian hole only; the three
-that accept a ``profile`` refuse any other before any work.
+that accept a ``profile`` refuse any other before any work
+(``check_gaussian_hole``).
 """
 
 import math
@@ -35,7 +36,8 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, NumericsError
-from .medium import HoleProfile, MediumParams, slow_light_velocity
+from .medium import (HoleProfile, MediumParams, check_gaussian_hole,
+                     slow_light_velocity)
 from .propagation import (PulseSpec, SampledEnvelope, confinement_report,
                           transmitted_gaussian)
 from .special import SQRT_PI, erf, erfc, erfcx
@@ -219,7 +221,8 @@ def _chebyshev(func, span):
     32 until resolved (Trefethen, Approximation Theory and Approximation
     Practice, ch. 8).  c_k = (2 - [k = 0]) / n sum_j f(x_j) cos(k t_j) at
     x_j = cos t_j, t_j = pi (j + 1/2) / n is exact to rounding
-    (Chebyshev.interpolate's recurrence loses ~1e-12 at the ends)."""
+    (numpy's own Chebyshev fit, by a recurrence, loses ~1e-12 at the
+    ends)."""
     deg = 32
     while deg <= _MAX_SERIES_DEGREE:
         t = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
@@ -239,14 +242,6 @@ def _memory_weight(gamma):
     e^{i Delta s}, decayed over the delay s (at gamma = 0 the bits of
     -s^2/4)."""
     return lambda s: SQRT_PI * np.exp((-0.25 * np.asarray(s) - gamma) * s)
-
-
-def _refuse_other_holes(profile):
-    """ConfigurationError unless ``profile`` is the Gaussian hole."""
-    if getattr(profile, "kind", None) != "gaussian":
-        raise ConfigurationError(
-            "the storage routes take the Gaussian hole only "
-            f"(HoleProfile.gaussian()), got {profile!r}")
 
 
 def _revival_b(x):
@@ -274,7 +269,7 @@ def kappa_quadrature(x, profile, params: MediumParams):
     and of s W.  ``x`` may be an array.  ``profile`` must be the Gaussian
     hole.
     """
-    _refuse_other_holes(profile)
+    check_gaussian_hole(profile)
     b = _revival_b(x)
     gamma = params.gamma_ab
     span = (SIGMA_MAX if gamma * SIGMA_MAX <= DECAY_REACH
@@ -342,7 +337,7 @@ def kappa_finite_bandwidth(x, delta1, profile, params: MediumParams):
     serves where gamma_ab^2 is not a normal float: D^2 would underflow at
     |Delta| ~ gamma.
     """
-    _refuse_other_holes(profile)
+    check_gaussian_hole(profile)
     b = _revival_b(x).ravel()
     gamma = params.gamma_ab
     if gamma * gamma < np.finfo(float).tiny:
@@ -544,7 +539,7 @@ def restored_field_full(t, pulse: PulseSpec, schedule: StorageSchedule,
     bit-identical to a serial run.  The helper is joined before the call
     returns, and an exception it raised is raised again in the caller.
     """
-    _refuse_other_holes(profile)
+    check_gaussian_hole(profile)
     check_retrieval_args(refine=refine, delta1=schedule.delta1)
     n_pq, n_u = 48 * refine, 200 * refine
     v, a, rho, vc = _reduced(params)

@@ -527,6 +527,33 @@ class TestSweep:
         assert Path(f1[0]).read_bytes() == Path(f2[0]).read_bytes()
         assert Path(f1[1]).read_bytes() == Path(f2[1]).read_bytes()
 
+    def test_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # a fork pool starts every worker on the first submit, so --workers
+        # far above the point count is cut to one worker per point; the
+        # pool here records its size and maps in-process
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs):
+                return map(func, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        files = run_sweep(self.scenario(), str(tmp_path), workers=64)
+        assert sizes == [2]
+        assert np.loadtxt(files[0], delimiter=",").shape == (2, 4)
+
     def test_convergence_guard_exit_code(self, tmp_path):
         # an impossible tolerance forces the doubled-resolution check to
         # report a numerical failure (exit code 3)
@@ -1056,13 +1083,24 @@ class TestExitCodeContract:
         assert store.panels()[1] == [
             "alpha0_L_values 25.0000001 and 25.0000002 share the file tag "
             "'25'"]
-        # a sweep writes one table whatever its points
+        # a sweep keys its sidecar's failures and warnings by the same tag
         sweep = Scenario(kind="sweep-efficiency",
                          alpha0_L_values=(25.0000001, 25.0000002), b=0.6)
-        assert sweep.panels()[1] == []
+        assert sweep.panels()[1] == store.panels()[1]
         transmit = Scenario(kind="transmit", alpha0_L=10.0,
                             delta0_T_values=(5.0, 10.0))
         assert transmit.panels()[1] == []
+
+    def test_sweep_tag_collision_refused(self, tmp_path, capsys):
+        # two points of one tag once wrote a single sidecar key between them
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "kind": "sweep-efficiency", "alpha0_L_values": [9, 9.0000001, 100],
+            "b": 0.3, "method": "revival"}))
+        assert main(["validate", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "alpha0_L_values 9.0 and 9.0000001 share the file tag '9'" in err
 
     @pytest.mark.parametrize("values", [[], [4.0, "deep"], 9.0])
     def test_malformed_value_lists_rejected(self, values):

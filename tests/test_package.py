@@ -28,6 +28,22 @@ def private_imports(source):
     return found
 
 
+def scipy_imports(source):
+    """The scipy modules that ``source`` imports, as dotted names: a name
+    taken from ``scipy`` itself counts as the submodule it names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                found |= {f"scipy.{alias.name}" for alias in node.names}
+            elif node.module.split(".")[0] == "scipy":
+                found.add(node.module)
+    return found
+
+
 def package_errors():
     """Names of the exception classes that holeburn.errors defines."""
     tree = ast.parse((SRC / "errors.py").read_text())
@@ -126,6 +142,29 @@ def test_no_private_imports_across_modules():
     found = {path.name: private_imports(path.read_text())
              for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from scipy import integrate", {"scipy.integrate"}),
+    ("def f():\n    from scipy.interpolate import CubicSpline",
+     {"scipy.interpolate"}),
+    ("import scipy.special as sc\nimport scipy", {"scipy.special", "scipy"}),
+    ("from scipy import special, optimize",
+     {"scipy.special", "scipy.optimize"}),
+    ("import numpy as np\nfrom .special import erfcx", set()),
+])
+def test_scipy_imports_found(source, expected):
+    assert scipy_imports(source) == expected
+
+
+def test_scipy_imports_stay_in_their_modules():
+    # special wraps scipy.special and medium's one adaptive quadrature
+    # wraps scipy.integrate; any other scipy import (a spline from
+    # scipy.interpolate, say) would be a new dependency
+    found = {path.name: scipy_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {
+        "special.py": {"scipy.special"}, "medium.py": {"scipy.integrate"}}
 
 
 def run_flags():

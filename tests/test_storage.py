@@ -18,10 +18,13 @@ import pytest
 from scipy import integrate
 from scipy.special import erfcx
 
+import holeburn.medium
 import holeburn.storage
 from holeburn.cli import Scenario
 from holeburn.errors import ConfigurationError, DomainError, NumericsError
-from holeburn.medium import HoleProfile, MediumParams, slow_light_velocity
+from holeburn.medium import (HoleProfile, MediumParams, absorption_coefficient,
+                             chi_quadrature, inverse_group_velocity,
+                             quadrature_model, slow_light_velocity)
 from holeburn.propagation import (PulseSpec, confinement_report,
                                   transmitted_gaussian)
 from holeburn.storage import (KERNEL_RANGE, MAX_HOLD, RetrievalResult,
@@ -1061,13 +1064,12 @@ class TestRetrieve:
                                                          "series"))
 
     def test_gaussian_only_routes_refuse_other_holes(self, monkeypatch):
-        # every route models the Gaussian hole only: the three that take a
-        # profile refuse any other before any work, where a table once
-        # gave its own K with the Gaussian hole's v, dispersion and frozen
-        # field, and the others take no profile at all
-        x = np.linspace(-6.0, 6.0, 121)
-        flat = HoleProfile.tabulated(x, 1.0 - np.exp(-x ** 4))
-        params = MediumParams.reduced(25.0)
+        # every route models the Gaussian hole only: the storage routes and
+        # the susceptibility routines that take a profile refuse anything
+        # but a HoleProfile before any work, where a table once gave its
+        # own K with the Gaussian hole's v, dispersion and frozen field;
+        # the other storage routes take no profile at all
+        params = MediumParams.reduced(25.0, gamma_over_delta0=0.05)
         pulse, schedule = default_schedule(params)
         t = schedule.t_pi2 + np.array([3.0, 20.0])
 
@@ -1077,6 +1079,8 @@ class TestRetrieve:
         for name in ("_gl", "_chebyshev", "_memory_weight", "_reduced",
                      "_revival_b", "check_retrieval_args"):
             monkeypatch.setattr(holeburn.storage, name, unreachable)
+        for name in ("_quad", "chi_quadrature"):
+            monkeypatch.setattr(holeburn.medium, name, unreachable)
         routes = {
             "restored_field_full": lambda hole: restored_field_full(
                 t, pulse, schedule, hole, params),
@@ -1084,10 +1088,19 @@ class TestRetrieve:
                 [0.5, 1.0], hole, params),
             "kappa_finite_bandwidth": lambda hole: kappa_finite_bandwidth(
                 [0.5, 1.0], 5.0, hole, params),
+            "chi_quadrature": lambda hole: chi_quadrature(0.5, hole, params),
+            "absorption_coefficient": lambda hole: absorption_coefficient(
+                0.3, hole, params),
+            "inverse_group_velocity": lambda hole: inverse_group_velocity(
+                hole, params),
+            "quadrature_model": lambda hole: quadrature_model(hole, params),
         }
+        # a bare callable g, and an object that only claims the old
+        # Gaussian kind
+        holes = (lambda delta: 1.0 - np.exp(-delta ** 4),
+                 SimpleNamespace(kind="gaussian"))
         for name, route in routes.items():
-            # a table, and a bare callable g
-            for hole in (flat, lambda delta: 1.0 - np.exp(-delta ** 4)):
+            for hole in holes:
                 with pytest.raises(ConfigurationError,
                                    match=r"the Gaussian hole only"):
                     route(hole)
