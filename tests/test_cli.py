@@ -1077,6 +1077,24 @@ class TestExitCodeContract:
         assert errs[0] == errs[1]
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("n_time, code", [(32, 2), (64, 0)])
+    @pytest.mark.parametrize("kind", ["store", "sweep-efficiency"])
+    def test_n_time_floor(self, tmp_path, capsys, kind, n_time, code):
+        # a grid of 32 samples put eta up to 10% off: validate and the run
+        # refuse it in one line naming n_time; 64 runs
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "kind": kind, "alpha0_L_values": [25.0], "b": 0.6,
+            "method": "revival", "n_time": n_time}))
+        for command in ("validate", kind):
+            assert main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.count("\n") == 2
+            assert ("n_time must be a power of two of at least 64, got 32"
+                    in err)
+
     def test_panel_tag_collision_named(self):
         store = Scenario(kind="store", b=0.6,
                          alpha0_L_values=(25.0000001, 25.0000002))

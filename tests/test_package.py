@@ -44,6 +44,27 @@ def scipy_imports(source):
     return found
 
 
+def polynomial_imports(source):
+    """What ``source`` takes from numpy.polynomial, as dotted names: each
+    name imported from it or from one of its submodules, each import of
+    it, and each attribute path that reaches it (``np.polynomial``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names
+                      if alias.name.split(".")[:2] == ["numpy", "polynomial"]}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[:2] == ["numpy", "polynomial"]:
+                found |= {f"{node.module}.{alias.name}"
+                          for alias in node.names}
+            elif node.module == "numpy":
+                found |= {"numpy.polynomial" for alias in node.names
+                          if alias.name == "polynomial"}
+        elif isinstance(node, ast.Attribute) and node.attr == "polynomial":
+            found.add(ast.unparse(node))
+    return found
+
+
 def package_errors():
     """Names of the exception classes that holeburn.errors defines."""
     tree = ast.parse((SRC / "errors.py").read_text())
@@ -165,6 +186,31 @@ def test_scipy_imports_stay_in_their_modules():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: mods for name, mods in found.items() if mods} == {
         "special.py": {"scipy.special"}, "medium.py": {"scipy.integrate"}}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from numpy.polynomial.legendre import leggauss",
+     {"numpy.polynomial.legendre.leggauss"}),
+    ("from numpy.polynomial import Chebyshev",
+     {"numpy.polynomial.Chebyshev"}),
+    ("import numpy.polynomial.chebyshev as C",
+     {"numpy.polynomial.chebyshev"}),
+    ("from numpy import polynomial", {"numpy.polynomial"}),
+    ("c = np.polynomial.chebyshev.chebfit(x, y, 8)", {"np.polynomial"}),
+    ("import numpy as np\nfrom numpy.linalg import solve", set()),
+])
+def test_polynomial_imports_found(source, expected):
+    assert polynomial_imports(source) == expected
+
+
+def test_numpy_polynomial_is_leggauss_only():
+    # storage builds its Gauss-Legendre rules with numpy's leggauss; the
+    # memory weight is explicit, so no module fits or integrates a
+    # polynomial series of it (a Chebyshev interpolant, say)
+    found = {path.name: polynomial_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "storage.py": {"numpy.polynomial.legendre.leggauss"}}
 
 
 def run_flags():
