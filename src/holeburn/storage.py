@@ -106,9 +106,9 @@ MAX_REFINE = 8
 
 # Fewest samples of a retrieval grid.  eta is a sum over the grid: against
 # 512 samples (b 0.6, alpha0 L 9 to 340) it is off by up to 9.9% at 32, and
-# at 2 to 8 the revival energy underflows to 0, while at 64 it is within
-# 0.12% (full quadrature), 0.49% (series), 1.7% (established) and 2.5%
-# (revival).
+# at 2 to 8 the revival samples can all miss the waveform (energy 0), while
+# at 64 it is within 0.12% (full quadrature), 0.49% (series), 1.7%
+# (established) and 2.5% (revival).
 MIN_TIME_SAMPLES = 64
 
 

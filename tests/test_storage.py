@@ -1123,7 +1123,8 @@ class TestRetrieve:
             retrieve(pulse, schedule, params, method=method, refine=refine)
 
     # the CLI's rule: an int, at least 64, and a power of two (at 32, eta
-    # is off by up to 10%; at 2 to 8 the revival energy underflows to 0)
+    # is off by up to 10%; at 2 to 8 the revival samples can miss the
+    # waveform)
     @pytest.mark.parametrize("n_time", [0, 1, 3, True, 32])
     def test_bad_n_time_refused(self, n_time):
         params, pulse, schedule = reduced_setup(25.0, 10.0)
